@@ -10,7 +10,7 @@ fraction of D.
 import numpy as np
 
 from specbounds import (
-    compute_metric,
+    AnalysisContext,
     complete_graph,
     dirichlet_bounds_finite,
     dirichlet_lower_bound,
@@ -20,8 +20,7 @@ from specbounds import (
 
 print("=== The two-point graph: both bounds are tight ===")
 k2 = complete_graph(2)
-md = compute_metric(k2)
-lower, upper = dirichlet_bounds_finite(k2, md, ("v0",))
+lower, upper = dirichlet_bounds_finite(AnalysisContext(k2, ("v1",)))
 print(f"  ground energy {lower.true_value} sits between {lower.bound_value} (below)")
 print(f"  and {upper.bound_value} (above): equality on both sides.")
 print("  An inverse-square inradius bound, as in continuum domains, is")
@@ -29,10 +28,9 @@ print("  impossible: the upper bound already scales like 1/vol(region).")
 
 print("\n=== A 11x11 box with a sparse penalty sublattice ===")
 g = generate("lattice:2:10")
-md = compute_metric(g)
 d_set = tuple(v for v in g.vertices if all(int(c) % 3 == 0 for c in v.split(",")))
-omega = g.complement(d_set)
-rows = list(dirichlet_bounds_finite(g, md, omega)) + dirichlet_lower_bound(g, md, omega)
+ctx = AnalysisContext(g, d_set)
+rows = list(dirichlet_bounds_finite(ctx)) + dirichlet_lower_bound(ctx)
 for r in rows:
     rel = "<=" if r.relation == "<=" else ">="
     print(f"  {r.name:42s} {r.true_value:10.6f} {rel} {r.bound_value:10.6f}  "
@@ -44,11 +42,9 @@ worst_ratio = np.inf
 for seed in range(200):
     n = int(rng.integers(3, 50))
     h = random_connected(n, seed=seed, m_range=(0.5, 2.0))
-    mdh = compute_metric(h)
     k = int(rng.integers(1, n))
     centers = tuple(h.vertices[i] for i in sorted(rng.choice(n, size=k, replace=False)))
-    region = h.complement(centers)
-    main_row = dirichlet_lower_bound(h, mdh, region)[0]
+    main_row = dirichlet_lower_bound(AnalysisContext(h, centers))[0]
     assert main_row.passed
     worst_ratio = min(worst_ratio, main_row.true_value / main_row.bound_value)
 print(f"  200 instances checked; tightest truth/bound ratio seen: {worst_ratio:.3f}")

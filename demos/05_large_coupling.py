@@ -10,6 +10,7 @@ tracking the proved envelope with log-log slope close to -1.
 import numpy as np
 
 from specbounds import (
+    AnalysisContext,
     assemble,
     complete_graph,
     coupling_rate,
@@ -27,7 +28,7 @@ ts = np.geomspace(threshold, 1000.0 * threshold, 10)
 gaps = []
 print(f"  {'t':>12s} {'measured gap':>14s} {'proved bound':>14s}")
 for t in ts:
-    row = resolvent_gap(k2, ("v1",), float(t))
+    row = resolvent_gap(AnalysisContext(k2, ("v1",)), float(t))
     gaps.append(row.true_value)
     print(f"  {t:12.1f} {row.true_value:14.3e} {row.bound_value:14.3e}")
 slope = np.polyfit(np.log(ts), np.log(gaps), 1)[0]
@@ -45,6 +46,6 @@ for t in [0.0, th, 10 * th, 100 * th, 1000 * th]:
         lowest_eigenvalue(assemble(g))
     print(f"  t = {t:12.1f}: ground energy {lam_t:.8f}   gap {lam_limit - lam_t:.2e}")
 
-rows = coupling_rate(g, centers, [0.0, th, 10 * th, 100 * th])
+rows = coupling_rate(AnalysisContext(g, centers), [0.0, th, 10 * th, 100 * th])
 print("\nall monotonicity and rate rows pass:",
       all(r.passed for r in rows))

@@ -11,8 +11,8 @@ from below by explicit geometric constants.
 import numpy as np
 
 from specbounds import (
+    AnalysisContext,
     assemble,
-    compute_metric,
     eigdecompose,
     generate,
     lowest_eigenvalue,
@@ -21,7 +21,6 @@ from specbounds import (
 )
 
 g = generate("lattice:1:40")
-md = compute_metric(g)
 centers = tuple(v for v in g.vertices if int(v) % 4 == 0)
 region = g.complement(centers)
 lam = lowest_eigenvalue(assemble(g, omega=region))
@@ -35,7 +34,7 @@ proj = spectral_projection(sd, interval)
 print(f"eigenvalues inside the window: {len(proj.indices)}")
 
 print("\n=== Constants ===")
-for row in uncertainty_constant(g, md, centers, interval):
+for row in uncertainty_constant(AnalysisContext(g, centers), interval):
     marker = "ok " if row.passed else "BAD"
     print(f"  [{marker}] {row.name:32s} true {row.true_value:12.6g}  "
           f"bound {row.bound_value:12.6g}")

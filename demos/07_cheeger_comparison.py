@@ -8,6 +8,7 @@ or more dimensions.
 """
 
 from specbounds import (
+    AnalysisContext,
     beta_exhaustive,
     cheeger_chain,
     compute_metric,
@@ -18,9 +19,8 @@ from specbounds import (
 
 print("=== 9x9 box, penalty on the coarse sublattice 3Z^2 ===")
 g = lattice_box(2, 8)
-md = compute_metric(g)
 centers = tuple(v for v in g.vertices if all(int(c) % 3 == 0 for c in v.split(",")))
-for row in cheeger_chain(g, md, centers):
+for row in cheeger_chain(AnalysisContext(g, centers)):
     tag = "info" if row.vacuous else ("ok " if row.passed else "BAD")
     print(f"  [{tag}] {row.name:38s} {row.true_value:11.5g} >= {row.bound_value:11.5g}")
     if row.note:

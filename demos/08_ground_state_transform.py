@@ -11,6 +11,7 @@ transfers to the potential case with explicit constants.
 import numpy as np
 
 from specbounds import (
+    AnalysisContext,
     compute_metric,
     ground_state,
     ground_state_transform,
@@ -22,7 +23,7 @@ from specbounds import (
 from specbounds.spectral import assemble, lowest_eigenvalue
 
 g = random_connected(24, seed=12, weight_range=(1.0, 1.0), potential_range=(0.0, 2.0))
-gs = ground_state(g)
+gs = ground_state(AnalysisContext(g))
 print(f"random 24-vertex graph with potential in [0, 2]")
 print(f"ground energy lambda_V = {gs.lambda_v:.6f}")
 print(f"pinching constant c = {gs.c:.4f}  (so 1/c <= phi <= c after scaling)")
@@ -41,10 +42,9 @@ print(f"distance distortion range: [{ratio.min():.4f}, {ratio.max():.4f}]"
       f"  within [1/c^2, c^2] = [{1/c2:.4f}, {c2:.4f}]")
 
 print("\n=== The potential Dirichlet bound ===")
-md = compute_metric(g)
 centers = g.vertices[::5]
 truth = lowest_eigenvalue(assemble(g, omega=g.complement(centers)))
-for r in potential_dirichlet_bound(g, md, gs, centers):
+for r in potential_dirichlet_bound(AnalysisContext(g, centers), gs):
     print(f"  {r.name:36s} truth {r.true_value:.6f} >= bound {r.bound_value:.6f}"
           f"  [{'ok' if r.passed else 'BAD'}]")
 print(f"(the bound exceeds lambda_V = {gs.lambda_v:.6f} by a geometric margin)")
@@ -53,10 +53,9 @@ print("\n=== Doubling variant on a structured graph ===")
 from specbounds import lattice_box
 
 box = lattice_box(2, 6)
-mdb = compute_metric(box)
-gsb = ground_state(box)
 centers = tuple(v for v in box.vertices if all(int(c) % 3 == 0 for c in v.split(",")))
-rows = potential_dirichlet_bound(box, mdb, gsb, centers, doubling_exponent=2.0)
+box_ctx = AnalysisContext(box, centers)
+rows = potential_dirichlet_bound(box_ctx, ground_state(box_ctx), doubling_exponent=2.0)
 for r in rows:
     print(f"  {r.name:36s} truth {r.true_value:.6f} >= bound {r.bound_value:.6f}")
 print("with zero potential both rows reduce to the plain ball-volume bound.")

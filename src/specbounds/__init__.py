@@ -8,10 +8,12 @@ ground-state transforms for potentials.  Every bound is a theorem: a
 failing report row signals an implementation bug.
 """
 
+# Set before the submodules load: report reads it while this package initialises.
+__version__ = "0.1.0"
+
 from .cheeger import (
     EXHAUSTIVE_CAP,
     IsoperimetricData,
-    beta_connected_oracle,
     beta_exhaustive,
     beta_voronoi_bound,
     boundary_count,
@@ -30,6 +32,7 @@ from .errors import (
     GraphFormatError,
     InvalidSpec,
     NegativeEdgeWeight,
+    NonFinitePotential,
     NonPositiveMeasure,
     NonSymmetricWeights,
     NonzeroDiagonal,
@@ -90,6 +93,7 @@ from .report import (
     rows_pass,
 )
 from .spectral import (
+    AnalysisContext,
     OperatorMatrix,
     SpectralData,
     SpectralProjection,
@@ -110,5 +114,3 @@ from .spectral import (
     uncertainty_constant,
 )
 from .voronoi import VoronoiDecomposition, build_voronoi, verify_voronoi
-
-__version__ = "0.1.0"

@@ -16,10 +16,10 @@ from typing import Iterable
 import numpy as np
 
 from .errors import NotCombinatorial, TooLarge
-from .graph import WeightedGraph, is_combinatorial, validate
-from .metric import BallVolumeTable, MetricData, covering_radius
+from .graph import WeightedGraph, is_combinatorial
+from .metric import MetricData, covering_radius
 from .report import BoundReport, make_report
-from .spectral import assemble, lowest_eigenvalue
+from .spectral import AnalysisContext
 from .voronoi import build_voronoi
 
 EXHAUSTIVE_CAP = 22
@@ -113,57 +113,20 @@ def beta_exhaustive(
     )
 
 
-def beta_connected_oracle(g: WeightedGraph, omega: Iterable[str]) -> float:
-    """Slow oracle: infimum over connected nonempty subsets of the region.
-
-    A disconnected subset never beats its best connected component, so this
-    must agree with the exhaustive value.  Plain Python; keep the region
-    small.
-    """
-    _require_combinatorial(g)
-    omega = tuple(dict.fromkeys(omega))
-    k = len(omega)
-    idx = [g.index[v] for v in omega]
-    local = {gidx: pos for pos, gidx in enumerate(idx)}
-    neighbors = [
-        [local[j] for j, _ in g.adjacency[gidx] if j in local] for gidx in idx
-    ]
-    degrees = [len(g.adjacency[i]) for i in idx]
-
-    best = np.inf
-    for mask in range(1, 1 << k):
-        bits = [pos for pos in range(k) if mask >> pos & 1]
-        seen = {bits[0]}
-        stack = [bits[0]]
-        while stack:
-            u = stack.pop()
-            for v in neighbors[u]:
-                if mask >> v & 1 and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != len(bits):
-            continue
-        inside = sum(1 for u in bits for v in neighbors[u] if mask >> v & 1)
-        boundary = sum(degrees[u] for u in bits) - inside
-        best = min(best, boundary / len(bits))
-    return float(best)
-
-
-def beta_voronoi_bound(
-    g: WeightedGraph, md: MetricData, d_set: Iterable[str], cap: int = EXHAUSTIVE_CAP
-) -> BoundReport:
+def beta_voronoi_bound(ctx: AnalysisContext, cap: int = EXHAUSTIVE_CAP) -> BoundReport:
     """Voronoi lower bound: the region constant is at least 1/vol[R].
 
     R is the covering radius of the centers.  The true constant comes from
     exhaustive enumeration when the region fits under the cap; otherwise
     the row is emitted in bound-only mode and flagged.
     """
+    g = ctx.graph
     _require_combinatorial(g)
-    d = tuple(dict.fromkeys(d_set))
-    build_voronoi(g, d)  # existence witness for the decomposition behind the bound
-    omega = g.complement(d)
-    R = covering_radius(md, d)
-    bound = 1.0 / BallVolumeTable(g, md).vol_bracket(R)
+    build_voronoi(g, ctx.centers)  # existence witness for the decomposition behind the bound
+    omega = ctx.omega
+    # Not ctx.R: the region may be empty here, and then only Covr(D) exists.
+    R = covering_radius(ctx.metric, ctx.centers)
+    bound = 1.0 / ctx.volumes.vol_bracket(R)
     if not omega:
         return make_report(
             "cheeger/region_constant_vs_volume", 0.0, bound, ">=",
@@ -182,27 +145,25 @@ def beta_voronoi_bound(
     )
 
 
-def cheeger_chain(
-    g: WeightedGraph, md: MetricData, d_set: Iterable[str], cap: int = EXHAUSTIVE_CAP
-) -> list[BoundReport]:
+def cheeger_chain(ctx: AnalysisContext, cap: int = EXHAUSTIVE_CAP) -> list[BoundReport]:
     """The full chain of lower bounds on a combinatorial graph.
 
     Rows: the Dirichlet ground energy against beta^2/(2 delta), the region
     constant against 1/vol[R], the ground energy against the ball-volume
     bound 1/(R vol[R]), and an informational comparison of the two routes
-    (the ball-volume route wins exactly when R < 2 delta vol[R]).
+    (the ball-volume route wins exactly when R < 2 delta vol[R]).  R is the
+    covering radius of the centers, which equals ctx.R (the inradius of the
+    region) bit for bit.
     """
+    g = ctx.graph
     _require_combinatorial(g)
-    d = tuple(dict.fromkeys(d_set))
-    omega = g.complement(d)
-    if not d or not omega:
+    omega = ctx.omega
+    if not ctx.centers or not omega:
         raise ValueError("need a nonempty penalty set and a nonempty region")
 
-    constants = validate(g)
-    delta = float(constants.max_degree)
-    lam = lowest_eigenvalue(assemble(g, omega=omega))
-    R = covering_radius(md, d)
-    vol_r = BallVolumeTable(g, md).vol_bracket(R)
+    delta = float(ctx.constants.max_degree)
+    lam = ctx.lambda_omega
+    R, vol_r = ctx.R, ctx.vol_R
 
     rows: list[BoundReport] = []
     if len(omega) <= cap:

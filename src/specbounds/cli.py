@@ -13,6 +13,8 @@ import csv
 import io
 import sys
 import time
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,31 +22,26 @@ from . import __version__
 from .cheeger import cheeger_chain
 from .errors import GraphError, InvalidSpec
 from .generators import DEFAULT_SEED, generate
-from .graph import WeightedGraph, is_combinatorial, load_graph, validate
-from .metric import (
-    BallVolumeTable,
-    ball,
-    check_homogeneity,
-    compute_metric,
-    covering_radius,
-    inradius,
+from .graph import WeightedGraph, is_combinatorial, load_graph
+from .metric import ball, check_homogeneity, covering_radius
+from .potential import (
+    GroundState,
+    ground_state,
+    ground_state_transform_check,
+    potential_dirichlet_bound,
 )
-from .potential import ground_state, ground_state_transform_check, potential_dirichlet_bound
 from .report import Report, dumps_value, format_float, make_report, render, rows_pass
 from .spectral import (
     ENDPOINT_TOLERANCE,
-    assemble,
+    AnalysisContext,
     coupling_rate,
-    coupling_threshold,
     dirichlet_bounds_finite,
     dirichlet_lower_bound,
     eigenvalues_of,
-    lowest_eigenvalue,
-    operator_norm,
     resolvent_gap,
     uncertainty_constant,
 )
-from .voronoi import build_voronoi, verify_voronoi
+from .voronoi import VoronoiDecomposition, build_voronoi, verify_voronoi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,173 +180,179 @@ def config_echo(args) -> dict:
     return cfg
 
 
+# ---------------------------------------------------------------------------
+# Stages.  Each command is a list of stage names.  A stage returns its rows,
+# or None when it only adds payload to run.extra; whatever several stages
+# share comes from the run's AnalysisContext, computed once.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class _Run:
+    """One command: its arguments, context and payload, plus the values
+    that more than one stage reads (each computed on first use)."""
+
+    args: argparse.Namespace
+    ctx: AnalysisContext | None = None
+    extra: dict = field(default_factory=dict)
+
+    @cached_property
+    def t_grid(self) -> list[float] | None:
+        spec = self.args.t_grid
+        return None if spec is None else parse_t_grid(spec, self.ctx.threshold)
+
+    @cached_property
+    def voronoi(self) -> VoronoiDecomposition:
+        return build_voronoi(self.ctx.graph, self.ctx.centers)
+
+    @cached_property
+    def ground_state(self) -> GroundState:
+        return ground_state(self.ctx)
+
+
+def _load(run: _Run) -> None:
+    g = load_input(run.args)
+    # The validate command checks the graph alone and ignores --centers.
+    spec = None if run.args.command == "validate" else run.args.centers
+    run.ctx = AnalysisContext(g, parse_centers(g, spec) if spec else ())
+    run.ctx.constants  # validate before any other stage reads the graph
+
+
+def _constants(run: _Run) -> None:
+    g = run.ctx.graph
+    run.extra["constants"] = {"n": g.n, "edges": len(g.edges), **asdict(run.ctx.constants)}
+
+
+def _distances(run: _Run) -> None:
+    ctx, args = run.ctx, run.args
+    md = ctx.metric
+    run.extra["vertices"] = list(ctx.graph.vertices)
+    run.extra["distances"] = [[float(x) for x in row] for row in md.dist]
+    if ctx.centers:
+        run.extra["covering_radius"] = covering_radius(md, ctx.centers)
+        run.extra["inradius_of_complement"] = ctx.R if ctx.omega else None
+    if args.radius is not None and args.ball_center is not None:
+        run.extra["ball"] = list(ball(md, args.ball_center, float(args.radius), closed=True))
+
+
+def _eigenvalues(run: _Run) -> None:
+    ctx, args = run.ctx, run.args
+    evals = ctx.spectrum
+    run.extra["eigenvalues"] = [float(x) for x in evals]
+    if ctx.centers and ctx.omega:
+        run.extra["restricted_eigenvalues"] = [
+            float(x) for x in eigenvalues_of(ctx.region_operator)
+        ]
+    if args.interval is not None:
+        a, _, b = args.interval.partition(":")
+        lo, hi = float(a), float(b)
+        run.extra["interval"] = [lo, hi]
+        tol = ENDPOINT_TOLERANCE  # same closed-endpoint jitter as projections
+        run.extra["eigenvalues_in_interval"] = [
+            float(x) for x in evals if lo - tol <= x <= hi + tol
+        ]
+
+
+def _covering(run: _Run) -> list:
+    ctx = run.ctx
+    if not (ctx.centers and ctx.omega):
+        return []
+    covr = covering_radius(ctx.metric, ctx.centers)
+    return [make_report("metric/covering_equals_inradius", abs(covr - ctx.R), 0.0, "<=")]
+
+
+def _cells(run: _Run) -> None:
+    vd = run.voronoi
+    run.extra["cells"] = {p: list(vs) for p, vs in vd.cells.items()}
+    run.extra["witnesses"] = {v: list(vd.witness(v)) for v in run.ctx.graph.vertices}
+
+
+def _resolvent(run: _Run) -> list:
+    if not run.t_grid or max(run.t_grid) <= 0.0:
+        return []
+    return [resolvent_gap(run.ctx, max(run.t_grid))]
+
+
+def _cheeger(run: _Run) -> list:
+    # report skips the chain on weighted graphs; the cheeger command reports
+    # them as an input error.
+    if run.args.command == "report" and not is_combinatorial(run.ctx.graph):
+        return []
+    return cheeger_chain(run.ctx, cap=run.args.exhaustive_cap)
+
+
+def _ground_energy(run: _Run) -> None:
+    run.extra["lambda_v"] = run.ground_state.lambda_v
+    run.extra["c"] = run.ground_state.c
+
+
+# Every stage by name, in the row order of the report command.
+STAGES = {
+    "load": _load,
+    "constants": _constants,
+    "distances": _distances,
+    "eigenvalues": _eigenvalues,
+    "region": lambda run: run.ctx.require_region(),
+    "operator_norm": lambda run: [
+        make_report(
+            "operator/norm_vs_weighted_degree",
+            run.ctx.norm,
+            run.ctx.constants.operator_norm_bound,
+            "<=",
+        )
+    ],
+    "homogeneity": lambda run: check_homogeneity(
+        run.ctx.graph, run.ctx.metric, run.ctx.constants, seed=run.args.seed
+    ),
+    "covering": _covering,
+    "voronoi": lambda run: verify_voronoi(run.voronoi, run.ctx.metric),
+    "cells": _cells,
+    "finite_volume": lambda run: dirichlet_bounds_finite(run.ctx),
+    "ball_volume": lambda run: dirichlet_lower_bound(run.ctx),
+    "coupling": lambda run: [] if run.t_grid is None else coupling_rate(run.ctx, run.t_grid),
+    "resolvent": _resolvent,
+    "uncertainty": lambda run: uncertainty_constant(
+        run.ctx, parse_interval(run.args.interval, run.ctx.lambda_omega)
+    ),
+    "cheeger": _cheeger,
+    "ground_energy": _ground_energy,
+    "transform_identity": lambda run: [
+        ground_state_transform_check(run.ctx.graph, run.ground_state, seed=run.args.seed)
+    ],
+    "potential_bound": lambda run: potential_dirichlet_bound(
+        run.ctx, run.ground_state, doubling_exponent=run.args.doubling_N
+    ),
+}
+# Stages that only add payload, which report does not print.
+PAYLOAD_STAGES = ("constants", "distances", "eigenvalues", "cells", "ground_energy")
+
+COMMANDS = {
+    "validate": ("load", "constants"),
+    "metric": ("load", "distances", "covering"),
+    "spectrum": ("load", "eigenvalues"),
+    "voronoi": ("load", "voronoi", "cells"),
+    "bounds": ("load", "region", "finite_volume", "ball_volume", "coupling", "resolvent"),
+    "uncertainty": ("load", "region", "uncertainty"),
+    "cheeger": ("load", "region", "cheeger"),
+    "transform": ("load", "region", "ground_energy", "transform_identity", "potential_bound"),
+    # Every stage that emits rows, including two that only report runs.
+    "report": tuple(name for name in STAGES if name not in PAYLOAD_STAGES),
+}
+
+
 def run(args) -> tuple[Report, dict]:
-    """Execute one subcommand; returns the report plus extra payload."""
-    g = load_input(args)
-    constants = validate(g)
+    """Execute one subcommand; returns the report plus extra payload.
+
+    Each stage is timed on its own, so the timings never overlap.
+    """
+    state = _Run(args)
     rows: list = []
-    extra: dict = {}
     timings: dict = {}
-    clock = time.perf_counter
-
-    def timed(name, fn):
-        t0 = clock()
-        result = fn()
-        timings[name] = clock() - t0
-        return result
-
-    cmd = args.command
-
-    if cmd == "validate":
-        extra["constants"] = {
-            "n": g.n,
-            "edges": len(g.edges),
-            "delta": constants.delta,
-            "m_max": constants.m_max,
-            "b_max": constants.b_max,
-            "operator_norm_bound": constants.operator_norm_bound,
-            "max_degree": constants.max_degree,
-        }
-        return Report(config_echo(args), tuple(rows), timings), extra
-
-    md = timed("metric", lambda: compute_metric(g))
-    centers = parse_centers(g, args.centers) if args.centers else None
-
-    if cmd == "metric":
-        extra["vertices"] = list(g.vertices)
-        extra["distances"] = [[float(x) for x in row] for row in md.dist]
-        if centers:
-            omega = g.complement(centers)
-            inr = inradius(md, omega) if omega else None
-            covr = covering_radius(md, centers)
-            extra["covering_radius"] = covr
-            extra["inradius_of_complement"] = inr
-            if omega:
-                rows.append(
-                    make_report(
-                        "metric/covering_equals_inradius",
-                        abs(covr - inr),
-                        0.0,
-                        "<=",
-                    )
-                )
-        if args.radius is not None and args.ball_center is not None:
-            r = float(args.radius)
-            extra["ball"] = list(ball(md, args.ball_center, r, closed=True))
-        return Report(config_echo(args), tuple(rows), timings), extra
-
-    if cmd == "spectrum":
-        evals = timed("eigensolve", lambda: eigenvalues_of(assemble(g)))
-        extra["eigenvalues"] = [float(x) for x in evals]
-        if centers:
-            omega = g.complement(centers)
-            if omega:
-                evo = eigenvalues_of(assemble(g, omega=omega))
-                extra["restricted_eigenvalues"] = [float(x) for x in evo]
-        if args.interval is not None:
-            a, _, b = args.interval.partition(":")
-            lo, hi = float(a), float(b)
-            extra["interval"] = [lo, hi]
-            tol = ENDPOINT_TOLERANCE  # same closed-endpoint jitter as projections
-            extra["eigenvalues_in_interval"] = [
-                float(x) for x in evals if lo - tol <= x <= hi + tol
-            ]
-        return Report(config_echo(args), tuple(rows), timings), extra
-
-    if cmd == "voronoi":
-        vd = timed("build", lambda: build_voronoi(g, centers))
-        rows.extend(timed("verify", lambda: verify_voronoi(vd, md)))
-        extra["cells"] = {p: list(vs) for p, vs in vd.cells.items()}
-        extra["witnesses"] = {v: list(vd.witness(v)) for v in g.vertices}
-        return Report(config_echo(args), tuple(rows), timings), extra
-
-    omega = g.complement(centers)
-    if not omega:
-        raise InvalidSpec("centers cover the whole graph; no region remains")
-
-    if cmd == "bounds":
-        rows.extend(timed("finite_volume", lambda: dirichlet_bounds_finite(g, md, omega)))
-        rows.extend(timed("ball_volume", lambda: dirichlet_lower_bound(g, md, omega)))
-        if args.t_grid is not None:
-            t_grid = parse_t_grid(args.t_grid, coupling_threshold(g))
-            rows.extend(timed("coupling", lambda: coupling_rate(g, centers, t_grid)))
-            t_top = max(t_grid)
-            if t_top > 0.0:
-                rows.append(timed("resolvent", lambda: resolvent_gap(g, centers, t_top)))
-        return Report(config_echo(args), tuple(rows), timings), extra
-
-    if cmd == "uncertainty":
-        lam_omega = lowest_eigenvalue(assemble(g, omega=omega))
-        interval = parse_interval(args.interval, lam_omega)
-        rows.extend(
-            timed("uncertainty", lambda: uncertainty_constant(g, md, centers, interval))
-        )
-        return Report(config_echo(args), tuple(rows), timings), extra
-
-    if cmd == "cheeger":
-        rows.extend(
-            timed("chain", lambda: cheeger_chain(g, md, centers, cap=args.exhaustive_cap))
-        )
-        return Report(config_echo(args), tuple(rows), timings), extra
-
-    if cmd == "transform":
-        gs = timed("ground_state", lambda: ground_state(g))
-        extra["lambda_v"] = gs.lambda_v
-        extra["c"] = gs.c
-        rows.append(timed("identity", lambda: ground_state_transform_check(g, gs, seed=args.seed)))
-        rows.extend(
-            timed(
-                "bound",
-                lambda: potential_dirichlet_bound(
-                    g, md, gs, centers, doubling_exponent=args.doubling_N
-                ),
-            )
-        )
-        return Report(config_echo(args), tuple(rows), timings), extra
-
-    if cmd == "report":
-        rows.append(
-            make_report(
-                "operator/norm_vs_weighted_degree",
-                operator_norm(assemble(g)),
-                constants.operator_norm_bound,
-                "<=",
-            )
-        )
-        rows.extend(timed("homogeneity", lambda: check_homogeneity(g, md, constants, seed=args.seed)))
-        inr = inradius(md, omega)
-        covr = covering_radius(md, centers)
-        rows.append(
-            make_report("metric/covering_equals_inradius", abs(covr - inr), 0.0, "<=")
-        )
-        vd = timed("voronoi", lambda: build_voronoi(g, centers))
-        rows.extend(verify_voronoi(vd, md))
-        rows.extend(timed("finite_volume", lambda: dirichlet_bounds_finite(g, md, omega)))
-        rows.extend(timed("ball_volume", lambda: dirichlet_lower_bound(g, md, omega)))
-        threshold = coupling_threshold(g)
-        t_grid = parse_t_grid(args.t_grid, threshold)
-        rows.extend(timed("coupling", lambda: coupling_rate(g, centers, t_grid)))
-        if t_grid:
-            t_top = max(t_grid)
-            if t_top > 0.0:
-                rows.append(timed("resolvent", lambda: resolvent_gap(g, centers, t_top)))
-        lam_omega = lowest_eigenvalue(assemble(g, omega=omega))
-        interval = parse_interval(args.interval, lam_omega)
-        rows.extend(
-            timed("uncertainty", lambda: uncertainty_constant(g, md, centers, interval))
-        )
-        if is_combinatorial(g):
-            rows.extend(
-                timed("cheeger", lambda: cheeger_chain(g, md, centers, cap=args.exhaustive_cap))
-            )
-        gs = timed("ground_state", lambda: ground_state(g))
-        rows.append(ground_state_transform_check(g, gs, seed=args.seed))
-        rows.extend(
-            potential_dirichlet_bound(g, md, gs, centers, doubling_exponent=args.doubling_N)
-        )
-        return Report(config_echo(args), tuple(rows), timings), extra
-
-    raise InvalidSpec(f"unknown command {cmd!r}")
+    for name in COMMANDS[args.command]:
+        t0 = time.perf_counter()
+        rows.extend(STAGES[name](state) or ())
+        timings[name] = time.perf_counter() - t0
+    return Report(config_echo(args), tuple(rows), timings), state.extra
 
 
 def _metric_csv(report: Report, extra: dict) -> str:

@@ -21,6 +21,10 @@ class NegativeEdgeWeight(GraphError):
     """An edge weight is negative (or a stored edge has nonpositive weight)."""
 
 
+class NonFinitePotential(GraphError):
+    """A vertex potential is NaN or infinite."""
+
+
 class NonzeroDiagonal(GraphError):
     """A self-loop was supplied; the weight function must vanish on the diagonal."""
 

@@ -21,6 +21,7 @@ from .errors import (
     DisconnectedGraph,
     GraphFormatError,
     NegativeEdgeWeight,
+    NonFinitePotential,
     NonPositiveMeasure,
     NonSymmetricWeights,
     NonzeroDiagonal,
@@ -72,6 +73,16 @@ class WeightedGraph:
             nbrs[i].append((j, w))
             nbrs[j].append((i, w))
         return tuple(tuple(sorted(row)) for row in nbrs)
+
+    @cached_property
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edges as (i, j, weight) arrays, in stored order."""
+        table = np.array(self.edges, dtype=float).reshape(-1, 3)
+        return (
+            _readonly(table[:, 0].astype(np.intp)),
+            _readonly(table[:, 1].astype(np.intp)),
+            _readonly(table[:, 2].copy()),
+        )
 
     @cached_property
     def weight_matrix(self) -> np.ndarray:
@@ -171,12 +182,22 @@ class WeightedGraph:
                 pv = np.array([float(x) for x in potential])
                 if pv.shape != (len(vertices),):
                     raise GraphFormatError("potential list length mismatch")
+            _check_potential_finite(vertices, pv)
             pv = _readonly(pv)
 
         edge_tuple = tuple(
             (i, j, pair_weights[(i, j)]) for (i, j) in sorted(pair_weights)
         )
         return cls(vertices, _readonly(mv), edge_tuple, pv)
+
+
+def _check_potential_finite(vertices: Sequence[str], potential: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(potential))
+    if bad.size:
+        k = int(bad[0])
+        raise NonFinitePotential(
+            f"potential at vertex {vertices[k]!r} is not finite: {float(potential[k])!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -225,8 +246,10 @@ def validate(g: WeightedGraph) -> GeometryConstants:
             raise NonSymmetricWeights(f"duplicate stored pair ({i}, {j})")
         seen.add((i, j))
 
-    if g.potential is not None and g.potential.shape != (g.n,):
-        raise GraphFormatError("potential array shape mismatch")
+    if g.potential is not None:
+        if g.potential.shape != (g.n,):
+            raise GraphFormatError("potential array shape mismatch")
+        _check_potential_finite(g.vertices, g.potential)
 
     # Connectivity.
     reached = np.zeros(g.n, dtype=bool)

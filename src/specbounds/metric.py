@@ -19,13 +19,8 @@ from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .errors import EmptySet, FullSet
 from .generators import DEFAULT_SEED
-from .graph import GeometryConstants, WeightedGraph, validate
+from .graph import GeometryConstants, WeightedGraph, _readonly, validate
 from .report import BoundReport, make_report
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,17 +43,9 @@ class MetricData:
 
 def compute_metric(g: WeightedGraph) -> MetricData:
     """All-pairs shortest paths under edge length 1/b, with witnesses."""
-    n = g.n
-    if n == 1:
-        return MetricData(g, _readonly(np.zeros((1, 1))), _readonly(np.full((1, 1), -1, dtype=np.int64)))
-    rows, cols, lengths = [], [], []
-    for i, j, w in g.edges:
-        rows += [i, j]
-        cols += [j, i]
-        length = 1.0 / w
-        lengths += [length, length]
-    adj = csr_matrix((lengths, (rows, cols)), shape=(n, n))
-    dist, pred = _dijkstra(adj, directed=True, return_predecessors=True)
+    i, j, w = g.edge_arrays
+    upper = csr_matrix((1.0 / w, (i, j)), shape=(g.n, g.n))
+    dist, pred = _dijkstra(upper + upper.T, directed=True, return_predecessors=True)
     pred = pred.astype(np.int64)
     pred[pred < 0] = -1
     return MetricData(g, _readonly(dist), _readonly(pred))
@@ -140,29 +127,28 @@ class BallVolumeTable:
     closed-ball volumes of radius s over all centers.
     """
 
-    graph: WeightedGraph
     md: MetricData
 
     def vol_of_ball(self, x: str, r: float) -> float:
-        row = self.md.dist[self.graph.index[x]]
-        return float(self.graph.m[row <= r].sum())
+        row = self.md.dist[self.md.graph.index[x]]
+        return float(self.md.graph.m[row <= r].sum())
 
     def vol_bracket(self, s: float) -> float:
-        return float(((self.md.dist <= s) @ self.graph.m).max())
+        return float(((self.md.dist <= s) @ self.md.graph.m).max())
 
     def vol_bracket_within(self, s: float, subset: Iterable[str]) -> float:
         """sup over x of m(B_s(x) intersected with the given subset)."""
-        mask = np.zeros(self.graph.n)
-        mask[self.graph.indices(subset)] = 1.0
-        restricted = self.graph.m * mask
+        mask = np.zeros(self.md.graph.n)
+        mask[self.md.graph.indices(subset)] = 1.0
+        restricted = self.md.graph.m * mask
         return float(((self.md.dist <= s) @ restricted).max())
 
     def vol_bracket_centers(self, s: float, centers: Iterable[str]) -> float:
         """sup over the given centers only of m(B_s(p))."""
-        idx = self.graph.indices(centers)
+        idx = self.md.graph.indices(centers)
         if idx.size == 0:
             raise EmptySet("no centers supplied")
-        return float(((self.md.dist[idx, :] <= s) @ self.graph.m).max())
+        return float(((self.md.dist[idx, :] <= s) @ self.md.graph.m).max())
 
 
 def check_homogeneity(

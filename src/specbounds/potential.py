@@ -18,17 +18,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DoublingUnverified, EmptyCenters, EmptyOmega
+from .errors import ConvergenceFailure, DoublingUnverified
 from .generators import DEFAULT_SEED
-from .graph import WeightedGraph
-from .metric import BallVolumeTable, MetricData, inradius
+from .graph import WeightedGraph, _readonly
+from .metric import BallVolumeTable
 from .report import BoundReport, make_report
-from .spectral import assemble, dirichlet_energy, eigdecompose, lowest_eigenvalue
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
+from .spectral import AnalysisContext, dirichlet_energy
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,14 +40,16 @@ class GroundState:
     c: float
 
 
-def ground_state(g: WeightedGraph) -> GroundState:
+def ground_state(ctx: AnalysisContext) -> GroundState:
     """Lowest eigenpair of the Schroedinger operator of the graph.
 
     A graph without potential (or with an exactly zero one) has the
     constant function as its ground state with energy exactly zero; that
     case is returned analytically so downstream bounds reduce bit-for-bit
-    to the potential-free ones.
+    to the potential-free ones.  Otherwise the eigenpair comes from the
+    context's eigendecomposition of H.
     """
+    g = ctx.graph
     if g.potential is None or not np.any(g.potential):
         return GroundState(
             graph=g,
@@ -61,7 +58,7 @@ def ground_state(g: WeightedGraph) -> GroundState:
             c=1.0,
         )
 
-    sd = eigdecompose(assemble(g))
+    sd = ctx.decomposition
     lam = float(sd.eigenvalues[0])
     phi = np.array(sd.vectors[:, 0])
     anchor = int(np.argmax(np.abs(phi)))
@@ -142,11 +139,7 @@ def verify_doubling(
 
 
 def potential_dirichlet_bound(
-    g: WeightedGraph,
-    md: MetricData,
-    gs: GroundState,
-    d_set: Iterable[str],
-    doubling_exponent: float | None = None,
+    ctx: AnalysisContext, gs: GroundState, doubling_exponent: float | None = None
 ) -> list[BoundReport]:
     """Ball-volume lower bound for the Dirichlet form with a potential.
 
@@ -157,16 +150,8 @@ def potential_dirichlet_bound(
     on a sampled grid (including the pair actually used); the variant
     lambda_V + 1 / (c^(4+2N) * R * vol[R]) is then emitted as well.
     """
-    d = tuple(dict.fromkeys(d_set))
-    if not d:
-        raise EmptyCenters("penalty set must be nonempty")
-    omega = g.complement(d)
-    if not omega:
-        raise EmptyOmega("penalty set covers the graph; no region remains")
-
-    truth = lowest_eigenvalue(assemble(g, omega=omega))
-    R = inradius(md, omega)
-    volumes = BallVolumeTable(g, md)
+    ctx.require_region()
+    truth, R, volumes = ctx.lambda_omega, ctx.R, ctx.volumes
     c2 = gs.c * gs.c
     c4 = c2 * c2
     vol_c2r = volumes.vol_bracket(c2 * R)
@@ -179,19 +164,19 @@ def potential_dirichlet_bound(
     ]
     if doubling_exponent is not None:
         n_exp = float(doubling_exponent)
-        finite = md.dist[md.dist > 0.0]
+        dist = ctx.metric.dist
+        finite = dist[dist > 0.0]
         scales = [R] + (
             [float(np.quantile(finite, q)) for q in (0.25, 0.5, 0.75)] if finite.size else []
         )
         # The grid must include the pair the variant actually uses: s = R, a = c^2.
         factors = sorted({1.5, 2.0, 3.0, c2})
         verify_doubling(volumes, n_exp, scales, factors)
-        vol_r = volumes.vol_bracket(R)
         rows.append(
             make_report(
                 "potential/dirichlet_lower_doubling",
                 truth,
-                gs.lambda_v + 1.0 / (gs.c ** (4.0 + 2.0 * n_exp) * R * vol_r),
+                gs.lambda_v + 1.0 / (gs.c ** (4.0 + 2.0 * n_exp) * R * ctx.vol_R),
                 ">=",
                 note=f"doubling exponent {n_exp!r} verified on sampled grid",
             )

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
+
 PASS_TOLERANCE = 1e-9
 
 _RELATIONS = (">=", "<=")
@@ -76,7 +78,7 @@ class Report:
     config: dict
     rows: tuple[BoundReport, ...]
     timings: dict = field(default_factory=dict)
-    version: str = "0.1.0"
+    version: str = __version__
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,16 @@ only the off-diagonal couplings into D.
 All eigenproblems are solved after the similarity M^(1/2) A M^(-1/2),
 which is genuinely symmetric with the same spectrum; eigenvectors map back
 through M^(-1/2) and are then orthonormal in the m-weighted inner product.
+
+The bound functions take an AnalysisContext: one graph with one penalty
+set, whose shared quantities (the spectrum of H, its norms, lambda_Omega,
+R, vol[R], ...) are each computed once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,14 +31,9 @@ from .errors import (
     EmptyOmega,
     PreconditionInterval,
 )
-from .graph import WeightedGraph
-from .metric import BallVolumeTable, MetricData, inradius
+from .graph import GeometryConstants, WeightedGraph, _readonly, validate
+from .metric import BallVolumeTable, MetricData, compute_metric, inradius
 from .report import BoundReport, make_report
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +74,25 @@ class SpectralProjection:
     empty: bool
 
 
+AssemblyBase = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _assembly_base(g: WeightedGraph) -> AssemblyBase:
+    """What every matrix of H shares: W/m, the diagonal of H, and W/sqrt(m m^T)."""
+    m = g.m
+    W = g.weight_matrix
+    Wm = W / m[:, None]
+    diag = Wm.sum(axis=1) + g.V / m
+    sqrt_m = np.sqrt(m)
+    return Wm, diag, W / np.outer(sqrt_m, sqrt_m)
+
+
 def assemble(
     g: WeightedGraph,
     omega: Iterable[str] | None = None,
     t: float = 0.0,
     d_set: Iterable[str] | None = None,
+    base: AssemblyBase | None = None,
 ) -> OperatorMatrix:
     """Matrix of H (+ potential), of its restriction to omega, or of H + t*1_D.
 
@@ -86,7 +100,8 @@ def assemble(
     diagonal keeps the full weighted degree, so couplings into the
     complement survive as diagonal mass.  With t > 0, d_set names the
     penalty set and the full-graph matrix gains t on those diagonal
-    entries.
+    entries.  base, when given, is this graph's _assembly_base, computed
+    once by the caller.
     """
     if omega is not None and t != 0.0:
         raise ValueError("restriction and coupling term are exclusive")
@@ -95,9 +110,7 @@ def assemble(
 
     n = g.n
     m = g.m
-    W = g.weight_matrix
-    Wm = W / m[:, None]
-    diag = Wm.sum(axis=1) + g.V / m
+    Wm, diag, S_off = _assembly_base(g) if base is None else base
     if t != 0.0:
         if d_set is None:
             raise EmptyCenters("a coupling term needs a penalty set")
@@ -107,9 +120,6 @@ def assemble(
         indicator = np.zeros(n)
         indicator[d_idx] = 1.0
         diag = diag + t * indicator
-
-    sqrt_m = np.sqrt(m)
-    S_off = W / np.outer(sqrt_m, sqrt_m)
 
     if omega is None:
         basis = g.vertices
@@ -173,20 +183,130 @@ def operator_norm(op: OperatorMatrix) -> float:
 
 def shifted_norm(g: WeightedGraph) -> float:
     """The norm of H + 1 (H includes the graph potential when present)."""
-    evals = eigenvalues_of(assemble(g))
-    return float(np.max(np.abs(evals + 1.0)))
+    return AnalysisContext(g).shifted_norm
 
 
 def dirichlet_energy(g: WeightedGraph, f: Sequence[float], include_potential: bool = False) -> float:
-    """Energy form: sum over edges of b(x,y) (f(x)-f(y))^2, plus V f^2 if asked."""
+    """Energy form: sum over edges of b(x,y) (f(x)-f(y))^2, plus V f^2 if asked.
+
+    The edge terms are added one after another in stored edge order
+    (cumsum, not the pairwise np.sum), so the result has the same bits as
+    a plain loop over the edges.
+    """
     fa = np.asarray(f, dtype=float)
-    total = 0.0
-    for i, j, w in g.edges:
-        diff = fa[i] - fa[j]
-        total += w * diff * diff
+    i, j, w = g.edge_arrays
+    diff = fa[i] - fa[j]
+    terms = w * diff * diff
+    total = float(np.cumsum(terms)[-1]) if terms.size else 0.0
     if include_potential:
         total += float(np.sum(g.V * fa * fa))
     return total
+
+
+@dataclass(frozen=True, eq=False)
+class AnalysisContext:
+    """One graph and one penalty set D (the centres), analysed once.
+
+    Every property is computed on first use and then kept, so each shared
+    quantity costs one assembly or one eigensolve per context.  centers
+    may be empty for quantities of the graph alone.  The spectrum behind
+    norm, shifted_norm and threshold comes from eigvalsh; decomposition is
+    the eigh of the same matrix, used for projections and ground states.
+    """
+
+    graph: WeightedGraph
+    centers: tuple[str, ...] = ()
+
+    @cached_property
+    def constants(self) -> GeometryConstants:
+        return validate(self.graph)
+
+    @cached_property
+    def metric(self) -> MetricData:
+        return compute_metric(self.graph)
+
+    @cached_property
+    def omega(self) -> tuple[str, ...]:
+        """The region X \\ D, in canonical vertex order."""
+        return self.graph.complement(self.centers)
+
+    @cached_property
+    def assembly_base(self) -> AssemblyBase:
+        return _assembly_base(self.graph)
+
+    @cached_property
+    def operator(self) -> OperatorMatrix:
+        """H on the whole graph."""
+        return assemble(self.graph, base=self.assembly_base)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return eigenvalues_of(self.operator)
+
+    @cached_property
+    def decomposition(self) -> SpectralData:
+        return eigdecompose(self.operator)
+
+    @cached_property
+    def norm(self) -> float:
+        """||H||, the largest |eigenvalue|."""
+        return float(max(abs(self.spectrum[0]), abs(self.spectrum[-1])))
+
+    @cached_property
+    def shifted_norm(self) -> float:
+        """||H + 1||."""
+        return float(np.max(np.abs(self.spectrum + 1.0)))
+
+    @cached_property
+    def threshold(self) -> float:
+        """Couplings at or above 2 ||H+1||^2 are inside the estimate's regime."""
+        return 2.0 * self.shifted_norm * self.shifted_norm
+
+    @cached_property
+    def region_operator(self) -> OperatorMatrix:
+        """H restricted to the region."""
+        return assemble(self.graph, omega=self.omega, base=self.assembly_base)
+
+    @cached_property
+    def lambda_omega(self) -> float:
+        """The lowest Dirichlet eigenvalue of the region."""
+        return lowest_eigenvalue(self.region_operator)
+
+    @cached_property
+    def R(self) -> float:
+        """The inradius of the region, equal to the covering radius of D."""
+        return inradius(self.metric, self.omega)
+
+    @cached_property
+    def volumes(self) -> BallVolumeTable:
+        return BallVolumeTable(self.metric)
+
+    @cached_property
+    def vol_R(self) -> float:
+        """vol[R], the largest closed-ball volume of radius R."""
+        return self.volumes.vol_bracket(self.R)
+
+    def coupled(self, t: float) -> OperatorMatrix:
+        """H + t 1_D on the whole graph."""
+        return assemble(self.graph, t=t, d_set=self.centers, base=self.assembly_base)
+
+    @cached_property
+    def _coupled_ground(self) -> dict[float, float]:
+        return {}
+
+    def coupled_ground_energy(self, t: float) -> float:
+        """The lowest eigenvalue of H + t 1_D, solved once per distinct t
+        (the coupling and uncertainty grids can share their first t)."""
+        if t not in self._coupled_ground:
+            self._coupled_ground[t] = lowest_eigenvalue(self.coupled(t))
+        return self._coupled_ground[t]
+
+    def require_region(self) -> None:
+        """Raise unless both D and the region X \\ D are nonempty."""
+        if not self.centers:
+            raise EmptyCenters("penalty set must be nonempty")
+        if not self.omega:
+            raise EmptyOmega("penalty set covers the graph; no region remains")
 
 
 # ---------------------------------------------------------------------------
@@ -194,36 +314,30 @@ def dirichlet_energy(g: WeightedGraph, f: Sequence[float], include_potential: bo
 # ---------------------------------------------------------------------------
 
 
-def dirichlet_bounds_finite(
-    g: WeightedGraph, md: MetricData, omega: Iterable[str]
-) -> tuple[BoundReport, BoundReport]:
+def dirichlet_bounds_finite(ctx: AnalysisContext) -> tuple[BoundReport, BoundReport]:
     """Two-sided finite-volume bounds for the lowest Dirichlet eigenvalue.
 
     Lower: 1 / (Inr(omega) * vol(omega)).  Upper: ||H|| times the measure
     fraction of the complement, which is tight for a single free vertex on
     the two-point graph.
     """
-    omega = tuple(omega)
-    lam = lowest_eigenvalue(assemble(g, omega=omega))
-    inr = inradius(md, omega)
-    vol_omega = g.vol(omega)
+    g = ctx.graph
+    lam = ctx.lambda_omega
+    vol_omega = g.vol(ctx.omega)
     lower = make_report(
-        "dirichlet/lower_inradius_volume", lam, 1.0 / (inr * vol_omega), ">=",
+        "dirichlet/lower_inradius_volume", lam, 1.0 / (ctx.R * vol_omega), ">=",
     )
-    norm_h = operator_norm(assemble(g))
     vol_x = g.vol_total()
     upper = make_report(
         "dirichlet/upper_complement_fraction",
         lam,
-        norm_h * ((vol_x - vol_omega) / vol_x),
+        ctx.norm * ((vol_x - vol_omega) / vol_x),
         "<=",
     )
     return lower, upper
 
 
-def dirichlet_lower_bound(
-    g: WeightedGraph, md: MetricData, omega: Iterable[str]
-) -> list[BoundReport]:
+def dirichlet_lower_bound(ctx: AnalysisContext) -> list[BoundReport]:
     """Ball-volume lower bounds for the lowest Dirichlet eigenvalue.
 
     Main row: 1 / (R * vol[R]) with R the inradius of the region and
@@ -232,23 +346,18 @@ def dirichlet_lower_bound(
     volumes around the complement points only.  Both refinements dominate
     the main bound.
     """
-    omega = tuple(omega)
-    lam = lowest_eigenvalue(assemble(g, omega=omega))
-    R = inradius(md, omega)
-    volumes = BallVolumeTable(g, md)
-    vol_r = volumes.vol_bracket(R)
+    lam, R = ctx.lambda_omega, ctx.R
     rows = [
-        make_report("dirichlet/lower_ball_volume", lam, 1.0 / (R * vol_r), ">="),
+        make_report("dirichlet/lower_ball_volume", lam, 1.0 / (R * ctx.vol_R), ">="),
     ]
-    vol_in = volumes.vol_bracket_within(R, omega)
+    vol_in = ctx.volumes.vol_bracket_within(R, ctx.omega)
     rows.append(
         make_report(
             "dirichlet/lower_ball_volume_in_region", lam, 1.0 / (R * vol_in), ">=",
             note="ball mass counted inside the region only",
         )
     )
-    d_set = g.complement(omega)
-    vol_centers = volumes.vol_bracket_centers(R, d_set)
+    vol_centers = ctx.volumes.vol_bracket_centers(R, ctx.centers)
     rows.append(
         make_report(
             "dirichlet/lower_center_balls", lam, 1.0 / (R * vol_centers), ">=",
@@ -265,20 +374,10 @@ def dirichlet_lower_bound(
 
 def coupling_threshold(g: WeightedGraph) -> float:
     """Couplings at or above 2 ||H+1||^2 are inside the estimate's regime."""
-    h1 = shifted_norm(g)
-    return 2.0 * h1 * h1
+    return AnalysisContext(g).threshold
 
 
-def _check_penalty_set(g: WeightedGraph, d_set: Iterable[str]) -> tuple[str, ...]:
-    d = tuple(sorted(set(d_set), key=g.index.__getitem__))
-    if not d:
-        raise EmptyCenters("penalty set must be nonempty")
-    if len(d) == g.n:
-        raise EmptyOmega("penalty set covers the graph; no region remains")
-    return d
-
-
-def resolvent_gap(g: WeightedGraph, d_set: Iterable[str], t: float) -> BoundReport:
+def resolvent_gap(ctx: AnalysisContext, t: float) -> BoundReport:
     """Distance between the coupled resolvent and the restricted resolvent.
 
     Compares (H + t 1_D + 1)^(-1) against the resolvent of the restriction
@@ -288,21 +387,16 @@ def resolvent_gap(g: WeightedGraph, d_set: Iterable[str], t: float) -> BoundRepo
     nonnegative operator, which holds automatically when the graph carries
     no potential (or a nonnegative one).
     """
-    d = _check_penalty_set(g, d_set)
-    omega = g.complement(d)
+    g = ctx.graph
+    ctx.require_region()
+    omega = ctx.omega
+    h1, threshold = ctx.shifted_norm, ctx.threshold
 
-    op = assemble(g)
-    evals = eigenvalues_of(op)
-    h1 = float(np.max(np.abs(evals + 1.0)))
-    threshold = 2.0 * h1 * h1
-
-    coupled = assemble(g, t=t, d_set=d)
     n = g.n
-    resolvent_t = np.linalg.inv(coupled.sym + np.eye(n))
+    resolvent_t = np.linalg.inv(ctx.coupled(t).sym + np.eye(n))
 
     idx = g.indices(omega)
-    restricted = assemble(g, omega=omega)
-    resolvent_omega = np.linalg.inv(restricted.sym + np.eye(idx.size))
+    resolvent_omega = np.linalg.inv(ctx.region_operator.sym + np.eye(idx.size))
     embedded = np.zeros((n, n))
     embedded[np.ix_(idx, idx)] = resolvent_omega
 
@@ -322,9 +416,7 @@ def resolvent_gap(g: WeightedGraph, d_set: Iterable[str], t: float) -> BoundRepo
     )
 
 
-def coupling_rate(
-    g: WeightedGraph, d_set: Iterable[str], t_list: Sequence[float]
-) -> list[BoundReport]:
+def coupling_rate(ctx: AnalysisContext, t_list: Sequence[float]) -> list[BoundReport]:
     """Convergence of the coupled ground energy to the Dirichlet one.
 
     Checks that the restricted ground energy dominates every coupled one,
@@ -333,18 +425,16 @@ def coupling_rate(
     4 ||H+1||^2 (lam+1)^2 / (t+1), with the coarser all-norm variant
     4 ||H+1||^4 / (t+1) reported alongside.
     """
-    d = _check_penalty_set(g, d_set)
-    omega = g.complement(d)
+    ctx.require_region()
     ts = [float(t) for t in t_list]
     if not ts:
         raise ValueError("need at least one coupling value")
 
-    evals = eigenvalues_of(assemble(g))
-    h1 = float(np.max(np.abs(evals + 1.0)))
-    threshold = 2.0 * h1 * h1
-    lam_inf = lowest_eigenvalue(assemble(g, omega=omega))
-
-    lam_ts = [lowest_eigenvalue(assemble(g, t=t, d_set=d)) if t > 0.0 else float(evals[0]) for t in ts]
+    h1, threshold = ctx.shifted_norm, ctx.threshold
+    lam_inf = ctx.lambda_omega
+    lam_ts = [
+        ctx.coupled_ground_energy(t) if t > 0.0 else float(ctx.spectrum[0]) for t in ts
+    ]
 
     rows = [
         make_report(
@@ -441,11 +531,7 @@ def compressed_penalty_matrix(
 
 
 def uncertainty_constant(
-    g: WeightedGraph,
-    md: MetricData,
-    d_set: Iterable[str],
-    interval: tuple[float, float],
-    grid_points: int = 16,
+    ctx: AnalysisContext, interval: tuple[float, float], grid_points: int = 16
 ) -> list[BoundReport]:
     """Lower bounds for the penalty mass of low-energy spectral subspaces.
 
@@ -456,18 +542,17 @@ def uncertainty_constant(
     geometric variant with 1/(R vol[R]) in place of lam_omega and
     ||H+1||^4 in the denominator, and the best sampled coupling value
     (lam_t - max I)/t over a geometric grid plus the analytic optimizer.
+    Here ||H+1|| comes from the eigh spectrum that also gives the projection.
     """
-    d = _check_penalty_set(g, d_set)
-    omega = g.complement(d)
+    ctx.require_region()
     a, b = float(interval[0]), float(interval[1])
     if a > b:
         raise ValueError("interval endpoints must satisfy a <= b")
     max_i = b
 
-    op = assemble(g)
-    sd = eigdecompose(op)
+    sd = ctx.decomposition
     h1 = float(np.max(np.abs(sd.eigenvalues + 1.0)))
-    lam_omega = lowest_eigenvalue(assemble(g, omega=omega))
+    lam_omega = ctx.lambda_omega
     if max_i >= lam_omega:
         raise PreconditionInterval(
             f"max I = {max_i!r} reaches the Dirichlet ground energy {lam_omega!r}"
@@ -476,8 +561,7 @@ def uncertainty_constant(
     kappa_thm = (lam_omega - max_i) ** 2 / (
         16.0 * h1 * h1 * (lam_omega + 1.0) ** 2
     )
-    R = inradius(md, omega)
-    geo = 1.0 / (R * BallVolumeTable(g, md).vol_bracket(R))
+    geo = 1.0 / (ctx.R * ctx.vol_R)
     kappa_cor = None
     if max_i < geo:
         kappa_cor = (geo - max_i) ** 2 / (16.0 * h1 ** 4)
@@ -500,7 +584,7 @@ def uncertainty_constant(
             )
         return rows
 
-    gram = compressed_penalty_matrix(sd, g, d, proj.indices)
+    gram = compressed_penalty_matrix(sd, ctx.graph, ctx.centers, proj.indices)
     truth = float(np.linalg.eigvalsh(gram)[0])
 
     threshold = 2.0 * h1 * h1
@@ -509,7 +593,7 @@ def uncertainty_constant(
     t_grid.append(t_opt)
     kappa_samples = []
     for t in t_grid:
-        lam_t = lowest_eigenvalue(assemble(g, t=t, d_set=d))
+        lam_t = ctx.coupled_ground_energy(t)
         kappa_samples.append((lam_t - max_i) / t)
     kappa_best = max(kappa_samples)
 

@@ -25,16 +25,11 @@ from typing import Iterable
 import numpy as np
 
 from .errors import EmptyCenters
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _readonly
 from .metric import MetricData, covering_radius
 from .report import BoundReport, make_report
 
 GEODESIC_RTOL = 1e-12
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True, eq=False)

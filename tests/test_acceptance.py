@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from specbounds import (
+    AnalysisContext,
     BallVolumeTable,
     assemble,
     build_voronoi,
@@ -112,16 +113,14 @@ def test_criterion_04_dirichlet_bounds():
         g = random_instance(
             seed + 40_000, n_lo=2, n_hi=120, m_weighted=seed % 2 == 0
         )
-        md = compute_metric(g)
         d_set = random_proper_subset(g, seed + 50_000)
-        omega = g.complement(d_set)
-        rows = list(dirichlet_bounds_finite(g, md, omega))
-        rows += dirichlet_lower_bound(g, md, omega)
+        ctx = AnalysisContext(g, d_set)
+        rows = list(dirichlet_bounds_finite(ctx))
+        rows += dirichlet_lower_bound(ctx)
         assert rows_pass(rows)
     # Tight case: on the two-point graph the upper bound is attained exactly.
     k2 = complete_graph(2)
-    md = compute_metric(k2)
-    lower, upper = dirichlet_bounds_finite(k2, md, ("v0",))
+    lower, upper = dirichlet_bounds_finite(AnalysisContext(k2, ("v1",)))
     assert upper.bound_value == 1.0 and upper.true_value == 1.0
     _passline(4, "two-sided and ball-volume bounds on 500 instances; K_2 tight")
 
@@ -132,13 +131,14 @@ def test_criterion_05_coupling_convergence():
         d_set = random_proper_subset(g, seed + 70_000)
         threshold = coupling_threshold(g)
         ts = list(np.geomspace(threshold, 200.0 * threshold, 5))
-        assert rows_pass(coupling_rate(g, d_set, ts))
-        gap_row = resolvent_gap(g, d_set, ts[2])
+        ctx = AnalysisContext(g, d_set)
+        assert rows_pass(coupling_rate(ctx, ts))
+        gap_row = resolvent_gap(ctx, ts[2])
         assert gap_row.passed and not gap_row.vacuous
     k2 = complete_graph(2)
     threshold = coupling_threshold(k2)
     ts = np.geomspace(threshold, 100.0 * threshold, 9)
-    gaps = [resolvent_gap(k2, ("v1",), float(t)).true_value for t in ts]
+    gaps = [resolvent_gap(AnalysisContext(k2, ("v1",)), float(t)).true_value for t in ts]
     slope = float(np.polyfit(np.log(ts), np.log(gaps), 1)[0])
     assert -1.2 <= slope <= -0.8
     _passline(5, f"resolvent gap and rate bounds on 100 instances; slope {slope:.3f}")
@@ -147,16 +147,15 @@ def test_criterion_05_coupling_convergence():
 def test_criterion_06_uncertainty_constants():
     for seed in range(200):
         g = random_instance(seed + 80_000, n_lo=2, n_hi=60, m_weighted=seed % 3 == 1)
-        md = compute_metric(g)
         d_set = random_proper_subset(g, seed + 90_000)
         omega = g.complement(d_set)
         lam = lowest_eigenvalue(assemble(g, omega=omega))
-        rows = uncertainty_constant(g, md, d_set, (0.0, 0.5 * lam))
+        rows = uncertainty_constant(AnalysisContext(g, d_set), (0.0, 0.5 * lam))
         assert rows_pass(rows)
         energy_row = next(r for r in rows if r.name == "uncertainty/energy_form")
         assert not energy_row.vacuous  # the bottom eigenvalue 0 is inside I
     k2 = complete_graph(2)
-    rows = uncertainty_constant(k2, compute_metric(k2), ("v1",), (0.0, 0.25))
+    rows = uncertainty_constant(AnalysisContext(k2, ("v1",)), (0.0, 0.25))
     energy = next(r for r in rows if r.name == "uncertainty/energy_form")
     assert energy.bound_value == pytest.approx(9.765625e-4, rel=1e-12)
     assert energy.true_value == pytest.approx(0.5, rel=1e-12)
@@ -168,17 +167,15 @@ def test_criterion_07_cheeger_chain():
     sizes = [int(rng.integers(4, 21)) for _ in range(97)] + [23, 24, 24]
     for k, n in enumerate(sizes):
         g = random_connected(n, seed=1_000 + k, weight_range=(1.0, 1.0))
-        md = compute_metric(g)
         d_size = max(1, n - 22, int(rng.integers(1, n)))
         d_set = tuple(
             g.vertices[i] for i in sorted(rng.choice(n, size=d_size, replace=False))
         )
         assert len(g.complement(d_set)) <= 22
-        assert rows_pass(cheeger_chain(g, md, d_set))
+        assert rows_pass(cheeger_chain(AnalysisContext(g, d_set)))
     g = lattice_box(2, 8)
-    md = compute_metric(g)
     d_set = tuple(v for v in g.vertices if all(int(c) % 3 == 0 for c in v.split(",")))
-    rows = cheeger_chain(g, md, d_set)
+    rows = cheeger_chain(AnalysisContext(g, d_set))
     by_name = {r.name: r for r in rows}
     assert (
         by_name["cheeger/eigenvalue_vs_ball_volume"].bound_value
@@ -198,7 +195,7 @@ def test_criterion_08_ground_state_transform():
             m_range=(0.5, 2.0) if k % 2 else None,
             potential_range=(0.0, 2.0),
         )
-        gs = ground_state(g)
+        gs = ground_state(AnalysisContext(g))
         transformed = ground_state_transform(g, gs)
         rng = np.random.default_rng(3_000 + k)
         for _ in range(10):
@@ -217,15 +214,13 @@ def test_criterion_08_ground_state_transform():
         g = random_connected(
             n, seed=5_000 + k, weight_range=(1.0, 1.0), potential_range=(0.0, 2.0)
         )
-        md = compute_metric(g)
-        d_set = random_proper_subset(g, 6_000 + k)
-        assert rows_pass(potential_dirichlet_bound(g, md, ground_state(g), d_set))
+        ctx = AnalysisContext(g, random_proper_subset(g, 6_000 + k))
+        assert rows_pass(potential_dirichlet_bound(ctx, ground_state(ctx)))
 
     g = random_connected(20, seed=7_777, weight_range=(0.5, 4.0))
-    md = compute_metric(g)
-    d_set = random_proper_subset(g, 8_888)
-    pot = potential_dirichlet_bound(g, md, ground_state(g), d_set)
-    plain = dirichlet_lower_bound(g, md, g.complement(d_set))
+    ctx = AnalysisContext(g, random_proper_subset(g, 8_888))
+    pot = potential_dirichlet_bound(ctx, ground_state(ctx))
+    plain = dirichlet_lower_bound(ctx)
     assert pot[0].bound_value == plain[0].bound_value
     assert pot[0].true_value == plain[0].true_value
     _passline(8, f"transform identity worst rel {worst:.2e}; bound on 100 instances; "

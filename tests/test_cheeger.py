@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from specbounds import (
+    AnalysisContext,
     NotCombinatorial,
     TooLarge,
     WeightedGraph,
-    beta_connected_oracle,
     beta_exhaustive,
     beta_voronoi_bound,
     boundary_count,
@@ -16,11 +16,48 @@ from specbounds import (
     compute_metric,
     generate,
     growth_diagnostic,
+    is_combinatorial,
     lattice_box,
     path_graph,
     random_connected,
     rows_pass,
 )
+
+
+def beta_connected_oracle(g: WeightedGraph, omega) -> float:
+    """Slow oracle: infimum over connected nonempty subsets of the region.
+
+    A disconnected subset never beats its best connected component, so this
+    must agree with the exhaustive value.  Plain Python; keep the region
+    small.
+    """
+    assert is_combinatorial(g)
+    omega = tuple(dict.fromkeys(omega))
+    k = len(omega)
+    idx = [g.index[v] for v in omega]
+    local = {gidx: pos for pos, gidx in enumerate(idx)}
+    neighbors = [
+        [local[j] for j, _ in g.adjacency[gidx] if j in local] for gidx in idx
+    ]
+    degrees = [len(g.adjacency[i]) for i in idx]
+
+    best = np.inf
+    for mask in range(1, 1 << k):
+        bits = [pos for pos in range(k) if mask >> pos & 1]
+        seen = {bits[0]}
+        stack = [bits[0]]
+        while stack:
+            u = stack.pop()
+            for v in neighbors[u]:
+                if mask >> v & 1 and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(seen) != len(bits):
+            continue
+        inside = sum(1 for u in bits for v in neighbors[u] if mask >> v & 1)
+        boundary = sum(degrees[u] for u in bits) - inside
+        best = min(best, boundary / len(bits))
+    return float(best)
 
 
 def test_beta_on_path_region_by_hand():
@@ -98,8 +135,7 @@ def test_non_combinatorial_rejected():
 
 def test_voronoi_bound_on_path():
     g = path_graph(3)
-    md = compute_metric(g)
-    row = beta_voronoi_bound(g, md, ("v2",))
+    row = beta_voronoi_bound(AnalysisContext(g, ("v2",)))
     assert row.true_value == 0.5
     assert row.bound_value == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert row.passed and not row.vacuous
@@ -107,23 +143,20 @@ def test_voronoi_bound_on_path():
 
 def test_voronoi_bound_all_centers_is_vacuous():
     g = path_graph(4)
-    md = compute_metric(g)
-    row = beta_voronoi_bound(g, md, g.vertices)
+    row = beta_voronoi_bound(AnalysisContext(g, g.vertices))
     assert row.vacuous
 
 
 def test_voronoi_bound_on_line_with_every_fourth_center():
     g = lattice_box(1, 12)
-    md = compute_metric(g)
     d_set = tuple(v for v in g.vertices if int(v) % 4 == 0)
-    row = beta_voronoi_bound(g, md, d_set)
+    row = beta_voronoi_bound(AnalysisContext(g, d_set))
     assert row.passed and not row.vacuous
 
 
 def test_chain_on_k2():
     g = complete_graph(2)
-    md = compute_metric(g)
-    rows = cheeger_chain(g, md, ("v1",))
+    rows = cheeger_chain(AnalysisContext(g, ("v1",)))
     by_name = {r.name: r for r in rows}
     assert by_name["cheeger/eigenvalue_vs_cheeger"].bound_value == 0.5
     assert by_name["cheeger/eigenvalue_vs_cheeger"].true_value == 1.0
@@ -132,8 +165,7 @@ def test_chain_on_k2():
 
 def test_chain_on_path_by_hand():
     g = path_graph(3)
-    md = compute_metric(g)
-    rows = cheeger_chain(g, md, ("v2",))
+    rows = cheeger_chain(AnalysisContext(g, ("v2",)))
     by_name = {r.name: r for r in rows}
     assert by_name["cheeger/eigenvalue_vs_cheeger"].bound_value == pytest.approx(0.0625)
     assert by_name["cheeger/eigenvalue_vs_ball_volume"].bound_value == pytest.approx(1.0 / 6.0)
@@ -142,9 +174,8 @@ def test_chain_on_path_by_hand():
 
 def test_chain_comparison_instance_lattice_with_coarse_sublattice():
     g = lattice_box(2, 8)
-    md = compute_metric(g)
     d_set = tuple(v for v in g.vertices if all(int(c) % 3 == 0 for c in v.split(",")))
-    rows = cheeger_chain(g, md, d_set)
+    rows = cheeger_chain(AnalysisContext(g, d_set))
     by_name = {r.name: r for r in rows}
     ball_row = by_name["cheeger/eigenvalue_vs_ball_volume"]
     comparison = by_name["cheeger/route_comparison"]
@@ -160,8 +191,7 @@ def test_chain_on_random_combinatorial_instances(seed):
     g = random_connected(n, seed=seed + 31, weight_range=(1.0, 1.0))
     k = int(rng.integers(1, n))
     d_set = tuple(g.vertices[i] for i in sorted(rng.choice(n, size=k, replace=False)))
-    md = compute_metric(g)
-    assert rows_pass(cheeger_chain(g, md, d_set))
+    assert rows_pass(cheeger_chain(AnalysisContext(g, d_set)))
 
 
 def test_growth_diagnostic_on_line_decreases():

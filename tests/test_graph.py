@@ -8,6 +8,7 @@ from specbounds import (
     GraphFormatError,
     InvalidSpec,
     NegativeEdgeWeight,
+    NonFinitePotential,
     NonPositiveMeasure,
     NonSymmetricWeights,
     NonzeroDiagonal,
@@ -70,6 +71,18 @@ def test_nonpositive_measure_rejected():
 def test_negative_weight_rejected():
     with pytest.raises(NegativeEdgeWeight):
         WeightedGraph.from_edge_list(("a", "b"), 1.0, [("a", "b", -1.0)])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_potential_rejected(value):
+    with pytest.raises(NonFinitePotential, match="vertex 'b'"):
+        WeightedGraph.from_edge_list(
+            ("a", "b"), 1.0, [("a", "b", 1.0)], potential={"b": value}
+        )
+    # Built directly, bypassing from_edge_list: validate catches it.
+    g = WeightedGraph(("a", "b"), np.ones(2), ((0, 1, 1.0),), np.array([0.0, value]))
+    with pytest.raises(NonFinitePotential, match="vertex 'b'"):
+        validate(g)
 
 
 def test_disconnected_graph_rejected():

@@ -162,7 +162,7 @@ def test_distances_match_floyd_warshall_oracle(seed):
 def test_ball_volume_basics():
     g = random_instance(42, n_lo=5, n_hi=20, m_weighted=True)
     md = compute_metric(g)
-    volumes = BallVolumeTable(g, md)
+    volumes = BallVolumeTable(md)
     c = validate(g)
     for v in g.vertices[:5]:
         assert volumes.vol_of_ball(v, 0.0) == g.m_of(v)

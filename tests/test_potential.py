@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specbounds import (
+    AnalysisContext,
     DoublingUnverified,
     WeightedGraph,
     compute_metric,
@@ -29,14 +30,14 @@ def _k2_with_potential():
 
 def test_zero_potential_ground_state_is_constant():
     g = random_connected(12, seed=1, m_range=(0.5, 2.0))
-    gs = ground_state(g)
+    gs = ground_state(AnalysisContext(g))
     assert np.all(gs.phi == 1.0)
     assert gs.lambda_v == 0.0
     assert gs.c == 1.0
 
 
 def test_k2_ground_state_closed_form():
-    gs = ground_state(_k2_with_potential())
+    gs = ground_state(AnalysisContext(_k2_with_potential()))
     lam = (5.0 - np.sqrt(13.0)) / 2.0
     assert gs.lambda_v == pytest.approx(lam, rel=1e-12)
     assert np.all(gs.phi > 0.0)
@@ -52,7 +53,7 @@ def test_constant_potential_shifts_only():
         [(g.vertices[i], g.vertices[j], w) for i, j, w in g.edges],
         potential=[0.7] * g.n,
     )
-    gs = ground_state(shifted)
+    gs = ground_state(AnalysisContext(shifted))
     assert gs.lambda_v == pytest.approx(0.7, abs=1e-12)
     assert gs.c == pytest.approx(1.0, abs=1e-9)
 
@@ -66,14 +67,14 @@ def test_measure_matched_shift_covariance():
         [(g.vertices[i], g.vertices[j], w) for i, j, w in g.edges],
         potential=list(g.potential + kappa * g.m),
     )
-    a, b = ground_state(g), ground_state(shifted)
+    a, b = ground_state(AnalysisContext(g)), ground_state(AnalysisContext(shifted))
     assert b.lambda_v == pytest.approx(a.lambda_v + kappa, rel=1e-12)
     assert np.allclose(a.phi, b.phi, rtol=1e-7)
 
 
 def test_transform_with_constant_state_is_identity():
     g = random_connected(9, seed=8, m_range=(0.5, 2.0))
-    gs = ground_state(g)
+    gs = ground_state(AnalysisContext(g))
     h = ground_state_transform(g, gs)
     assert h.edges == g.edges
     assert np.array_equal(h.m, g.m)
@@ -81,7 +82,7 @@ def test_transform_with_constant_state_is_identity():
 
 def test_transform_metric_and_volume_equivalence():
     g = random_connected(16, seed=11, potential_range=(0.0, 2.0))
-    gs = ground_state(g)
+    gs = ground_state(AnalysisContext(g))
     h = ground_state_transform(g, gs)
     validate(h)
     c2 = gs.c * gs.c
@@ -101,7 +102,7 @@ def test_transform_metric_and_volume_equivalence():
 
 def test_transform_identity_ground_state_saturates():
     g = _k2_with_potential()
-    gs = ground_state(g)
+    gs = ground_state(AnalysisContext(g))
     lhs = (
         dirichlet_energy(g, gs.phi, include_potential=True)
         - gs.lambda_v * float(np.sum(gs.phi**2 * g.m))
@@ -112,7 +113,7 @@ def test_transform_identity_ground_state_saturates():
 
 def test_transform_identity_k2_hand_value():
     g = _k2_with_potential()
-    gs = ground_state(g)
+    gs = ground_state(AnalysisContext(g))
     f = np.array([1.0, 0.0])
     lhs = (
         dirichlet_energy(g, f, include_potential=True)
@@ -129,16 +130,16 @@ def test_transform_identity_random_instances(seed):
     g = random_connected(
         12 + seed, seed=seed, m_range=(0.5, 2.0), potential_range=(0.0, 2.0)
     )
-    gs = ground_state(g)
+    gs = ground_state(AnalysisContext(g))
     row = ground_state_transform_check(g, gs, samples=40, seed=seed)
     assert row.passed
 
 
 def test_potential_bound_k2_hand_case():
     g = _k2_with_potential()
-    md = compute_metric(g)
-    gs = ground_state(g)
-    rows = potential_dirichlet_bound(g, md, gs, ("v1",))
+    ctx = AnalysisContext(g, ("v1",))
+    gs = ground_state(ctx)
+    rows = potential_dirichlet_bound(ctx, gs)
     assert rows[0].true_value == 1.0
     c4 = gs.c**4
     want = gs.lambda_v + 1.0 / (c4 * 1.0 * 2.0)
@@ -148,12 +149,10 @@ def test_potential_bound_k2_hand_case():
 
 def test_zero_potential_reduction_is_bit_exact():
     g = random_connected(18, seed=23, weight_range=(0.5, 4.0))
-    md = compute_metric(g)
-    d_set = random_proper_subset(g, 3)
-    omega = g.complement(d_set)
-    gs = ground_state(g)
-    pot_rows = potential_dirichlet_bound(g, md, gs, d_set)
-    plain_rows = dirichlet_lower_bound(g, md, omega)
+    ctx = AnalysisContext(g, random_proper_subset(g, 3))
+    gs = ground_state(ctx)
+    pot_rows = potential_dirichlet_bound(ctx, gs)
+    plain_rows = dirichlet_lower_bound(ctx)
     assert pot_rows[0].bound_value == plain_rows[0].bound_value
     assert pot_rows[0].true_value == plain_rows[0].true_value
 
@@ -163,11 +162,11 @@ def test_potential_bound_random_instances(seed):
     rng = np.random.default_rng(500 + seed)
     n = int(rng.integers(4, 30))
     g = random_connected(n, seed=seed, weight_range=(1.0, 1.0), potential_range=(0.0, 2.0))
-    md = compute_metric(g)
     d_set = random_proper_subset(g, seed + 1)
-    gs = ground_state(g)
+    ctx = AnalysisContext(g, d_set)
+    gs = ground_state(ctx)
     truth = lowest_eigenvalue(assemble(g, omega=g.complement(d_set)))
-    rows = potential_dirichlet_bound(g, md, gs, d_set)
+    rows = potential_dirichlet_bound(ctx, gs)
     assert rows[0].true_value == pytest.approx(truth)
     assert rows_pass(rows)
     assert rows[0].bound_value > gs.lambda_v
@@ -175,11 +174,11 @@ def test_potential_bound_random_instances(seed):
 
 def test_doubling_variant_on_lattice():
     g = lattice_box(2, 6)
-    md = compute_metric(g)
-    gs = ground_state(g)
     d_set = tuple(v for v in g.vertices if all(int(c) % 3 == 0 for c in v.split(",")))
-    rows = potential_dirichlet_bound(g, md, gs, d_set, doubling_exponent=2.0)
+    ctx = AnalysisContext(g, d_set)
+    gs = ground_state(ctx)
+    rows = potential_dirichlet_bound(ctx, gs, doubling_exponent=2.0)
     assert len(rows) == 2
     assert rows_pass(rows)
     with pytest.raises(DoublingUnverified):
-        potential_dirichlet_bound(g, md, gs, d_set, doubling_exponent=0.0)
+        potential_dirichlet_bound(ctx, gs, doubling_exponent=0.0)

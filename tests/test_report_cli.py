@@ -1,10 +1,16 @@
 """Report rendering, round trips, CLI contract, and determinism."""
 
 import json
+import sys
+import tomllib
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specbounds
+from specbounds import graph, spectral
 from specbounds import (
     Report,
     dumps_graph,
@@ -118,7 +124,7 @@ def test_cli_usage_error_exits_one(capsys):
 
 
 def test_cli_injected_bound_violation_exits_two(monkeypatch, capsys):
-    def broken(g, md, omega):
+    def broken(ctx):
         return [make_report("dirichlet/lower_ball_volume", 0.0, 1.0, ">=")]
 
     monkeypatch.setattr(cli, "dirichlet_lower_bound", broken)
@@ -202,3 +208,69 @@ def test_cli_report_is_deterministic(tmp_path, argv):
 
 def test_cli_sublattice_parse_errors(capsys):
     assert cli.main(["bounds", "--generate", "path:6", "--centers", "sublattice:2"]) == 1
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_cli_rejects_non_finite_potential(tmp_path, capsys, literal, command):
+    g = random_connected(8, seed=3, potential_range=(0.0, 1.0))
+    doc = json.loads(dumps_graph(g))
+    doc["vertices"][3]["v"] = "@"
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc).replace('"@"', literal), encoding="utf-8")
+    code = cli.main([command, "--graph", str(path), "--centers", "every:4"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "potential at vertex 'v3' is not finite" in err
+
+
+def test_version_agrees_everywhere(capsys):
+    assert cli.main(["--version"]) == 0
+    printed = capsys.readouterr().out.strip()
+    assert cli.main(["report", "--generate", "path:6", "--centers", "every:3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert printed == doc["config"]["version"] == doc["version"] == specbounds.__version__
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    assert "version" not in meta["project"] and "version" in meta["project"]["dynamic"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "specbounds.__version__"}
+
+
+def test_report_computes_each_shared_quantity_once(monkeypatch, capsys):
+    """One report assembles H and its restriction once each, validates once,
+    decomposes H once, and adds one eigvalsh per coupled operator to the
+    spectra of H and of the restriction."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "eigenvalues_of" and args[0].coupling_t > 0.0:
+                calls["coupled_eigenvalues_of"] += 1
+            if name == "assemble" and kwargs.get("t", 0.0) == 0.0 and len(args) < 3:
+                calls["uncoupled_assemble"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in [
+        (spectral, "eigenvalues_of"),
+        (spectral, "eigdecompose"),
+        (spectral, "assemble"),
+        (graph, "validate"),
+    ]:
+        original = getattr(module, name)
+        wrapped = counting(name, original)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "specbounds" or mod_name.startswith("specbounds."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapped)
+
+    assert cli.main(["report", "--generate", "random:40", "--centers", "every:4"]) == 0
+    capsys.readouterr()
+    assert calls["validate"] == 1
+    assert calls["eigdecompose"] == 1
+    assert calls["uncoupled_assemble"] == 2
+    assert calls["coupled_eigenvalues_of"] > 0
+    assert calls["eigenvalues_of"] == 2 + calls["coupled_eigenvalues_of"]

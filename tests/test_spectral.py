@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specbounds import (
+    AnalysisContext,
     EmptyOmega,
     OperatorMatrix,
     PreconditionInterval,
     assemble,
     build_voronoi,
     complete_graph,
-    compute_metric,
     coupling_rate,
     coupling_threshold,
     dirichlet_bounds_finite,
@@ -165,8 +165,7 @@ def test_min_eigenvalue_is_zero_on_connected_graphs():
 
 def test_finite_volume_bounds_tight_on_k2():
     g = complete_graph(2)
-    md = compute_metric(g)
-    lower, upper = dirichlet_bounds_finite(g, md, ("v0",))
+    lower, upper = dirichlet_bounds_finite(AnalysisContext(g, ("v1",)))
     assert lower.true_value == 1.0
     assert lower.bound_value == 1.0 / (1.0 * 1.0)
     assert upper.bound_value == 1.0
@@ -175,8 +174,7 @@ def test_finite_volume_bounds_tight_on_k2():
 
 def test_finite_volume_bounds_on_path():
     g = path_graph(3)
-    md = compute_metric(g)
-    lower, upper = dirichlet_bounds_finite(g, md, ("v0", "v1"))
+    lower, upper = dirichlet_bounds_finite(AnalysisContext(g, ("v2",)))
     lam = (3.0 - np.sqrt(5.0)) / 2.0
     assert lower.true_value == pytest.approx(lam, rel=1e-12)
     assert lower.bound_value == pytest.approx(0.25)
@@ -185,31 +183,26 @@ def test_finite_volume_bounds_on_path():
 
 def test_ball_volume_bound_hand_case():
     g = complete_graph(2)
-    md = compute_metric(g)
-    rows = dirichlet_lower_bound(g, md, ("v0",))
+    rows = dirichlet_lower_bound(AnalysisContext(g, ("v1",)))
     assert rows[0].bound_value == 0.5
     assert rows[0].true_value == 1.0
 
 
 def test_ball_volume_bound_on_lattice_sublattice():
     g = lattice_box(2, 10)
-    md = compute_metric(g)
     d_set = tuple(
         v for v in g.vertices if all(int(c) % 3 == 0 for c in v.split(","))
     )
-    omega = g.complement(d_set)
-    rows = dirichlet_lower_bound(g, md, omega)
+    rows = dirichlet_lower_bound(AnalysisContext(g, d_set))
     assert rows_pass(rows)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_bound_rows_pass_on_random_instances(seed):
     g = random_instance(200 + seed, n_lo=2, n_hi=50, m_weighted=seed % 2 == 0)
-    md = compute_metric(g)
-    d_set = random_proper_subset(g, seed)
-    omega = g.complement(d_set)
-    rows = list(dirichlet_bounds_finite(g, md, omega))
-    rows += dirichlet_lower_bound(g, md, omega)
+    ctx = AnalysisContext(g, random_proper_subset(g, seed))
+    rows = list(dirichlet_bounds_finite(ctx))
+    rows += dirichlet_lower_bound(ctx)
     assert rows_pass(rows)
     by_name = {r.name: r for r in rows}
     # The in-region refinement dominates the plain ball bound.
@@ -230,7 +223,7 @@ def test_bound_rows_pass_on_random_instances(seed):
 
 def test_resolvent_gap_k2_hand_numbers():
     g = complete_graph(2)
-    row = resolvent_gap(g, ("v1",), 18.0)
+    row = resolvent_gap(AnalysisContext(g, ("v1",)), 18.0)
     # Closed form: the difference matrix is [[1/2, 1], [1, 2]] / (3 + 2t).
     assert row.true_value == pytest.approx(2.5 / 39.0, rel=1e-12)
     assert row.bound_value == pytest.approx(36.0 / 19.0, rel=1e-15)
@@ -238,21 +231,21 @@ def test_resolvent_gap_k2_hand_numbers():
 
 
 def test_resolvent_gap_below_threshold_is_flagged():
-    row = resolvent_gap(complete_graph(2), ("v1",), 1.0)
+    row = resolvent_gap(AnalysisContext(complete_graph(2), ("v1",)), 1.0)
     assert row.vacuous
 
 
 def test_resolvent_gap_rejects_full_penalty_set():
     g = complete_graph(2)
     with pytest.raises(EmptyOmega):
-        resolvent_gap(g, ("v0", "v1"), 18.0)
+        resolvent_gap(AnalysisContext(g, ("v0", "v1")), 18.0)
 
 
 def test_resolvent_gap_decay_slope_on_k2():
     g = complete_graph(2)
     threshold = coupling_threshold(g)
     ts = np.geomspace(threshold, 10.0 * threshold, 8)
-    gaps = [resolvent_gap(g, ("v1",), float(t)).true_value for t in ts]
+    gaps = [resolvent_gap(AnalysisContext(g, ("v1",)), float(t)).true_value for t in ts]
     slope = np.polyfit(np.log(ts), np.log(gaps), 1)[0]
     assert -1.2 <= slope <= -0.8
 
@@ -260,7 +253,7 @@ def test_resolvent_gap_decay_slope_on_k2():
 def test_coupling_rate_k2_closed_form():
     g = complete_graph(2)
     ts = [0.0, 18.0, 50.0, 200.0]
-    rows = coupling_rate(g, ("v1",), ts)
+    rows = coupling_rate(AnalysisContext(g, ("v1",)), ts)
     assert rows_pass(rows)
     for t in ts[1:]:
         lam = lowest_eigenvalue(assemble(g, t=t, d_set=("v1",)))
@@ -274,7 +267,7 @@ def test_coupling_rate_random_instances(seed):
     d_set = random_proper_subset(g, seed + 2)
     threshold = coupling_threshold(g)
     ts = [0.0] + list(np.geomspace(threshold, 50.0 * threshold, 5))
-    assert rows_pass(coupling_rate(g, d_set, ts))
+    assert rows_pass(coupling_rate(AnalysisContext(g, d_set), ts))
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +311,7 @@ def test_projection_idempotent_and_self_adjoint():
 
 def test_uncertainty_k2_hand_case():
     g = complete_graph(2)
-    md = compute_metric(g)
-    rows = uncertainty_constant(g, md, ("v1",), (0.0, 0.25))
+    rows = uncertainty_constant(AnalysisContext(g, ("v1",)), (0.0, 0.25))
     by_name = {r.name: r for r in rows}
     energy = by_name["uncertainty/energy_form"]
     assert energy.bound_value == pytest.approx(0.75**2 / (16.0 * 9.0 * 4.0), rel=1e-15)
@@ -329,25 +321,22 @@ def test_uncertainty_k2_hand_case():
 
 def test_uncertainty_empty_interval_is_vacuous():
     g = complete_graph(2)
-    md = compute_metric(g)
-    rows = uncertainty_constant(g, md, ("v1",), (0.3, 0.5))
+    rows = uncertainty_constant(AnalysisContext(g, ("v1",)), (0.3, 0.5))
     assert all(r.vacuous for r in rows)
 
 
 def test_uncertainty_precondition_violation_raises():
     g = complete_graph(2)
-    md = compute_metric(g)
     with pytest.raises(PreconditionInterval):
-        uncertainty_constant(g, md, ("v1",), (0.0, 1.5))
+        uncertainty_constant(AnalysisContext(g, ("v1",)), (0.0, 1.5))
 
 
 def test_uncertainty_on_lattice_line_with_sparse_centers():
     g = lattice_box(1, 30)
-    md = compute_metric(g)
     d_set = tuple(v for v in g.vertices if int(v) % 3 == 0)
     omega = g.complement(d_set)
     lam = lowest_eigenvalue(assemble(g, omega=omega))
-    rows = uncertainty_constant(g, md, d_set, (0.0, 0.5 * lam))
+    rows = uncertainty_constant(AnalysisContext(g, d_set), (0.0, 0.5 * lam))
     assert rows_pass(rows)
     assert not all(r.vacuous for r in rows)
 
@@ -385,6 +374,36 @@ def test_form_consistency(seed):
         scale = max(abs(energy), 1.0)
         assert abs(quad - energy) <= 1e-9 * scale
         assert abs(quad_omega - energy) <= 1e-9 * scale
+
+
+def _loop_energy(g, f, include_potential=False):
+    """Reference for dirichlet_energy: one edge at a time, in stored order."""
+    fa = np.asarray(f, dtype=float)
+    total = 0.0
+    for i, j, w in g.edges:
+        diff = fa[i] - fa[j]
+        total += w * diff * diff
+    if include_potential:
+        total += float(np.sum(g.V * fa * fa))
+    return total
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        random_instance(23, n_lo=40, n_hi=80, m_weighted=True),
+        random_instance(24, n_lo=40, n_hi=80, potential_range=(0.0, 2.0)),
+        lattice_box(2, 7),
+        path_graph(1),
+    ],
+    ids=["weighted", "potential", "combinatorial", "single_vertex"],
+)
+def test_energy_matches_edge_loop_bit_for_bit(g):
+    rng = np.random.default_rng(g.n)
+    for _ in range(50):
+        f = rng.standard_normal(g.n)
+        for include in (False, True):
+            assert dirichlet_energy(g, f, include) == _loop_energy(g, f, include)
 
 
 def test_edge_sum_energy_matches_double_sum():
