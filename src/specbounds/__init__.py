@@ -110,6 +110,7 @@ from .spectral import (
     operator_norm,
     resolvent_gap,
     shifted_norm,
+    sparse_ground_state,
     spectral_projection,
     uncertainty_constant,
 )

@@ -110,6 +110,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options that take a range (a:b or start:stop:points).
+RANGE_OPTIONS = ("--interval", "--t-grid")
+
+
+def join_negative_ranges(argv: list[str]) -> list[str]:
+    """Rewrite '--interval -10:-5' as '--interval=-10:-5'.
+
+    argparse reads a separate value that starts with '-' as an option
+    unless it is a plain negative number; a range always holds ':', which
+    no option does.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in RANGE_OPTIONS and arg.startswith("-") and ":" in arg:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def parse_centers(g: WeightedGraph, spec: str) -> tuple[str, ...]:
     """Resolve a centers spec against a graph's canonical vertex order."""
     spec = spec.strip()
@@ -149,6 +169,11 @@ def parse_centers(g: WeightedGraph, spec: str) -> tuple[str, ...]:
 
 def parse_interval(spec: str, lam_omega: float) -> tuple[float, float]:
     if spec == "auto":
+        if lam_omega < 0.0:
+            raise ValueError(
+                f"--interval auto means 0:lambda_Omega/2, which is empty because "
+                f"lambda_Omega = {lam_omega!r} < 0; give an explicit --interval a:b"
+            )
         return (0.0, 0.5 * lam_omega)
     a, _, b = spec.partition(":")
     return (float(a), float(b))
@@ -158,6 +183,8 @@ def parse_t_grid(spec: str, threshold: float) -> list[float]:
     if spec == "auto":
         return [0.0] + list(np.geomspace(threshold, 100.0 * threshold, 8))
     start, stop, points = spec.split(":")
+    if not (float(start) > 0.0 and float(stop) > 0.0):
+        raise ValueError(f"--t-grid {spec}: couplings start and stop must be positive")
     return list(np.geomspace(float(start), float(stop), int(points)))
 
 
@@ -378,7 +405,7 @@ def _metric_csv(report: Report, extra: dict) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(join_negative_ranges(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if not exc.code else 1
 

@@ -12,6 +12,7 @@ import pytest
 import specbounds
 from specbounds import graph, spectral
 from specbounds import (
+    AnalysisContext,
     Report,
     dumps_graph,
     make_report,
@@ -195,6 +196,8 @@ def _strip_timings(text: str) -> str:
     [
         ["report", "--generate", "lattice:2:5", "--centers", "sublattice:2", "--seed", "9"],
         ["report", "--generate", "random:18", "--centers", "every:4", "--seed", "9"],
+        # Coupled ground energies from the sparse solver.
+        ["report", "--generate", f"random:{spectral.SPARSE_MIN_N}", "--centers", "every:4"],
     ],
 )
 def test_cli_report_is_deterministic(tmp_path, argv):
@@ -274,3 +277,75 @@ def test_report_computes_each_shared_quantity_once(monkeypatch, capsys):
     assert calls["uncoupled_assemble"] == 2
     assert calls["coupled_eigenvalues_of"] > 0
     assert calls["eigenvalues_of"] == 2 + calls["coupled_eigenvalues_of"]
+
+
+def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, capsys):
+    """From SPARSE_MIN_N vertices on, a report makes one sparse solve per
+    distinct coupling t, runs eigvalsh on no coupled operator, and assembles
+    one dense coupled matrix: the resolvent row's."""
+    calls = Counter()
+    ts = set()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "eigenvalues_of" and args[0].coupling_t > 0.0:
+                calls["coupled_eigenvalues_of"] += 1
+            if name == "assemble" and kwargs.get("t", 0.0) > 0.0:
+                calls["coupled_assemble"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigenvalues_of", "assemble", "sparse_ground_state"):
+        original = getattr(spectral, name)
+        wrapped = counting(name, original)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "specbounds" or mod_name.startswith("specbounds."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, wrapped)
+    solve = AnalysisContext.coupled_ground_energy
+
+    def recording(self, t):
+        ts.add(t)
+        return solve(self, t)
+
+    monkeypatch.setattr(AnalysisContext, "coupled_ground_energy", recording)
+    argv = ["report", "--generate", f"random:{spectral.SPARSE_MIN_N}", "--centers", "every:4"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert calls["coupled_eigenvalues_of"] == 0
+    assert calls["coupled_assemble"] == 1
+    assert len(ts) >= 24
+    assert calls["sparse_ground_state"] == len(ts)
+
+
+def test_cli_interval_auto_on_negative_potential(tmp_path, capsys):
+    g = random_connected(30, seed=3, potential_range=(-3.0, -1.0))
+    path = tmp_path / "g.json"
+    path.write_text(dumps_graph(g), encoding="utf-8")
+    code = cli.main(["uncertainty", "--graph", str(path), "--centers", "every:4"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "lambda_Omega = -1.6" in err and "explicit --interval" in err
+    assert "a <= b" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, option, value, code",
+    [
+        (["spectrum", "--generate", "random:20"], "--interval", "-10:-5", 0),
+        (["report", "--generate", "random:20", "--centers", "every:4"], "--interval", "-9:-0.5", 0),
+        (["bounds", "--generate", "path:6", "--centers", "every:3"], "--t-grid", "-10:-1:3", 1),
+    ],
+)
+def test_cli_negative_range_after_space(capsys, argv, option, value, code):
+    """'--interval -10:-5' reads like '--interval=-10:-5' (and so for --t-grid)."""
+    outputs = []
+    for form in ([option, value], [f"{option}={value}"]):
+        assert cli.main(argv + form) == code
+        out, err = capsys.readouterr()
+        outputs.append((_strip_timings(out) if out else out, err))
+    assert outputs[0] == outputs[1]
+    assert "expected one argument" not in outputs[0][1]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from specbounds import (
     AnalysisContext,
+    ConvergenceFailure,
     EmptyOmega,
     OperatorMatrix,
     PreconditionInterval,
@@ -27,10 +28,12 @@ from specbounds import (
     resolvent_gap,
     rows_pass,
     shifted_norm,
+    sparse_ground_state,
     spectral_projection,
     uncertainty_constant,
     validate,
 )
+from specbounds import cli, generate, random_connected, spectral
 from conftest import random_instance, random_proper_subset
 
 
@@ -268,6 +271,93 @@ def test_coupling_rate_random_instances(seed):
     threshold = coupling_threshold(g)
     ts = [0.0] + list(np.geomspace(threshold, 50.0 * threshold, 5))
     assert rows_pass(coupling_rate(AnalysisContext(g, d_set), ts))
+
+
+# ---------------------------------------------------------------------------
+# Sparse coupled ground energies
+# ---------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _sparse_chain(ctx, ts):
+    """sparse_ground_state over ts in order, each solve warm-started from
+    the last ground state, as coupled_ground_energy does."""
+    g, v0, out = ctx.graph, np.sqrt(ctx.graph.m), []
+    for t in ts:
+        lam, x, residual = sparse_ground_state(
+            ctx.coupled_sparse(t), float(ctx.spectrum[0]) - 1.0, v0,
+            g.n * EPS * (ctx.norm + t),
+        )
+        out.append((lam, residual))
+        v0 = np.abs(x)
+    return out
+
+
+def _oracle_contexts():
+    g = generate("random:60")
+    yield AnalysisContext(g, cli.parse_centers(g, "every:4"))
+    g = generate("lattice:2:7")
+    yield AnalysisContext(g, cli.parse_centers(g, "sublattice:2"))
+    g = generate("apex_ray:200")
+    yield AnalysisContext(g, cli.parse_centers(g, "every:4"))
+    g = random_connected(40, seed=5, m_range=(0.5, 2.0), potential_range=(0.0, 3.0))
+    yield AnalysisContext(g, cli.parse_centers(g, "every:3"))
+    g = random_connected(30, seed=3, potential_range=(-3.0, -1.0))
+    yield AnalysisContext(g, cli.parse_centers(g, "every:4"))
+
+
+@pytest.mark.parametrize("ctx", _oracle_contexts(), ids=lambda ctx: f"n{ctx.graph.n}")
+def test_sparse_ground_state_matches_dense(ctx):
+    assert ctx.graph.n < spectral.SPARSE_MIN_N  # the oracle is the dense path
+    ts = [0.5] + list(np.geomspace(ctx.threshold, 1.0e4 * ctx.threshold, 5))
+    for t, (lam, residual) in zip(ts, _sparse_chain(ctx, ts)):
+        dense = eigenvalues_of(ctx.coupled(t))
+        scale = max(abs(dense[0]), abs(dense[-1]))  # ||H + t 1_D||
+        assert abs(lam - dense[0]) <= ctx.graph.n * EPS * scale + residual
+
+
+def test_sparse_ground_energies_monotone_on_comb(monkeypatch):
+    # The auto grids reach t ~ 7e34 on comb:26, where dense eigvalsh is off
+    # by about eps * t and steps down by ~1e19.  The sparse values are
+    # accurate, so they must be nondecreasing in t.
+    g = generate("comb:26")
+    ctx = AnalysisContext(g, cli.parse_centers(g, "every:3"))
+    grids = set()
+    original = AnalysisContext.coupled_ground_energy
+
+    def recording(self, t):
+        grids.add(t)
+        return original(self, t)
+
+    monkeypatch.setattr(AnalysisContext, "coupled_ground_energy", recording)
+    coupling_rate(ctx, cli.parse_t_grid("auto", ctx.threshold))
+    uncertainty_constant(ctx, cli.parse_interval("auto", ctx.lambda_omega))
+    ts = sorted(grids)
+    assert len(ts) >= 24 and ts[-1] > 1e30
+    lams = [lam for lam, _ in _sparse_chain(ctx, ts)]
+    assert all(b >= a for a, b in zip(lams, lams[1:]))
+
+
+def test_sparse_ground_state_residual_over_budget_raises():
+    ctx = AnalysisContext(generate("random:30"), ("v0", "v7"))
+    with pytest.raises(ConvergenceFailure, match="residual"):
+        sparse_ground_state(
+            ctx.coupled_sparse(5.0), float(ctx.spectrum[0]) - 1.0, np.sqrt(ctx.graph.m), 0.0
+        )
+
+
+def test_sparse_path_is_deterministic_above_crossover():
+    # Guards the fixed ARPACK start vector: a random one (v0=None) gives
+    # different bits for the same matrix on repeated calls.
+    g = generate(f"random:{spectral.SPARSE_MIN_N}")
+    centers = cli.parse_centers(g, "every:4")
+    first, second = AnalysisContext(g, centers), AnalysisContext(g, centers)
+    ts = list(np.geomspace(first.threshold, 1.0e4 * first.threshold, 6))
+    values = [first.coupled_ground_energy(t) for t in ts]
+    assert values == [second.coupled_ground_energy(t) for t in ts]
+    lower, upper = float(first.spectrum[0]), first.lambda_omega
+    assert all(lower <= v <= upper for v in values)
 
 
 # ---------------------------------------------------------------------------
