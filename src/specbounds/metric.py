@@ -198,7 +198,7 @@ def check_homogeneity(
     if c.b_max > 0.0:
         radii.append(0.5 / c.b_max)
     if finite.size:
-        radii.extend(float(np.quantile(finite, q)) for q in (0.25, 0.5, 0.75, 1.0))
+        radii.extend(float(q) for q in np.quantile(finite, (0.25, 0.5, 0.75, 1.0)))
 
     worst = None
     for x in centers:

@@ -26,6 +26,14 @@ spectrum of H + t 1_D for every t >= 0, so the largest eigenvalue of the
 shift-inverted operator is always the ground energy.  The result is
 certified by its residual ||Ax - lambda x||, which must stay within the
 dense solver's own error budget n eps (||H|| + t).
+
+The resolvent row never forms an n x n inverse.  With A = H + t 1_D + 1,
+Y = A^(-1) E_D (the columns of the coupled resolvent on D) and
+C = Y[D, :] = S^(-1), the inverse Schur complement of A on D,
+
+    (H + t 1_D + 1)^(-1) - ((H_Omega + 1)^(-1) + 0) = Y C^(-1) Y^T,
+
+so its norm is that of the |D| x |D| matrix R C^(-1) R^T, Y = QR.
 """
 
 from __future__ import annotations
@@ -340,6 +348,11 @@ class AnalysisContext:
         return inradius(self.metric, self.omega)
 
     @cached_property
+    def min_potential(self) -> float:
+        """The smallest V(x); 0 on a graph without potential."""
+        return float(self.graph.V.min())
+
+    @cached_property
     def volumes(self) -> BallVolumeTable:
         return BallVolumeTable(self.metric)
 
@@ -421,18 +434,33 @@ class AnalysisContext:
 # ---------------------------------------------------------------------------
 
 
+def _geometric_row(
+    ctx: AnalysisContext, name: str, true_value: float, bound: float, note: str = ""
+) -> BoundReport:
+    """true_value >= bound, for a bound that rests on the geometric lower
+    bounds for lambda_Omega.  Those are proved for V >= 0 (by monotonicity
+    from the Laplacian), so with some V(x) < 0 the row is not asserted."""
+    v_min = ctx.min_potential
+    if v_min < 0.0:
+        note = (note + "; " if note else "") + (
+            f"min V = {v_min!r} < 0; bound proved for V >= 0 only, not asserted"
+        )
+    return make_report(name, true_value, bound, ">=", vacuous=v_min < 0.0, note=note)
+
+
 def dirichlet_bounds_finite(ctx: AnalysisContext) -> tuple[BoundReport, BoundReport]:
     """Two-sided finite-volume bounds for the lowest Dirichlet eigenvalue.
 
-    Lower: 1 / (Inr(omega) * vol(omega)).  Upper: ||H|| times the measure
-    fraction of the complement, which is tight for a single free vertex on
-    the two-point graph.
+    Lower: 1 / (Inr(omega) * vol(omega)), proved for V >= 0 and not
+    asserted otherwise.  Upper: ||H|| times the measure fraction of the
+    complement, which is tight for a single free vertex on the two-point
+    graph.
     """
     g = ctx.graph
     lam = ctx.lambda_omega
     vol_omega = g.vol(ctx.omega)
-    lower = make_report(
-        "dirichlet/lower_inradius_volume", lam, 1.0 / (ctx.R * vol_omega), ">=",
+    lower = _geometric_row(
+        ctx, "dirichlet/lower_inradius_volume", lam, 1.0 / (ctx.R * vol_omega)
     )
     vol_x = g.vol_total()
     upper = make_report(
@@ -451,27 +479,23 @@ def dirichlet_lower_bound(ctx: AnalysisContext) -> list[BoundReport]:
     vol[s] the largest closed-ball volume.  Two refinements are emitted
     alongside: ball volumes counted inside the region only, and ball
     volumes around the complement points only.  Both refinements dominate
-    the main bound.
+    the main bound.  All three are proved for V >= 0 and are not asserted
+    when some V(x) < 0.
     """
     lam, R = ctx.lambda_omega, ctx.R
-    rows = [
-        make_report("dirichlet/lower_ball_volume", lam, 1.0 / (R * ctx.vol_R), ">="),
-    ]
     vol_in = ctx.volumes.vol_bracket_within(R, ctx.omega)
-    rows.append(
-        make_report(
-            "dirichlet/lower_ball_volume_in_region", lam, 1.0 / (R * vol_in), ">=",
-            note="ball mass counted inside the region only",
-        )
-    )
     vol_centers = ctx.volumes.vol_bracket_centers(R, ctx.centers)
-    rows.append(
-        make_report(
-            "dirichlet/lower_center_balls", lam, 1.0 / (R * vol_centers), ">=",
+    return [
+        _geometric_row(ctx, "dirichlet/lower_ball_volume", lam, 1.0 / (R * ctx.vol_R)),
+        _geometric_row(
+            ctx, "dirichlet/lower_ball_volume_in_region", lam, 1.0 / (R * vol_in),
+            note="ball mass counted inside the region only",
+        ),
+        _geometric_row(
+            ctx, "dirichlet/lower_center_balls", lam, 1.0 / (R * vol_centers),
             note="ball mass around complement points only",
-        )
-    )
-    return rows
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -490,36 +514,50 @@ def resolvent_gap(ctx: AnalysisContext, t: float) -> BoundReport:
     Compares (H + t 1_D + 1)^(-1) against the resolvent of the restriction
     to the region, extended by zero, in operator norm.  The proved decay is
     4 ||H+1||^2 / (1+t) once t >= 2 ||H+1||^2; smaller couplings are
-    evaluated anyway and flagged as out of regime.  The estimate assumes a
-    nonnegative operator, which holds automatically when the graph carries
-    no potential (or a nonnegative one).
+    evaluated anyway and flagged as out of regime.  The estimate assumes
+    H >= 0: when some V(x) < 0 and the lowest eigenvalue of H is negative
+    too, the row is reported but not asserted.
+
+    The difference is never formed.  Let A = H + t 1_D + 1 (symmetric
+    picture), E_D the columns of the identity on D, Y = A^(-1) E_D and
+    C = Y[D, :], which is the inverse of the Schur complement
+    S = A_DD - A_DO A_OO^(-1) A_OD.  The block-inverse formula gives
+
+        (H + t 1_D + 1)^(-1) - ((H_Omega + 1)^(-1) + 0) = Y C^(-1) Y^T
+
+    whenever A and H_Omega + 1 are invertible.  With the thin QR Y = QR,
+    the gap is the largest |eigenvalue| of the |D| x |D| matrix
+    R C^(-1) R^T: one solve with |D| right-hand sides, one QR and one small
+    eigvalsh.  Nothing subtracts two O(1) resolvents to get an O(1/t)
+    difference, so the value keeps its relative accuracy at large t.
     """
+    t = float(t)
     g = ctx.graph
     ctx.require_region()
-    omega = ctx.omega
     h1, threshold = ctx.shifted_norm, ctx.threshold
 
-    n = g.n
-    resolvent_t = np.linalg.inv(ctx.coupled(t).sym + np.eye(n))
+    d_idx = g.indices(ctx.centers)
+    e_d = np.zeros((g.n, d_idx.size))
+    e_d[d_idx, np.arange(d_idx.size)] = 1.0
+    y = np.linalg.solve(ctx.coupled(t).sym + np.eye(g.n), e_d)
+    r = np.linalg.qr(y, mode="r")
+    m = r @ np.linalg.solve(y[d_idx], r.T)
+    gap = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (m + m.T)))))
 
-    idx = g.indices(omega)
-    resolvent_omega = np.linalg.inv(ctx.region_operator.sym + np.eye(idx.size))
-    embedded = np.zeros((n, n))
-    embedded[np.ix_(idx, idx)] = resolvent_omega
-
-    gap = float(np.linalg.norm(resolvent_t - embedded, 2))
     bound = 4.0 * h1 * h1 / (1.0 + t)
     below = t < threshold
+    note = f"t={t!r}, threshold={threshold!r}"
+    if below:
+        note += "; below coupling threshold, bound not asserted"
+    # The sign of V decides: a potential-free H may give lambda_0 = -1e-17.
+    indefinite = ctx.min_potential < 0.0 and ctx.spectrum[0] < 0.0
+    if indefinite:
+        note += (
+            f"; min V = {ctx.min_potential!r} and lambda_0(H) = "
+            f"{float(ctx.spectrum[0])!r} < 0, so H >= 0 fails; bound not asserted"
+        )
     return make_report(
-        "resolvent/schur_gap",
-        gap,
-        bound,
-        "<=",
-        vacuous=below,
-        note=(
-            f"t={t!r}, threshold={threshold!r}"
-            + ("; below coupling threshold, bound not asserted" if below else "")
-        ),
+        "resolvent/schur_gap", gap, bound, "<=", vacuous=below or indefinite, note=note
     )
 
 
@@ -650,6 +688,9 @@ def uncertainty_constant(
     ||H+1||^4 in the denominator, and the best sampled coupling value
     (lam_t - max I)/t over a geometric grid plus the analytic optimizer.
     Here ||H+1|| comes from the eigh spectrum that also gives the projection.
+    The geometric variant, and its comparison with the energy form, need
+    lam_omega >= 1/(R vol[R]), proved for V >= 0; with some V(x) < 0 both
+    rows are reported but not asserted.
     """
     ctx.require_region()
     a, b = float(interval[0]), float(interval[1])
@@ -711,12 +752,10 @@ def uncertainty_constant(
         )
     )
     if kappa_cor is not None:
+        rows.append(_geometric_row(ctx, "uncertainty/geometry_form", truth, kappa_cor))
         rows.append(
-            make_report("uncertainty/geometry_form", truth, kappa_cor, ">="),
-        )
-        rows.append(
-            make_report(
-                "uncertainty/energy_vs_geometry", kappa_thm, kappa_cor, ">=",
+            _geometric_row(
+                ctx, "uncertainty/energy_vs_geometry", kappa_thm, kappa_cor,
                 note="energy-form constant dominates the geometric one",
             )
         )

@@ -14,6 +14,7 @@ from specbounds import (
     check_homogeneity,
     complete_graph,
     compute_metric,
+    generate,
     covering_radius,
     geodesic,
     geometric_comb,
@@ -209,3 +210,20 @@ def test_homogeneity_rows_pass_on_random_graphs(spec_seed):
     g = random_instance(100 + spec_seed, n_lo=2, n_hi=40, m_weighted=True)
     md = compute_metric(g)
     assert rows_pass(check_homogeneity(g, md))
+
+
+def test_homogeneity_radii_match_one_quantile_call_per_radius(monkeypatch):
+    """The radii come from one np.quantile call over all distances; the
+    rows equal, bit for bit, those of one call per quantile."""
+    g = generate("random:200")
+    md = compute_metric(g)
+    rows = check_homogeneity(g, md)
+    quantile, calls = np.quantile, []
+
+    def one_call_per_quantile(a, q):
+        calls.append(q)
+        return np.array([quantile(a, x) for x in q])
+
+    monkeypatch.setattr(np, "quantile", one_call_per_quantile)
+    assert check_homogeneity(g, md) == rows
+    assert calls == [(0.25, 0.5, 0.75, 1.0)]

@@ -349,3 +349,77 @@ def test_cli_negative_range_after_space(capsys, argv, option, value, code):
         outputs.append((_strip_timings(out) if out else out, err))
     assert outputs[0] == outputs[1]
     assert "expected one argument" not in outputs[0][1]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_report_notes_print_plain_floats(capsys, fmt):
+    """A coupling t that reaches a note as np.float64 must print as a float,
+    not as 'np.float64(...)'."""
+    argv = ["report", "--generate", "random:40", "--centers", "every:4", "--format", fmt]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        notes = [row["note"] for row in json.loads(out)["rows"]]
+        assert any(note.startswith("t=") for note in notes)
+        assert not [note for note in notes if "np." in note]
+    else:
+        assert "t=" in out and "np." not in out
+
+
+def test_report_runs_without_dense_inverse_or_svd(monkeypatch, capsys):
+    """No stage of a report inverts a dense matrix or takes an SVD (the
+    2-norm of a matrix is one)."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense inverse or SVD called")
+
+    # norm(., 2) looks svd up in the module that defines it.
+    for namespace in (vars(np.linalg), np.linalg.norm.__wrapped__.__globals__):
+        for name in ("inv", "svd"):
+            monkeypatch.setitem(namespace, name, forbidden)
+    assert cli.main(["report", "--generate", "random:256", "--centers", "every:4"]) == 0
+    capsys.readouterr()
+
+
+DIRICHLET_LOWER_ROWS = (
+    "dirichlet/lower_inradius_volume",
+    "dirichlet/lower_ball_volume",
+    "dirichlet/lower_ball_volume_in_region",
+    "dirichlet/lower_center_balls",
+)
+GEOMETRIC_UNCERTAINTY_ROWS = ("uncertainty/geometry_form", "uncertainty/energy_vs_geometry")
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("potential_range", [(-3.0, -1.0), (-20.0, -5.0)])
+@pytest.mark.parametrize("command", ["bounds", "report"])
+def test_cli_negative_potential_gives_vacuous_rows(tmp_path, capsys, seed, potential_range, command):
+    """The geometric lower bounds on lambda_Omega, and the uncertainty rows
+    built on them, hold for V >= 0, and the resolvent estimate for H >= 0;
+    on a negative potential they are reported as not asserted, and the run
+    exits 0."""
+    g = random_connected(30, seed=seed, potential_range=potential_range)
+    path = tmp_path / "g.json"
+    path.write_text(dumps_graph(g), encoding="utf-8")
+    ctx = AnalysisContext(g, g.vertices[::4])
+    assert ctx.spectrum[0] < 0.0 and ctx.lambda_omega < 0.0
+    argv = [command, "--graph", str(path), "--centers", "every:4"]
+    if command == "bounds":
+        argv += ["--t-grid", "auto"]
+    else:
+        # Below lambda_Omega, since --interval auto is empty here.
+        argv.append(f"--interval={ctx.spectrum[0] - 1.0}:{ctx.lambda_omega - 0.1}")
+    assert cli.main(argv) == 0
+    rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+    min_v = f"min V = {float(g.V.min())!r}"
+    for name in DIRICHLET_LOWER_ROWS:
+        assert rows[name]["vacuous"] and min_v in rows[name]["note"]
+        assert rows[name]["true"] < rows[name]["bound"]
+    for name in GEOMETRIC_UNCERTAINTY_ROWS:
+        # bounds has no uncertainty rows; an empty window drops the second.
+        assert rows.get(name, {"vacuous": True})["vacuous"]
+    resolvent = rows["resolvent/schur_gap"]
+    assert resolvent["vacuous"] and min_v in resolvent["note"]
+    assert "H >= 0 fails" in resolvent["note"]
+    others = set(rows) - {*DIRICHLET_LOWER_ROWS, *GEOMETRIC_UNCERTAINTY_ROWS, "resolvent/schur_gap"}
+    assert others and not any("min V" in rows[name]["note"] for name in others)

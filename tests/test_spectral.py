@@ -36,6 +36,8 @@ from specbounds import (
 from specbounds import cli, generate, random_connected, spectral
 from conftest import random_instance, random_proper_subset
 
+EPS = np.finfo(float).eps
+
 
 # ---------------------------------------------------------------------------
 # Assembly
@@ -253,6 +255,78 @@ def test_resolvent_gap_decay_slope_on_k2():
     assert -1.2 <= slope <= -0.8
 
 
+def _two_inverse_gap(ctx, t):
+    """The gap by its definition: both resolvents inverted densely, the
+    restricted one extended by zero, and the 2-norm (an SVD) of the
+    difference."""
+    g = ctx.graph
+    resolvent_t = np.linalg.inv(ctx.coupled(t).sym + np.eye(g.n))
+    idx = g.indices(ctx.omega)
+    embedded = np.zeros((g.n, g.n))
+    embedded[np.ix_(idx, idx)] = np.linalg.inv(ctx.region_operator.sym + np.eye(idx.size))
+    return float(np.linalg.norm(resolvent_t - embedded, 2))
+
+
+def _resolvent_oracle_contexts():
+    for seed in range(3):
+        g = random_instance(600 + seed, n_lo=10, n_hi=60)
+        yield AnalysisContext(g, random_proper_subset(g, seed))
+    g = random_instance(610, n_lo=20, n_hi=60, m_weighted=True)
+    yield AnalysisContext(g, random_proper_subset(g, 610))
+    g = random_connected(40, seed=5, m_range=(0.5, 2.0), potential_range=(0.0, 3.0))
+    yield AnalysisContext(g, cli.parse_centers(g, "every:3"))
+    # lambda_0(H) < -1 here, so A = H + t 1_D + 1 is indefinite but invertible.
+    g = random_connected(30, seed=3, potential_range=(-3.0, -1.0))
+    yield AnalysisContext(g, cli.parse_centers(g, "every:4"))
+
+
+@pytest.mark.parametrize("ctx", _resolvent_oracle_contexts(), ids=lambda c: f"n{c.graph.n}")
+def test_resolvent_gap_matches_two_inverse_oracle(ctx):
+    for t in (1.0, ctx.threshold, 100.0 * ctx.threshold):
+        a = np.linalg.eigvalsh(ctx.coupled(t).sym + np.eye(ctx.graph.n))
+        resolvent_norm = 1.0 / np.min(np.abs(a))  # ||R_t||
+        gap = resolvent_gap(ctx, t).true_value
+        assert abs(gap - _two_inverse_gap(ctx, t)) <= ctx.graph.n * EPS * resolvent_norm
+
+
+def test_resolvent_gap_matches_high_precision_reference():
+    """On comb:12 the two-inverse formula is off by 1e-5 relative at the top
+    of the auto grid; the Schur form agrees with 80 digits to 1e-12."""
+    mp = pytest.importorskip("mpmath")
+    g = generate("comb:12")
+    ctx = AnalysisContext(g, cli.parse_centers(g, "every:3"))
+    t = max(cli.parse_t_grid("auto", ctx.threshold))
+    idx = g.indices(ctx.omega)
+    with mp.workdps(80):
+        diff = mp.matrix((ctx.coupled(t).sym + np.eye(g.n)).tolist()) ** -1
+        restricted = mp.matrix((ctx.region_operator.sym + np.eye(idx.size)).tolist()) ** -1
+        for a, i in enumerate(idx):
+            for b, j in enumerate(idx):
+                diff[int(i), int(j)] -= restricted[a, b]
+        reference = float(max(abs(x) for x in mp.eigsy(diff, eigvals_only=True)))
+    gap = resolvent_gap(ctx, t).true_value
+    assert abs(gap - reference) <= 1e-12 * reference
+
+
+@pytest.mark.parametrize(
+    "g",
+    [generate("random:100"), random_connected(30, seed=3, potential_range=(0.0, 2.0))],
+    ids=["potential_free", "nonnegative_potential"],
+)
+def test_rows_stay_asserted_without_negative_potential(g):
+    ctx = AnalysisContext(g, cli.parse_centers(g, "every:4"))
+    if g.potential is None:
+        # Rounding puts lambda_0(H) below zero; only the sign of V decides.
+        assert ctx.spectrum[0] < 0.0
+    rows = [
+        dirichlet_bounds_finite(ctx)[0],
+        *dirichlet_lower_bound(ctx),
+        resolvent_gap(ctx, 100.0 * ctx.threshold),
+    ]
+    assert len(rows) == 5
+    assert all(r.passed and not r.vacuous and "min V" not in r.note for r in rows)
+
+
 def test_coupling_rate_k2_closed_form():
     g = complete_graph(2)
     ts = [0.0, 18.0, 50.0, 200.0]
@@ -276,8 +350,6 @@ def test_coupling_rate_random_instances(seed):
 # ---------------------------------------------------------------------------
 # Sparse coupled ground energies
 # ---------------------------------------------------------------------------
-
-EPS = np.finfo(float).eps
 
 
 def _sparse_chain(ctx, ts):
