@@ -12,15 +12,15 @@ failing report row signals an implementation bug.
 __version__ = "0.1.0"
 
 from .cheeger import (
-    EXHAUSTIVE_CAP,
     IsoperimetricData,
-    beta_exhaustive,
     beta_voronoi_bound,
     boundary_count,
     cheeger_chain,
     growth_diagnostic,
+    region_constant,
 )
 from .errors import (
+    CapacityOverflow,
     ConvergenceFailure,
     DisconnectedGraph,
     DoublingUnverified,
@@ -38,7 +38,6 @@ from .errors import (
     NonzeroDiagonal,
     NotCombinatorial,
     PreconditionInterval,
-    TooLarge,
 )
 from .generators import (
     DEFAULT_SEED,

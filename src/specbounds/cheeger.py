@@ -1,33 +1,40 @@
 """Isoperimetric constants on combinatorial graphs and the bound chain.
 
 All operations here require unit edge weights and unit vertex measure.
-The region constant beta is the infimum over nonempty finite subsets S of
-the region of (#boundary pairs of S) / (#S), where the boundary counts
-ordered pairs (x, y) with x in S, y outside S, and an edge between them.
-The infimum is computed exactly by bitmask enumeration; on a finite graph
-this is feasible up to regions of 22 vertices.
+The region constant beta is the minimum over nonempty subsets S of the
+region of (#boundary pairs of S) / (#S), where the boundary counts ordered
+pairs (x, y) with x in S, y outside S, and an edge between them.  It is
+computed exactly, in polynomial time, by Dinkelbach's iteration over one
+s-t minimum cut per step (Dinkelbach 1967; Picard & Queyranne 1982).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .errors import NotCombinatorial, TooLarge
+from .errors import CapacityOverflow, NotCombinatorial
 from .graph import WeightedGraph, is_combinatorial
 from .metric import MetricData, covering_radius
 from .report import BoundReport, make_report
 from .spectral import AnalysisContext
 from .voronoi import build_voronoi
 
-EXHAUSTIVE_CAP = 22
+# After the package modules, so scipy loads through metric first: importing
+# it here ahead of them made `import specbounds.cli` 20-40 ms slower on a
+# 2-vCPU VM (measured; cause not found).
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, maximum_flow
+
+INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True)
 class IsoperimetricData:
-    """Exact region constant with its minimizing subset."""
+    """Exact region constant with its largest minimizing subset."""
 
     beta: float
     witness: tuple[str, ...]
@@ -52,73 +59,98 @@ def boundary_count(g: WeightedGraph, subset: Iterable[str]) -> int:
     return count
 
 
-def beta_exhaustive(
-    g: WeightedGraph, omega: Iterable[str], cap: int = EXHAUSTIVE_CAP
-) -> IsoperimetricData:
-    """Exact infimum of boundary/volume over nonempty subsets of the region.
+def _region_network(
+    g: WeightedGraph, omega: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The region's inner edges as (2, e) local endpoints, and per vertex
+    the number of its neighbors outside the region."""
+    local = np.full(g.n, -1, dtype=np.intp)
+    local[[g.index[v] for v in omega]] = np.arange(len(omega))
+    i, j, _ = g.edge_arrays
+    a, b = local[i], local[j]
+    inner = (a >= 0) & (b >= 0)
+    crossing = (a >= 0) != (b >= 0)
+    out_degree = np.bincount(np.maximum(a, b)[crossing], minlength=len(omega))
+    return np.stack((a[inner], b[inner])), out_degree
 
-    Enumerates all 2^k - 1 nonempty subsets with a vectorized sweep:
-    boundary(S) = sum of degrees over S minus twice the edges inside S,
-    where inside-edge counts satisfy a one-bit recursion over masks.
-    Ties go to the lowest bitmask, so the witness is deterministic.
+
+def _maximal_minimizer(
+    inner: np.ndarray, out_degree: np.ndarray, p: int, q: int
+) -> np.ndarray:
+    """Largest subset S of the region minimizing q |dS| - p |S|, as a mask.
+
+    One s-t min cut: source -> x with capacity p, x -> sink with capacity
+    q * out_degree[x], and capacity q both ways along each inner edge.  A
+    cut with S on the source side costs p k + (q |dS| - p |S|).  The
+    minimizers of a submodular function are closed under union, so the
+    largest one is unique: the vertices that cannot reach the sink in the
+    residual graph of any maximum flow.
+    """
+    k = len(out_degree)
+    source, sink = k, k + 1
+    # k p bounds every flow, and 2 q the residual of an inner edge; the
+    # solver works in int32 and wraps silently past its range.
+    largest = max(k * p, 2 * q, q * int(out_degree.max(initial=0)))
+    if largest > INT32_MAX:
+        raise CapacityOverflow(
+            f"min cut at lambda = {p}/{q} on {k} vertices needs capacity {largest} > int32"
+        )
+    to_sink = np.flatnonzero(out_degree)
+    e = inner.shape[1]
+    rows = np.concatenate((inner[0], inner[1], np.full(k, source), to_sink))
+    cols = np.concatenate((inner[1], inner[0], np.arange(k), np.full(to_sink.size, sink)))
+    caps = np.concatenate(
+        (np.full(2 * e, q), np.full(k, p), q * out_degree[to_sink])
+    ).astype(np.int32)
+    network = csr_matrix((caps, (rows, cols)), shape=(k + 2, k + 2))
+    residual = network - maximum_flow(network, source, sink).flow
+    residual.eliminate_zeros()  # a stored zero would count as an arc
+    reaches_sink = breadth_first_order(
+        residual.T, sink, directed=True, return_predecessors=False
+    )
+    mask = np.ones(k, dtype=bool)
+    mask[reaches_sink[reaches_sink < k]] = False
+    return mask
+
+
+def region_constant(g: WeightedGraph, omega: Iterable[str]) -> IsoperimetricData:
+    """Exact minimum of boundary/volume over nonempty subsets of the region.
+
+    Dinkelbach iteration: starting from lambda = |dOmega|/|Omega|, take the
+    largest minimizer S of |dS| - lambda |S| (one min cut at the rational
+    lambda = p/q) and set lambda to its ratio, until the ratio stops
+    falling.  The witness is the largest subset attaining beta, so it does
+    not depend on the flow algorithm or the vertex labels.
     """
     _require_combinatorial(g)
     omega = tuple(dict.fromkeys(omega))
-    k = len(omega)
-    if k == 0:
+    if not omega:
         raise ValueError("region must be nonempty")
-    if k > cap:
-        raise TooLarge(f"region has {k} vertices; exhaustive cap is {cap}")
-
-    idx = [g.index[v] for v in omega]
-    local = {gidx: pos for pos, gidx in enumerate(idx)}
-    degrees = np.array([len(g.adjacency[i]) for i in idx], dtype=np.int64)
-    adj_mask = np.zeros(k, dtype=np.uint32)
-    for pos, gidx in enumerate(idx):
-        bits = 0
-        for j, _ in g.adjacency[gidx]:
-            if j in local:
-                bits |= 1 << local[j]
-        adj_mask[pos] = bits
-
-    full = 1 << k
-    masks = np.arange(full, dtype=np.uint32)
-    popcnt = np.bitwise_count(masks).astype(np.int64)
-    low = masks & (~masks + np.uint32(1))
-    rest = masks ^ low
-    low_pos = np.zeros(full, dtype=np.int64)
-    low_pos[1 << np.arange(k, dtype=np.uint64)] = np.arange(k)
-    neighbors_in_rest = np.bitwise_count(adj_mask[low_pos[low]] & rest).astype(np.int64)
-
-    inside_edges = np.zeros(full, dtype=np.int64)
-    for c in range(2, k + 1):
-        sel = np.flatnonzero(popcnt == c)
-        inside_edges[sel] = inside_edges[rest[sel]] + neighbors_in_rest[sel]
-
-    degree_sum = np.zeros(full, dtype=np.int64)
-    for pos in range(k):
-        degree_sum[(masks >> np.uint32(pos)) & np.uint32(1) == 1] += degrees[pos]
-
-    boundary = degree_sum - 2 * inside_edges
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = boundary / popcnt
-    ratio[0] = np.inf
-    best = int(np.argmin(ratio))
-    members = tuple(omega[pos] for pos in range(k) if best >> pos & 1)
+    inner, out_degree = _region_network(g, omega)
+    boundary, size = int(out_degree.sum()), len(omega)
+    while True:
+        lam = Fraction(boundary, size)
+        mask = _maximal_minimizer(inner, out_degree, lam.numerator, lam.denominator)
+        new_boundary = int(out_degree[mask].sum()) + int(
+            np.count_nonzero(mask[inner[0]] != mask[inner[1]])
+        )
+        new_size = int(mask.sum())
+        if new_boundary * size >= boundary * new_size:
+            break
+        boundary, size = new_boundary, new_size
     return IsoperimetricData(
-        beta=float(ratio[best]),
-        witness=members,
-        boundary_size=int(boundary[best]),
-        volume=float(popcnt[best]),
+        # int / int is correctly rounded: the float nearest the exact ratio.
+        beta=new_boundary / new_size,
+        witness=tuple(v for v, inside in zip(omega, mask) if inside),
+        boundary_size=new_boundary,
+        volume=float(new_size),
     )
 
 
-def beta_voronoi_bound(ctx: AnalysisContext, cap: int = EXHAUSTIVE_CAP) -> BoundReport:
+def beta_voronoi_bound(ctx: AnalysisContext) -> BoundReport:
     """Voronoi lower bound: the region constant is at least 1/vol[R].
 
-    R is the covering radius of the centers.  The true constant comes from
-    exhaustive enumeration when the region fits under the cap; otherwise
-    the row is emitted in bound-only mode and flagged.
+    R is the covering radius of the centers.
     """
     g = ctx.graph
     _require_combinatorial(g)
@@ -132,20 +164,14 @@ def beta_voronoi_bound(ctx: AnalysisContext, cap: int = EXHAUSTIVE_CAP) -> Bound
             "cheeger/region_constant_vs_volume", 0.0, bound, ">=",
             vacuous=True, note="region empty; constant is an infimum over nothing",
         )
-    if len(omega) > cap:
-        return make_report(
-            "cheeger/region_constant_vs_volume", 0.0, bound, ">=",
-            vacuous=True,
-            note=f"region size {len(omega)} above exhaustive cap {cap}; bound-only",
-        )
-    iso = beta_exhaustive(g, omega, cap=cap)
+    iso = region_constant(g, omega)
     return make_report(
         "cheeger/region_constant_vs_volume", iso.beta, bound, ">=",
         note=f"witness size {int(iso.volume)}",
     )
 
 
-def cheeger_chain(ctx: AnalysisContext, cap: int = EXHAUSTIVE_CAP) -> list[BoundReport]:
+def cheeger_chain(ctx: AnalysisContext) -> list[BoundReport]:
     """The full chain of lower bounds on a combinatorial graph.
 
     Rows: the Dirichlet ground energy against beta^2/(2 delta), the region
@@ -165,35 +191,13 @@ def cheeger_chain(ctx: AnalysisContext, cap: int = EXHAUSTIVE_CAP) -> list[Bound
     lam = ctx.lambda_omega
     R, vol_r = ctx.R, ctx.vol_R
 
-    rows: list[BoundReport] = []
-    if len(omega) <= cap:
-        iso = beta_exhaustive(g, omega, cap=cap)
-        rows.append(
-            make_report(
-                "cheeger/eigenvalue_vs_cheeger",
-                lam,
-                iso.beta * iso.beta / (2.0 * delta),
-                ">=",
-            )
-        )
-        rows.append(
-            make_report(
-                "cheeger/region_constant_vs_volume", iso.beta, 1.0 / vol_r, ">=",
-            )
-        )
-    else:
-        rows.append(
-            make_report(
-                "cheeger/eigenvalue_vs_cheeger", lam, 1.0 / (2.0 * delta * vol_r * vol_r), ">=",
-                note=f"region above cap {cap}; asserting the volume form of the route",
-            )
-        )
-        rows.append(
-            make_report(
-                "cheeger/region_constant_vs_volume", 0.0, 1.0 / vol_r, ">=",
-                vacuous=True, note=f"region above cap {cap}; bound-only",
-            )
-        )
+    iso = region_constant(g, omega)
+    rows = [
+        make_report(
+            "cheeger/eigenvalue_vs_cheeger", lam, iso.beta * iso.beta / (2.0 * delta), ">=",
+        ),
+        make_report("cheeger/region_constant_vs_volume", iso.beta, 1.0 / vol_r, ">="),
+    ]
 
     ball_bound = 1.0 / (R * vol_r)
     rows.append(

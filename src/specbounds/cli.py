@@ -93,9 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", default="auto", help="a:b or 'auto' (= 0:lam/2)")
     p.add_argument("--t-grid", default="auto", help="start:stop:points or 'auto'")
 
-    p = sub.add_parser("cheeger", help="isoperimetric bound chain")
-    common(p, True)
-    p.add_argument("--exhaustive-cap", type=int, default=22)
+    common(sub.add_parser("cheeger", help="isoperimetric bound chain"), True)
 
     p = sub.add_parser("transform", help="ground state and potential bound")
     common(p, True)
@@ -105,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, True)
     p.add_argument("--interval", default="auto")
     p.add_argument("--t-grid", default="auto")
-    p.add_argument("--exhaustive-cap", type=int, default=22)
     p.add_argument("--doubling-N", type=float, default=None)
     return parser
 
@@ -197,8 +194,7 @@ def load_input(args) -> WeightedGraph:
 def config_echo(args) -> dict:
     keys = (
         "command", "graph", "generate", "centers", "format", "seed",
-        "interval", "t_grid", "exhaustive_cap", "doubling_N", "radius",
-        "ball_center",
+        "interval", "t_grid", "doubling_N", "radius", "ball_center",
     )
     cfg = {"version": __version__}
     for k in keys:
@@ -305,7 +301,7 @@ def _cheeger(run: _Run) -> list:
     # them as an input error.
     if run.args.command == "report" and not is_combinatorial(run.ctx.graph):
         return []
-    return cheeger_chain(run.ctx, cap=run.args.exhaustive_cap)
+    return cheeger_chain(run.ctx)
 
 
 def _ground_energy(run: _Run) -> None:

@@ -61,8 +61,8 @@ class NotCombinatorial(GraphError):
     """An operation requires unit edge weights and unit vertex measure."""
 
 
-class TooLarge(GraphError):
-    """The region exceeds the exhaustive enumeration cap."""
+class CapacityOverflow(GraphError):
+    """A minimum-cut capacity does not fit the int32 flow solver."""
 
 
 class PreconditionInterval(GraphError):

@@ -167,7 +167,7 @@ def potential_dirichlet_bound(
         dist = ctx.metric.dist
         finite = dist[dist > 0.0]
         scales = [R] + (
-            [float(np.quantile(finite, q)) for q in (0.25, 0.5, 0.75)] if finite.size else []
+            [float(q) for q in np.quantile(finite, (0.25, 0.5, 0.75))] if finite.size else []
         )
         # The grid must include the pair the variant actually uses: s = R, a = c^2.
         factors = sorted({1.5, 2.0, 3.0, c2})

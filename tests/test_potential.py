@@ -18,6 +18,7 @@ from specbounds import (
     rows_pass,
     validate,
 )
+from specbounds import potential
 from specbounds.spectral import assemble, dirichlet_energy, lowest_eigenvalue
 from conftest import random_proper_subset
 
@@ -182,3 +183,30 @@ def test_doubling_variant_on_lattice():
     assert rows_pass(rows)
     with pytest.raises(DoublingUnverified):
         potential_dirichlet_bound(ctx, gs, doubling_exponent=0.0)
+
+
+def test_doubling_scales_match_one_quantile_call_per_scale(monkeypatch):
+    """The sampled doubling scales come from one np.quantile call over all
+    distances, bit for bit the values of one call per quantile."""
+    g = random_connected(60, seed=3, weight_range=(0.5, 3.0), potential_range=(0.0, 2.0))
+    ctx = AnalysisContext(g, g.vertices[::4])
+    gs = ground_state(ctx)
+    ctx.vol_R  # settle the shared quantities before counting calls
+    quantile, verify = np.quantile, potential.verify_doubling
+    calls, scales_seen = [], []
+
+    def recording_quantile(a, q):
+        calls.append(q)
+        return quantile(a, q)
+
+    def recording_verify(volumes, exponent, scales, factors):
+        scales_seen.append(list(scales))
+        verify(volumes, exponent, scales, factors)
+
+    monkeypatch.setattr(np, "quantile", recording_quantile)
+    monkeypatch.setattr(potential, "verify_doubling", recording_verify)
+    rows = potential_dirichlet_bound(ctx, gs, doubling_exponent=4.0)
+    assert len(rows) == 2
+    assert calls == [(0.25, 0.5, 0.75)]
+    finite = ctx.metric.dist[ctx.metric.dist > 0.0]
+    assert scales_seen == [[ctx.R] + [float(quantile(finite, q)) for q in (0.25, 0.5, 0.75)]]

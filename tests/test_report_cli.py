@@ -423,3 +423,39 @@ def test_cli_negative_potential_gives_vacuous_rows(tmp_path, capsys, seed, poten
     assert "H >= 0 fails" in resolvent["note"]
     others = set(rows) - {*DIRICHLET_LOWER_ROWS, *GEOMETRIC_UNCERTAINTY_ROWS, "resolvent/schur_gap"}
     assert others and not any("min V" in rows[name]["note"] for name in others)
+
+
+CHEEGER_BETA_ROWS = ("cheeger/eigenvalue_vs_cheeger", "cheeger/region_constant_vs_volume")
+
+
+def test_report_asserts_cheeger_rows_on_a_large_region(capsys):
+    """The region constant is exact at any size: on 392 region vertices
+    both rows built on it are asserted and pass, and no note speaks of a
+    size limit."""
+    argv = ["report", "--generate", "lattice:2:20", "--centers", "sublattice:3"]
+    assert cli.main(argv) == 0
+    rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+    for name in CHEEGER_BETA_ROWS:
+        assert rows[name]["pass"] and not rows[name]["vacuous"]
+    assert not any("cap" in row["note"] for row in rows.values())
+
+
+def test_report_on_22_vertex_region_matches_expectation(capsys):
+    """Every row of a report on a 22-vertex region (the largest the bitmask
+    enumeration took) equals the committed expectation: name, values,
+    flags and note."""
+    expected = json.loads(
+        (Path(__file__).parent / "data" / "report_lattice_2_5_region22.json").read_text()
+    )
+    assert cli.main(expected["argv"]) == expected["exit_code"]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rows"] == expected["rows"]
+    assert "exhaustive_cap" not in doc["config"]
+
+
+@pytest.mark.parametrize("command", ["cheeger", "report"])
+def test_exhaustive_cap_option_is_unknown(capsys, command):
+    argv = [command, "--generate", "lattice:2:3", "--centers", "sublattice:2"]
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--exhaustive-cap", "22"]) == 1
+    assert "unrecognized arguments: --exhaustive-cap" in capsys.readouterr().err
