@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .cheeger import (
     IsoperimetricData,
     beta_voronoi_bound,
-    boundary_count,
     cheeger_chain,
     growth_diagnostic,
     region_constant,
@@ -98,6 +97,7 @@ from .spectral import (
     SpectralProjection,
     assemble,
     compressed_penalty_matrix,
+    count_below,
     coupling_rate,
     coupling_threshold,
     dirichlet_bounds_finite,
@@ -110,7 +110,10 @@ from .spectral import (
     resolvent_gap,
     shifted_norm,
     sparse_ground_state,
+    sparse_top_eigenvalue,
+    sparse_window,
     spectral_projection,
     uncertainty_constant,
+    window_indices,
 )
 from .voronoi import VoronoiDecomposition, build_voronoi, verify_voronoi

@@ -47,18 +47,6 @@ def _require_combinatorial(g: WeightedGraph) -> None:
         raise NotCombinatorial("operation needs b in {0,1} and m = 1")
 
 
-def boundary_count(g: WeightedGraph, subset: Iterable[str]) -> int:
-    """Ordered boundary pairs of a subset, counted by scanning neighbors."""
-    inside = np.zeros(g.n, dtype=bool)
-    inside[g.indices(subset)] = True
-    count = 0
-    for i in np.flatnonzero(inside):
-        for j, _ in g.adjacency[int(i)]:
-            if not inside[j]:
-                count += 1
-    return count
-
-
 def _region_network(
     g: WeightedGraph, omega: tuple[str, ...]
 ) -> tuple[np.ndarray, np.ndarray]:

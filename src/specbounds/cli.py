@@ -32,7 +32,6 @@ from .potential import (
 )
 from .report import Report, dumps_value, format_float, make_report, render, rows_pass
 from .spectral import (
-    ENDPOINT_TOLERANCE,
     AnalysisContext,
     coupling_rate,
     dirichlet_bounds_finite,
@@ -40,6 +39,7 @@ from .spectral import (
     eigenvalues_of,
     resolvent_gap,
     uncertainty_constant,
+    window_indices,
 )
 from .voronoi import VoronoiDecomposition, build_voronoi, verify_voronoi
 
@@ -270,9 +270,8 @@ def _eigenvalues(run: _Run) -> None:
         a, _, b = args.interval.partition(":")
         lo, hi = float(a), float(b)
         run.extra["interval"] = [lo, hi]
-        tol = ENDPOINT_TOLERANCE  # same closed-endpoint jitter as projections
         run.extra["eigenvalues_in_interval"] = [
-            float(x) for x in evals if lo - tol <= x <= hi + tol
+            float(x) for x in evals[window_indices(evals, (lo, hi))]
         ]
 
 

@@ -46,8 +46,9 @@ def ground_state(ctx: AnalysisContext) -> GroundState:
     A graph without potential (or with an exactly zero one) has the
     constant function as its ground state with energy exactly zero; that
     case is returned analytically so downstream bounds reduce bit-for-bit
-    to the potential-free ones.  Otherwise the eigenpair comes from the
-    context's eigendecomposition of H.
+    to the potential-free ones.  Otherwise the eigenpair is the context's
+    ground_pair: from the eigendecomposition of H below the crossover,
+    from a sparse shift-invert solve above it.
     """
     g = ctx.graph
     if g.potential is None or not np.any(g.potential):
@@ -58,9 +59,8 @@ def ground_state(ctx: AnalysisContext) -> GroundState:
             c=1.0,
         )
 
-    sd = ctx.decomposition
-    lam = float(sd.eigenvalues[0])
-    phi = np.array(sd.vectors[:, 0])
+    lam, phi = ctx.ground_pair
+    phi = np.array(phi)
     anchor = int(np.argmax(np.abs(phi)))
     if phi[anchor] < 0.0:
         phi = -phi

@@ -13,19 +13,42 @@ which is genuinely symmetric with the same spectrum; eigenvectors map back
 through M^(-1/2) and are then orthonormal in the m-weighted inner product.
 
 The bound functions take an AnalysisContext: one graph with one penalty
-set, whose shared quantities (the spectrum of H, its norms, lambda_Omega,
-R, vol[R], ...) are each computed once, on first use.
+set, whose shared quantities (lambda_0(H), ||H||, lambda_Omega, R,
+vol[R], ...) are each computed once, on first use.
 
-The coupled ground energies lambda_0(H + t 1_D), 25 of them per report,
-are the one place where only the lowest eigenvalue of an operator is read.
-Below SPARSE_MIN_N vertices they come from dense eigvalsh; from there on,
-from sparse_ground_state: shift-invert Lanczos (ARPACK) on the CSC form of
-the operator, which has one nonzero per edge end plus the diagonal.  The
-shift sits one below the lowest eigenvalue of H, hence below the whole
-spectrum of H + t 1_D for every t >= 0, so the largest eigenvalue of the
-shift-inverted operator is always the ground energy.  The result is
-certified by its residual ||Ax - lambda x||, which must stay within the
-dense solver's own error budget n eps (||H|| + t).
+The bounds read only the low end of the spectrum and its top: lambda_0(H),
+lambda_max(H) (for ||H|| and ||H+1||), lambda_Omega, the eigenpairs in the
+uncertainty window and the coupled ground energies lambda_0(H + t 1_D).
+Below SPARSE_MIN_N vertices they come from dense eigvalsh and eigh.  From
+there on no dense n x n matrix is formed, and each comes from the CSC form
+of the operator (one nonzero per edge end plus the diagonal):
+
+    lambda_0(H), lambda_Omega, lambda_0(H + t 1_D)
+        sparse_ground_state: shift-invert Lanczos (ARPACK) with a shift
+        below the whole spectrum (min V/m - 1 for H, lambda_0(H) - 1 for
+        the region block and the coupled operators), so the largest
+        eigenvalue of the shift-inverted operator is the ground energy.
+        Certified by the residual ||Ax - lambda x||.
+    lambda_max(H)
+        sparse_top_eigenvalue: Lanczos on H itself, certified by the
+        residual and by the inertia of H - (theta + residual + budget),
+        which must count all n eigenvalues below that shift.
+    the eigenpairs in [a, b]
+        sparse_window: count_below at a and b (Sylvester's law of inertia
+        on an LDL^T factorization) gives how many eigenvalues lie below
+        each end; one shift-invert Lanczos run returns that many lowest
+        pairs, each certified by its residual, and those in [a, b] are
+        kept.  When SuperLU pivots off the diagonal or a check fails, the
+        dense eigh is used instead.
+
+Every residual must stay within n eps ||H||_1 (n eps (||H|| + t) for the
+coupled operators): the dense solver's own error budget n eps ||H||, with
+||H|| bounded by the largest absolute column sum, which needs no solve.
+Every sparse
+factorization and Lanczos run holds scipy's bundled OpenBLAS to one
+thread (_one_blas_thread): its workers otherwise spin on both cores of a
+small machine and slow numpy's separate OpenBLAS, which runs the dense
+LAPACK calls that follow.
 
 The resolvent row never forms an n x n inverse.  With A = H + t 1_D + 1,
 Y = A^(-1) E_D (the columns of the coupled resolvent on D) and
@@ -33,16 +56,22 @@ C = Y[D, :] = S^(-1), the inverse Schur complement of A on D,
 
     (H + t 1_D + 1)^(-1) - ((H_Omega + 1)^(-1) + 0) = Y C^(-1) Y^T,
 
-so its norm is that of the |D| x |D| matrix R C^(-1) R^T, Y = QR.
+so its norm is that of the |D| x |D| matrix R C^(-1) R^T, Y = QR.  From
+SPARSE_MIN_N vertices on, Y comes from a sparse LU of A with partial
+pivoting (A is indefinite when V < 0).
 """
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy
 from scipy import sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
@@ -196,6 +225,72 @@ def lowest_eigenvalue(op: OperatorMatrix) -> float:
     return float(eigenvalues_of(op)[0])
 
 
+# Membership of an interval's endpoints allows this much solver jitter.
+ENDPOINT_TOLERANCE = 1e-12
+
+
+@cache
+def _scipy_openblas():
+    """The thread-count getter and setter of the OpenBLAS bundled with
+    scipy (the BLAS of ARPACK and SuperLU), or None when not found."""
+    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads"):
+            get_threads = lib.scipy_openblas_get_num_threads
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads = lib.scipy_openblas_set_num_threads
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get_threads, set_threads
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold scipy's OpenBLAS to one thread, and restore the count after.
+
+    The sparse solves make many small BLAS calls; with two threads on two
+    cores they run slower, and the idle workers keep spinning against
+    numpy's own OpenBLAS.  The library is looked up on first use, not at
+    import; without it this does nothing.
+    """
+    blas = _scipy_openblas()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    old = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(old)
+
+
+def _symmetric_lu(A: sparse.spmatrix, shift: float):
+    """LU of A - shift under a symmetric fill-reducing ordering, pivoting
+    on the diagonal unless a diagonal pivot is exactly zero."""
+    return splu(
+        (A - shift * sparse.identity(A.shape[0], format="csc")).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+
+
+def _shift_invert(A: sparse.spmatrix, sigma: float) -> LinearOperator:
+    """(A - sigma)^(-1) for eigsh, for a sigma below the spectrum of A."""
+    return LinearOperator(A.shape, matvec=_symmetric_lu(A, sigma).solve, dtype=float)
+
+
+def _start_vector(n: int) -> np.ndarray:
+    """A fixed pseudo-random Lanczos start.  Not a constant vector: that is
+    the null vector of H on a graph with m = 1 and no potential, from which
+    ARPACK stops at once (error -9, starting vector is zero)."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
+@_one_blas_thread()
 def sparse_ground_state(
     A: sparse.spmatrix, sigma: float, v0: np.ndarray, budget: float
 ) -> tuple[float, np.ndarray, float]:
@@ -211,15 +306,8 @@ def sparse_ground_state(
     """
     # A - sigma is positive definite, so its LU needs no pivoting, and a
     # symmetric fill-reducing ordering keeps the factors sparse.
-    lu = splu(
-        (A - sigma * sparse.identity(A.shape[0], format="csc")).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    shift_invert = LinearOperator(A.shape, matvec=lu.solve, dtype=float)
     try:
-        evals, evecs = eigsh(A, k=1, sigma=sigma, which="LM", v0=v0, OPinv=shift_invert)
+        evals, evecs = eigsh(A, k=1, sigma=sigma, which="LM", v0=v0, OPinv=_shift_invert(A, sigma))
     except ArpackError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     lam, x = float(evals[0]), evecs[:, 0]
@@ -229,6 +317,107 @@ def sparse_ground_state(
             f"sparse ground state residual {residual!r} exceeds the budget {budget!r}"
         )
     return lam, x, residual
+
+
+@_one_blas_thread()
+def count_below(A: sparse.spmatrix, shift: float) -> int:
+    """The number of eigenvalues of the sparse symmetric A below shift.
+
+    By Sylvester's law of inertia it is the number of negative pivots of
+    an LDL^T factorization of A - shift.  SuperLU gives one when it keeps
+    to the diagonal under a symmetric ordering (perm_r == perm_c); when it
+    has to pivot elsewhere, or A - shift is exactly singular, this raises
+    ConvergenceFailure.
+    """
+    try:
+        lu = _symmetric_lu(A, shift)
+    except RuntimeError as exc:
+        raise ConvergenceFailure(f"no inertia at {shift!r}: {exc}") from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise ConvergenceFailure(f"no inertia at {shift!r}: SuperLU pivoted off the diagonal")
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+@_one_blas_thread()
+def sparse_top_eigenvalue(A: sparse.spmatrix, budget: float) -> float:
+    """The largest eigenvalue of a sparse symmetric matrix A.
+
+    Lanczos on A itself (the top end converges without shift-invert)
+    gives theta with residual r, so an eigenvalue lies within r of theta;
+    the inertia of A - (theta + r + budget) must then count all n
+    eigenvalues below that shift, so none lies above it.  Raises
+    ConvergenceFailure when r exceeds budget or the count falls short.
+    """
+    n = A.shape[0]
+    try:
+        evals, evecs = eigsh(A, k=1, which="LA", v0=_start_vector(n))
+    except ArpackError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    theta, x = float(evals[0]), evecs[:, 0]
+    residual = float(np.linalg.norm(A @ x - theta * x))
+    if not residual <= budget:
+        raise ConvergenceFailure(
+            f"top eigenvalue residual {residual!r} exceeds the budget {budget!r}"
+        )
+    if count_below(A, theta + residual + budget) != n:
+        raise ConvergenceFailure(f"an eigenvalue lies above the Ritz value {theta!r}")
+    return theta
+
+
+@_one_blas_thread()
+def sparse_window(
+    A: sparse.spmatrix, sigma: float, interval: tuple[float, float], budget: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of a sparse symmetric A with eigenvalues in [a, b].
+
+    Endpoints allow ENDPOINT_TOLERANCE of jitter, as window_indices does.
+    sigma must lie below the spectrum.  The inertia counts below
+    a - tol and b + tol give how many eigenvalues lie below the window
+    (lo) and below its top (k); one shift-invert Lanczos run returns the
+    k lowest pairs, of which the last k - lo are the window.  Certified
+    when the k values split at a - tol as the counts do, none exceeds
+    b + tol, the vectors are orthonormal to n eps and every residual is
+    within budget; otherwise this raises ConvergenceFailure.  Returns
+    (eigenvalues ascending, unit eigenvectors as columns).
+    """
+    n = A.shape[0]
+    lo = count_below(A, interval[0] - ENDPOINT_TOLERANCE)
+    k = count_below(A, interval[1] + ENDPOINT_TOLERANCE)
+    if k == lo:
+        return np.empty(0), np.empty((n, 0))
+    if k >= n:
+        raise ConvergenceFailure(f"the window reaches {k} of {n} eigenvalues; eigsh needs fewer")
+    try:
+        evals, evecs = eigsh(
+            A, k=k, sigma=sigma, which="LM", v0=_start_vector(n), OPinv=_shift_invert(A, sigma)
+        )
+    except ArpackError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    order = np.argsort(evals)
+    evals, evecs = evals[order], evecs[:, order]
+    residual = float(np.max(np.linalg.norm(A @ evecs - evecs * evals, axis=0)))
+    drift = float(np.max(np.abs(evecs.T @ evecs - np.eye(k))))
+    eps = np.finfo(float).eps
+    if not (
+        np.count_nonzero(evals < interval[0] - ENDPOINT_TOLERANCE) == lo
+        and evals[-1] <= interval[1] + ENDPOINT_TOLERANCE
+        and drift <= n * eps
+        and residual <= budget
+    ):
+        raise ConvergenceFailure(
+            f"window of {k - lo} pairs not certified: residual {residual!r} "
+            f"(budget {budget!r}), orthogonality drift {drift!r}"
+        )
+    return evals[lo:], evecs[:, lo:]
+
+
+def window_indices(eigenvalues: np.ndarray, interval: tuple[float, float]) -> np.ndarray:
+    """Positions of the eigenvalues that lie in the closed interval, with
+    ENDPOINT_TOLERANCE of solver jitter at both ends."""
+    return np.flatnonzero(
+        (eigenvalues >= interval[0] - ENDPOINT_TOLERANCE)
+        & (eigenvalues <= interval[1] + ENDPOINT_TOLERANCE)
+    )
 
 
 def operator_norm(op: OperatorMatrix) -> float:
@@ -259,9 +448,10 @@ def dirichlet_energy(g: WeightedGraph, f: Sequence[float], include_potential: bo
     return total
 
 
-# From this many vertices on, coupled ground energies are solved sparse.
-# Below about n=200 the fixed cost of a sparse solve (an LU and ARPACK's
-# set-up) loses to dense eigvalsh; at n=256 sparse is 1.5-2x faster.
+# From this many vertices on, the context is matrix-free: every spectral
+# quantity comes from a sparse solve.  Below about n=200 the fixed cost of
+# a sparse solve (an LU and ARPACK's set-up) loses to dense eigvalsh; at
+# n=256 sparse is 1.5-2x faster.
 SPARSE_MIN_N = 256
 
 
@@ -271,17 +461,33 @@ class AnalysisContext:
 
     Every property is computed on first use and then kept, so each shared
     quantity costs one assembly or one eigensolve per context.  centers
-    may be empty for quantities of the graph alone.  The spectrum behind
-    norm, shifted_norm and threshold comes from eigvalsh; decomposition is
-    the eigh of the same matrix, used for projections and ground states.
+    may be empty for quantities of the graph alone.
 
-    coupled_ground_energy(t) solves dense below SPARSE_MIN_N vertices.
-    From there on it never forms the dense H + t 1_D: it adds t on D to
-    sparse_operator and calls sparse_ground_state with the shift
-    spectrum[0] - 1, certified by the residual within n eps (||H|| + t).
-    Each solve starts from the last ground state found (sqrt(m) for the
-    first), a positive vector, so the values are reproducible bit for bit
-    for the same sequence of t.
+    Below SPARSE_MIN_N vertices the spectrum behind lambda_0, norm,
+    shifted_norm and threshold comes from eigvalsh of H; decomposition is
+    the eigh of the same matrix, which gives ground_pair and window;
+    lambda_omega is the eigvalsh of the region operator, and
+    coupled_ground_energy(t) the eigvalsh of H + t 1_D.
+
+    From SPARSE_MIN_N vertices on (matrix_free) no dense n x n matrix is
+    assembled or solved.  Everything comes from sparse_operator, and each
+    value is certified within budget = n eps ||H||_1:
+      - ground_pair, lambda_0: sparse_ground_state with the shift
+        min V/m - 1 (the Laplacian part is positive semidefinite) from
+        sqrt(m); certified by the residual.
+      - lambda_max: sparse_top_eigenvalue, certified by the residual and
+        the inertia above it; falls back to eigvalsh if that fails.
+      - lambda_omega: sparse_ground_state on the region block with the
+        shift lambda_0 - 1 (below it by interlacing) from sqrt(m) on the
+        region; certified by the residual.
+      - window(interval): sparse_window, certified by the inertia at both
+        ends and the residuals; falls back to the eigh decomposition if
+        SuperLU pivots off the diagonal or a check fails.
+      - coupled_ground_energy(t): sparse_ground_state on H + t 1_D with
+        the shift lambda_0 - 1, certified by the residual within
+        n eps (||H|| + t).  Each solve starts from the last ground state
+        found (sqrt(m) for the first), a positive vector, so the values
+        are reproducible bit for bit for the same sequence of t.
     """
 
     graph: WeightedGraph
@@ -301,6 +507,11 @@ class AnalysisContext:
         return self.graph.complement(self.centers)
 
     @cached_property
+    def matrix_free(self) -> bool:
+        """Whether the spectral quantities come from sparse solves."""
+        return self.graph.n >= SPARSE_MIN_N
+
+    @cached_property
     def assembly_base(self) -> AssemblyBase:
         return _assembly_base(self.graph)
 
@@ -318,14 +529,54 @@ class AnalysisContext:
         return eigdecompose(self.operator)
 
     @cached_property
+    def budget(self) -> float:
+        """n eps ||H||_1, the error budget of a sparse solve: a dense
+        eigensolve's n eps ||H||, with ||H|| bounded by the largest
+        absolute column sum, which needs no solve."""
+        column_sums = abs(self.sparse_operator).sum(axis=0)
+        return self.graph.n * np.finfo(float).eps * float(column_sums.max())
+
+    @cached_property
+    def ground_pair(self) -> tuple[float, np.ndarray]:
+        """lambda_0(H) and its eigenvector, of unit length in the
+        m-weighted inner product."""
+        if not self.matrix_free:
+            sd = self.decomposition
+            return float(sd.eigenvalues[0]), sd.vectors[:, 0]
+        g = self.graph
+        sqrt_m = np.sqrt(g.m)
+        lam, x, _ = sparse_ground_state(
+            self.sparse_operator, float(np.min(g.V / g.m)) - 1.0, sqrt_m, self.budget
+        )
+        return lam, _readonly(x / sqrt_m)
+
+    @cached_property
+    def lambda_0(self) -> float:
+        """The lowest eigenvalue of H (from eigvalsh below the crossover,
+        whose last digits can differ from eigh's in ground_pair)."""
+        if not self.matrix_free:
+            return float(self.spectrum[0])
+        return self.ground_pair[0]
+
+    @cached_property
+    def lambda_max(self) -> float:
+        """The largest eigenvalue of H."""
+        if self.matrix_free:
+            try:
+                return sparse_top_eigenvalue(self.sparse_operator, self.budget)
+            except ConvergenceFailure:
+                pass
+        return float(self.spectrum[-1])
+
+    @cached_property
     def norm(self) -> float:
         """||H||, the largest |eigenvalue|."""
-        return float(max(abs(self.spectrum[0]), abs(self.spectrum[-1])))
+        return float(max(abs(self.lambda_0), abs(self.lambda_max)))
 
     @cached_property
     def shifted_norm(self) -> float:
         """||H + 1||."""
-        return float(np.max(np.abs(self.spectrum + 1.0)))
+        return float(max(abs(self.lambda_0 + 1.0), abs(self.lambda_max + 1.0)))
 
     @cached_property
     def threshold(self) -> float:
@@ -340,7 +591,41 @@ class AnalysisContext:
     @cached_property
     def lambda_omega(self) -> float:
         """The lowest Dirichlet eigenvalue of the region."""
-        return lowest_eigenvalue(self.region_operator)
+        if not self.matrix_free:
+            return lowest_eigenvalue(self.region_operator)
+        idx = self.graph.indices(self.omega)
+        if idx.size == 0:
+            raise EmptyOmega("cannot restrict to an empty region")
+        lam, _, _ = sparse_ground_state(
+            self.sparse_operator[idx][:, idx],
+            self.lambda_0 - 1.0,
+            np.sqrt(self.graph.m[idx]),
+            self.budget,
+        )
+        return lam
+
+    def window(self, interval: tuple[float, float]) -> tuple[SpectralData, tuple[int, ...]]:
+        """The eigenpairs of H with eigenvalues in the closed interval
+        (ENDPOINT_TOLERANCE of jitter at both ends): a SpectralData and
+        the positions of the window's pairs in it."""
+        if self.matrix_free:
+            g = self.graph
+            try:
+                evals, x = sparse_window(
+                    self.sparse_operator, self.lambda_0 - 1.0, interval, self.budget
+                )
+            except ConvergenceFailure:
+                pass
+            else:
+                sd = SpectralData(
+                    basis=g.vertices,
+                    m=g.m,
+                    eigenvalues=_readonly(evals),
+                    vectors=_readonly(x / np.sqrt(g.m)[:, None]),
+                )
+                return sd, tuple(range(evals.size))
+        sd = self.decomposition
+        return sd, tuple(int(i) for i in window_indices(sd.eigenvalues, interval))
 
     @cached_property
     def R(self) -> float:
@@ -375,22 +660,29 @@ class AnalysisContext:
         diag = np.arange(g.n)
         return sparse.csc_matrix(
             (
-                np.concatenate([off, off, self.assembly_base[1]]),
+                np.concatenate([off, off, g.weighted_degree / g.m + g.V / g.m]),
                 (np.concatenate([i, j, diag]), np.concatenate([j, i, diag])),
             ),
             shape=(g.n, g.n),
         )
 
+    @cached_property
+    def _penalty_positions(self) -> np.ndarray:
+        """Where the diagonal entries of D sit in sparse_operator.data."""
+        A = self.sparse_operator
+        columns = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+        diagonal = np.flatnonzero(A.indices == columns)
+        return diagonal[self.graph.indices(self.centers)]
+
     def coupled_sparse(self, t: float) -> sparse.csc_matrix:
         """The symmetric picture of H + t 1_D in CSC form."""
         if t < 0.0:
             raise ValueError("coupling strength must be nonnegative")
-        d_idx = self.graph.indices(self.centers)
-        if d_idx.size == 0:
+        if self._penalty_positions.size == 0:
             raise EmptyCenters("a coupling term needs a nonempty penalty set")
-        penalty = np.zeros(self.graph.n)
-        penalty[d_idx] = t
-        return self.sparse_operator + sparse.diags(penalty, format="csc")
+        A = self.sparse_operator.copy()
+        A.data[self._penalty_positions] += t
+        return A
 
     @cached_property
     def _coupled_ground(self) -> dict[float, float]:
@@ -406,15 +698,12 @@ class AnalysisContext:
         """The lowest eigenvalue of H + t 1_D, solved once per distinct t
         (the coupling and uncertainty grids can share their first t)."""
         if t not in self._coupled_ground:
-            if self.graph.n < SPARSE_MIN_N:
+            if not self.matrix_free:
                 lam = lowest_eigenvalue(self.coupled(t))
             else:
                 budget = self.graph.n * np.finfo(float).eps * (self.norm + t)
                 lam, x, _ = sparse_ground_state(
-                    self.coupled_sparse(t),
-                    float(self.spectrum[0]) - 1.0,
-                    self._ground_states[-1],
-                    budget,
+                    self.coupled_sparse(t), self.lambda_0 - 1.0, self._ground_states[-1], budget
                 )
                 # The ground state is positive up to sign; abs fixes the sign.
                 self._ground_states.append(np.abs(x))
@@ -530,6 +819,7 @@ def resolvent_gap(ctx: AnalysisContext, t: float) -> BoundReport:
     R C^(-1) R^T: one solve with |D| right-hand sides, one QR and one small
     eigvalsh.  Nothing subtracts two O(1) resolvents to get an O(1/t)
     difference, so the value keeps its relative accuracy at large t.
+    From SPARSE_MIN_N vertices on the solve is a sparse LU of A.
     """
     t = float(t)
     g = ctx.graph
@@ -539,7 +829,12 @@ def resolvent_gap(ctx: AnalysisContext, t: float) -> BoundReport:
     d_idx = g.indices(ctx.centers)
     e_d = np.zeros((g.n, d_idx.size))
     e_d[d_idx, np.arange(d_idx.size)] = 1.0
-    y = np.linalg.solve(ctx.coupled(t).sym + np.eye(g.n), e_d)
+    if ctx.matrix_free:
+        # Partial pivoting: A is indefinite when V < 0.
+        with _one_blas_thread():
+            y = splu(ctx.coupled_sparse(t) + sparse.identity(g.n, format="csc")).solve(e_d)
+    else:
+        y = np.linalg.solve(ctx.coupled(t).sym + np.eye(g.n), e_d)
     r = np.linalg.qr(y, mode="r")
     m = r @ np.linalg.solve(y[d_idx], r.T)
     gap = float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (m + m.T)))))
@@ -550,11 +845,11 @@ def resolvent_gap(ctx: AnalysisContext, t: float) -> BoundReport:
     if below:
         note += "; below coupling threshold, bound not asserted"
     # The sign of V decides: a potential-free H may give lambda_0 = -1e-17.
-    indefinite = ctx.min_potential < 0.0 and ctx.spectrum[0] < 0.0
+    indefinite = ctx.min_potential < 0.0 and ctx.lambda_0 < 0.0
     if indefinite:
         note += (
             f"; min V = {ctx.min_potential!r} and lambda_0(H) = "
-            f"{float(ctx.spectrum[0])!r} < 0, so H >= 0 fails; bound not asserted"
+            f"{ctx.lambda_0!r} < 0, so H >= 0 fails; bound not asserted"
         )
     return make_report(
         "resolvent/schur_gap", gap, bound, "<=", vacuous=below or indefinite, note=note
@@ -578,7 +873,7 @@ def coupling_rate(ctx: AnalysisContext, t_list: Sequence[float]) -> list[BoundRe
     h1, threshold = ctx.shifted_norm, ctx.threshold
     lam_inf = ctx.lambda_omega
     lam_ts = [
-        ctx.coupled_ground_energy(t) if t > 0.0 else float(ctx.spectrum[0]) for t in ts
+        ctx.coupled_ground_energy(t) if t > 0.0 else ctx.lambda_0 for t in ts
     ]
 
     rows = [
@@ -634,9 +929,6 @@ def coupling_rate(ctx: AnalysisContext, t_list: Sequence[float]) -> list[BoundRe
 # Spectral projections and the uncertainty constant
 # ---------------------------------------------------------------------------
 
-ENDPOINT_TOLERANCE = 1e-12
-
-
 def spectral_projection(sd: SpectralData, interval: tuple[float, float]) -> SpectralProjection:
     """Projection onto eigenvectors with eigenvalues in a closed interval.
 
@@ -646,10 +938,7 @@ def spectral_projection(sd: SpectralData, interval: tuple[float, float]) -> Spec
     a, b = float(interval[0]), float(interval[1])
     if a > b:
         raise ValueError("interval endpoints must satisfy a <= b")
-    sel = np.flatnonzero(
-        (sd.eigenvalues >= a - ENDPOINT_TOLERANCE)
-        & (sd.eigenvalues <= b + ENDPOINT_TOLERANCE)
-    )
+    sel = window_indices(sd.eigenvalues, (a, b))
     phi = sd.vectors[:, sel]
     matrix = phi @ (phi * sd.m[:, None]).T
     return SpectralProjection(
@@ -687,7 +976,10 @@ def uncertainty_constant(
     geometric variant with 1/(R vol[R]) in place of lam_omega and
     ||H+1||^4 in the denominator, and the best sampled coupling value
     (lam_t - max I)/t over a geometric grid plus the analytic optimizer.
-    Here ||H+1|| comes from the eigh spectrum that also gives the projection.
+    The eigenpairs in the interval come from ctx.window.  ||H+1|| is
+    ctx.shifted_norm from SPARSE_MIN_N vertices on; below, it is read off
+    the eigh spectrum that gives the window, as it always was (eigvalsh's
+    can differ in the last digits).
     The geometric variant, and its comparison with the energy form, need
     lam_omega >= 1/(R vol[R]), proved for V >= 0; with some V(x) < 0 both
     rows are reported but not asserted.
@@ -698,13 +990,16 @@ def uncertainty_constant(
         raise ValueError("interval endpoints must satisfy a <= b")
     max_i = b
 
-    sd = ctx.decomposition
-    h1 = float(np.max(np.abs(sd.eigenvalues + 1.0)))
     lam_omega = ctx.lambda_omega
     if max_i >= lam_omega:
         raise PreconditionInterval(
             f"max I = {max_i!r} reaches the Dirichlet ground energy {lam_omega!r}"
         )
+    sd, indices = ctx.window((a, b))
+    if ctx.matrix_free:
+        h1 = ctx.shifted_norm
+    else:
+        h1 = float(np.max(np.abs(sd.eigenvalues + 1.0)))
 
     kappa_thm = (lam_omega - max_i) ** 2 / (
         16.0 * h1 * h1 * (lam_omega + 1.0) ** 2
@@ -714,9 +1009,8 @@ def uncertainty_constant(
     if max_i < geo:
         kappa_cor = (geo - max_i) ** 2 / (16.0 * h1 ** 4)
 
-    proj = spectral_projection(sd, (a, b))
     rows: list[BoundReport] = []
-    if proj.empty:
+    if not indices:
         rows.append(
             make_report(
                 "uncertainty/energy_form", 0.0, kappa_thm, ">=",
@@ -732,7 +1026,7 @@ def uncertainty_constant(
             )
         return rows
 
-    gram = compressed_penalty_matrix(sd, ctx.graph, ctx.centers, proj.indices)
+    gram = compressed_penalty_matrix(sd, ctx.graph, ctx.centers, indices)
     truth = float(np.linalg.eigvalsh(gram)[0])
 
     threshold = 2.0 * h1 * h1
@@ -748,7 +1042,7 @@ def uncertainty_constant(
     rows.append(
         make_report(
             "uncertainty/energy_form", truth, kappa_thm, ">=",
-            note=f"projection rank {len(proj.indices)}",
+            note=f"projection rank {len(indices)}",
         )
     )
     if kappa_cor is not None:

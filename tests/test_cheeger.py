@@ -13,7 +13,6 @@ from specbounds import (
     NotCombinatorial,
     WeightedGraph,
     beta_voronoi_bound,
-    boundary_count,
     cheeger_chain,
     complete_graph,
     compute_metric,
@@ -27,6 +26,19 @@ from specbounds import (
     rows_pass,
 )
 from specbounds.cheeger import _maximal_minimizer, _region_network
+
+
+def boundary_count(g: WeightedGraph, subset) -> int:
+    """Ordered boundary pairs of a subset, counted by scanning neighbors:
+    the independent check of a witness's boundary size."""
+    inside = np.zeros(g.n, dtype=bool)
+    inside[g.indices(subset)] = True
+    count = 0
+    for i in np.flatnonzero(inside):
+        for j, _ in g.adjacency[int(i)]:
+            if not inside[j]:
+                count += 1
+    return count
 
 
 def beta_exhaustive(g: WeightedGraph, omega) -> IsoperimetricData:

@@ -281,8 +281,9 @@ def test_report_computes_each_shared_quantity_once(monkeypatch, capsys):
 
 def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, capsys):
     """From SPARSE_MIN_N vertices on, a report makes one sparse solve per
-    distinct coupling t, runs eigvalsh on no coupled operator, and assembles
-    one dense coupled matrix: the resolvent row's."""
+    distinct coupling t plus one each for lambda_0(H) and lambda_Omega,
+    runs eigvalsh on no coupled operator, and assembles no dense coupled
+    matrix (the resolvent row factors the sparse one)."""
     calls = Counter()
     ts = set()
 
@@ -316,9 +317,9 @@ def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, caps
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert calls["coupled_eigenvalues_of"] == 0
-    assert calls["coupled_assemble"] == 1
+    assert calls["coupled_assemble"] == 0
     assert len(ts) >= 24
-    assert calls["sparse_ground_state"] == len(ts)
+    assert calls["sparse_ground_state"] == len(ts) + 2
 
 
 def test_cli_interval_auto_on_negative_potential(tmp_path, capsys):
@@ -379,6 +380,41 @@ def test_report_runs_without_dense_inverse_or_svd(monkeypatch, capsys):
             monkeypatch.setitem(namespace, name, forbidden)
     assert cli.main(["report", "--generate", "random:256", "--centers", "every:4"]) == 0
     capsys.readouterr()
+
+
+def test_report_above_crossover_runs_no_dense_eigensolve_or_solve(monkeypatch, capsys):
+    """From SPARSE_MIN_N vertices on, no eigh, eigvalsh or solve runs on an
+    n x n matrix in a report."""
+    n = spectral.SPARSE_MIN_N
+
+    def guarded(name, fn):
+        def wrapper(a, *args, **kwargs):
+            if np.shape(a)[-2:] == (n, n):
+                raise AssertionError(f"dense {name} on an n x n matrix")
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "solve"):
+        monkeypatch.setitem(vars(np.linalg), name, guarded(name, getattr(np.linalg, name)))
+    argv = ["report", "--generate", f"random:{n}", "--centers", "every:4"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # The guard is live: the spectrum command still prints the dense spectrum.
+    with pytest.raises(AssertionError, match="dense eigvalsh"):
+        cli.main(["spectrum", "--generate", f"random:{n}"])
+
+
+def test_uncertainty_forms_no_projection_matrix(monkeypatch, capsys):
+    """uncertainty_constant reads only the window's indices, never the
+    n x n spectral projection."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectral projection formed")
+
+    monkeypatch.setattr(spectral, "spectral_projection", forbidden)
+    assert cli.main(["uncertainty", "--generate", "random:40", "--centers", "every:4"]) == 0
+    assert "projection rank" in capsys.readouterr().out
 
 
 DIRICHLET_LOWER_ROWS = (

@@ -433,6 +433,178 @@ def test_sparse_path_is_deterministic_above_crossover():
 
 
 # ---------------------------------------------------------------------------
+# The matrix-free context above the crossover
+# ---------------------------------------------------------------------------
+
+
+def _matrix_free_contexts():
+    for spec, centers in [
+        ("random:300", "every:4"),
+        ("random:800", "every:4"),
+        # Degenerate eigenvalues: the auto window holds 8 of 441.
+        ("lattice:2:20", "sublattice:3"),
+        ("apex_ray:400", "every:4"),
+    ]:
+        g = generate(spec)
+        yield AnalysisContext(g, cli.parse_centers(g, centers))
+    g = random_connected(300, seed=12, m_range=(0.5, 2.0), potential_range=(0.0, 3.0))
+    yield AnalysisContext(g, cli.parse_centers(g, "every:4"))
+    g = random_connected(300, seed=3, potential_range=(-3.0, -1.0))
+    yield AnalysisContext(g, cli.parse_centers(g, "every:4"))
+
+
+def _oracle_interval(ctx):
+    """The auto window, or one from below lambda_0 when lambda_Omega < 0."""
+    if ctx.lambda_omega > 0.0:
+        return (0.0, 0.5 * ctx.lambda_omega)
+    return (ctx.lambda_0 - 1.0, 0.5 * (ctx.lambda_0 + ctx.lambda_omega))
+
+
+@pytest.mark.parametrize(
+    "ctx", _matrix_free_contexts(), ids=lambda ctx: f"n{ctx.graph.n}-V{ctx.min_potential:.2g}"
+)
+def test_matrix_free_context_matches_dense_oracle(ctx):
+    """Each sparse value is within its residual budget of the eigenvalue
+    the dense solvers give, which are themselves within n eps ||H||."""
+    assert ctx.matrix_free
+    dense = ctx.spectrum
+    tol = ctx.budget + ctx.graph.n * EPS * max(abs(dense[0]), abs(dense[-1]))
+    assert abs(ctx.lambda_0 - dense[0]) <= tol
+    assert abs(ctx.lambda_max - dense[-1]) <= tol
+    assert abs(ctx.lambda_omega - eigenvalues_of(ctx.region_operator)[0]) <= tol
+
+    interval = _oracle_interval(ctx)
+    sd, indices = ctx.window(interval)
+    # The sparse window holds just the window's pairs (no dense fallback).
+    assert sd.eigenvalues.size == len(indices) >= 1
+    selected = spectral.window_indices(dense, interval)
+    assert np.all(np.abs(sd.eigenvalues - dense[selected]) <= tol)
+    # The eigenvectors are m-orthonormal.
+    gram = sd.vectors.T @ (sd.vectors * ctx.graph.m[:, None])
+    assert np.allclose(gram, np.eye(len(indices)), rtol=0.0, atol=1e-12)
+
+    # The exact uncertainty constant depends on the window's subspace only;
+    # it moves by about tol / gap, the gap to the rest of the spectrum.
+    full = ctx.decomposition
+    chosen = spectral.window_indices(full.eigenvalues, interval)
+    oracle = np.linalg.eigvalsh(
+        spectral.compressed_penalty_matrix(full, ctx.graph, ctx.centers, chosen)
+    )[0]
+    outside = np.delete(dense, selected)
+    gap = np.min(np.abs(outside[:, None] - dense[selected][None, :]))
+    rows = {row.name: row for row in uncertainty_constant(ctx, interval)}
+    assert abs(rows["uncertainty/energy_form"].true_value - oracle) <= 4 * len(chosen) * tol / gap
+
+
+def test_top_eigenvalue_on_a_unit_lattice():
+    """On lattice:2:20 (m = 1, no potential) the constant vector is the null
+    vector of H, from which ARPACK cannot start; the fixed start vector
+    finds the top eigenvalue."""
+    ctx = AnalysisContext(generate("lattice:2:20"))
+    ones = np.ones(ctx.graph.n)
+    assert not np.any(ctx.sparse_operator @ ones)
+    dense = ctx.spectrum
+    top = spectral.sparse_top_eigenvalue(ctx.sparse_operator, ctx.budget)
+    assert abs(top - dense[-1]) <= ctx.budget + ctx.graph.n * EPS * dense[-1]
+
+
+def test_inertia_counts_eigenvalues_below_a_shift():
+    ctx = AnalysisContext(generate("random:300"))
+    dense = ctx.spectrum
+    for k in (0, 1, 4, 150, 299):
+        shift = 0.5 * (dense[k - 1] + dense[k]) if k else dense[0] - 1.0
+        assert spectral.count_below(ctx.sparse_operator, shift) == k
+    assert spectral.count_below(ctx.sparse_operator, dense[-1] + 1.0) == 300
+
+
+def test_one_blas_thread_restores_the_thread_count():
+    blas = spectral._scipy_openblas()
+    if blas is None:
+        pytest.skip("scipy's OpenBLAS is not found here")
+    get_threads = blas[0]
+    before = get_threads()
+    with spectral._one_blas_thread():
+        assert get_threads() == 1
+    assert get_threads() == before
+    with pytest.raises(ConvergenceFailure):
+        with spectral._one_blas_thread():
+            raise ConvergenceFailure("inside")
+    assert get_threads() == before
+
+
+def test_one_blas_thread_without_the_library_does_nothing(monkeypatch):
+    blas = spectral._scipy_openblas()
+    before = blas[0]() if blas else None
+    monkeypatch.setattr(spectral, "_scipy_openblas", lambda: None)
+    with spectral._one_blas_thread():
+        assert (blas[0]() if blas else None) == before
+    ctx = AnalysisContext(generate("random:300"), ())
+    assert abs(ctx.lambda_0) <= ctx.budget
+
+
+class _OffDiagonalPivots:
+    """A SuperLU factorization that reports a row permutation differing
+    from the column one, as after an off-diagonal pivot."""
+
+    def __init__(self, lu):
+        self._lu = lu
+        self.perm_r = np.roll(lu.perm_r, 1)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def test_window_falls_back_to_dense_when_superlu_pivots(monkeypatch):
+    """Without an inertia count the window and lambda_max come from the
+    dense solvers; the rows keep their names, flags and values."""
+    argv = ["report", "--generate", "random:300", "--centers", "every:4"]
+
+    def rows():
+        report, _ = cli.run(cli.build_parser().parse_args(argv))
+        return report.rows
+
+    sparse_rows = rows()
+    splu = spectral.splu
+    monkeypatch.setattr(spectral, "splu", lambda *a, **k: _OffDiagonalPivots(splu(*a, **k)))
+    with pytest.raises(ConvergenceFailure, match="off the diagonal"):
+        spectral.count_below(AnalysisContext(generate("random:300")).sparse_operator, 0.5)
+    decompositions = []
+    eigdecompose = spectral.eigdecompose
+    monkeypatch.setattr(
+        spectral, "eigdecompose", lambda op: decompositions.append(op) or eigdecompose(op)
+    )
+    fallback_rows = rows()
+    assert len(decompositions) == 1
+    assert [r.name for r in fallback_rows] == [r.name for r in sparse_rows]
+    for a, b in zip(sparse_rows, fallback_rows):
+        assert (a.passed, a.vacuous) == (b.passed, b.vacuous)
+        assert np.isclose(a.true_value, b.true_value, rtol=1e-9, atol=1e-12)
+        assert np.isclose(a.bound_value, b.bound_value, rtol=1e-9, atol=1e-12)
+
+
+def test_coupled_sparse_adds_t_on_the_penalty_diagonal_only():
+    """coupled_sparse(t) has the values of H + diags(t 1_D), bit for bit,
+    and so gives the same ground energies."""
+    from scipy import sparse
+
+    g = generate("random:300")
+    ctx = AnalysisContext(g, cli.parse_centers(g, "every:4"))
+    penalty = np.zeros(g.n)
+    penalty[g.indices(ctx.centers)] = 1.0
+    for t in (0.5, ctx.threshold, 1.0e6 * ctx.threshold):
+        fast = ctx.coupled_sparse(t)
+        plain = ctx.sparse_operator + sparse.diags(t * penalty, format="csc")
+        assert (fast != plain).nnz == 0
+        sigma, v0 = ctx.lambda_0 - 1.0, np.sqrt(g.m)
+        budget = g.n * EPS * (ctx.norm + t)
+        assert (
+            sparse_ground_state(fast, sigma, v0, budget)[0]
+            == sparse_ground_state(plain, sigma, v0, budget)[0]
+        )
+    assert ctx.sparse_operator.nnz == g.n + 2 * len(g.edges)
+
+
+# ---------------------------------------------------------------------------
 # Projections and the uncertainty constant
 # ---------------------------------------------------------------------------
 
