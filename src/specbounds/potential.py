@@ -164,8 +164,7 @@ def potential_dirichlet_bound(
     ]
     if doubling_exponent is not None:
         n_exp = float(doubling_exponent)
-        dist = ctx.metric.dist
-        finite = dist[dist > 0.0]
+        finite = ctx.metric.positive_distances
         scales = [R] + (
             [float(q) for q in np.quantile(finite, (0.25, 0.5, 0.75))] if finite.size else []
         )

@@ -23,12 +23,21 @@ Below SPARSE_MIN_N vertices they come from dense eigvalsh and eigh.  From
 there on no dense n x n matrix is formed, and each comes from the CSC form
 of the operator (one nonzero per edge end plus the diagonal):
 
-    lambda_0(H), lambda_Omega, lambda_0(H + t 1_D)
+    lambda_0(H), lambda_Omega
         sparse_ground_state: shift-invert Lanczos (ARPACK) with a shift
         below the whole spectrum (min V/m - 1 for H, lambda_0(H) - 1 for
-        the region block and the coupled operators), so the largest
-        eigenvalue of the shift-inverted operator is the ground energy.
-        Certified by the residual ||Ax - lambda x||.
+        the region block), so the largest eigenvalue of the
+        shift-inverted operator is the ground energy.  Certified by the
+        residual ||Ax - lambda x||.
+    lambda_0(H + t 1_D)
+        sparse_ground_state with the shift just below the eigenvalue: the
+        largest lambda_0(H + t' 1_D) already solved with t' <= t
+        (lambda_0(H) if none), less its residual and the budget.  That lies
+        below the spectrum, since lambda_0(H + t 1_D) is nondecreasing in
+        t, and the factorization of the shifted matrix certifies it (no
+        negative pivot); three Lanczos vectors then suffice.  When that
+        check or the residual fails, the solve is redone with the shift
+        lambda_0(H) - 1 and ARPACK's default basis.
     lambda_max(H)
         sparse_top_eigenvalue: Lanczos on H itself, certified by the
         residual and by the inertia of H - (theta + residual + budget),
@@ -44,11 +53,13 @@ of the operator (one nonzero per edge end plus the diagonal):
 Every residual must stay within n eps ||H||_1 (n eps (||H|| + t) for the
 coupled operators): the dense solver's own error budget n eps ||H||, with
 ||H|| bounded by the largest absolute column sum, which needs no solve.
-Every sparse
-factorization and Lanczos run holds scipy's bundled OpenBLAS to one
-thread (_one_blas_thread): its workers otherwise spin on both cores of a
-small machine and slow numpy's separate OpenBLAS, which runs the dense
-LAPACK calls that follow.
+Every factorization of a matrix with H's sparsity pattern reuses the
+fill-reducing ordering SuperLU found for the first (SymmetricOrdering):
+the matrix is permuted symmetrically and factored in that order, with the
+same fill and no new search.  Every sparse factorization and Lanczos run
+holds scipy's bundled OpenBLAS to one thread (_one_blas_thread): its
+workers otherwise spin on both cores of a small machine and slow numpy's
+separate OpenBLAS, which runs the dense LAPACK calls that follow.
 
 The resolvent row never forms an n x n inverse.  With A = H + t 1_D + 1,
 Y = A^(-1) E_D (the columns of the coupled resolvent on D) and
@@ -73,7 +84,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy
 from scipy import sparse
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, SuperLU, eigsh, splu
 
 from .errors import (
     ConvergenceFailure,
@@ -267,20 +278,69 @@ def _one_blas_thread():
         set_threads(old)
 
 
-def _symmetric_lu(A: sparse.spmatrix, shift: float):
-    """LU of A - shift under a symmetric fill-reducing ordering, pivoting
-    on the diagonal unless a diagonal pivot is exactly zero."""
-    return splu(
-        (A - shift * sparse.identity(A.shape[0], format="csc")).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
+@dataclass(eq=False)
+class SymmetricOrdering:
+    """A fill-reducing symmetric ordering shared by the matrices of one
+    sparsity pattern (H, H - s, H + t 1_D - s, ...).
+
+    The first factorization given it lets SuperLU order the pattern
+    (minimum degree on A^T + A) and keeps that order, argsort(perm_c);
+    every later one factors the symmetrically permuted matrix with
+    permc_spec="NATURAL", which has the same fill and skips the search.
+    """
+
+    order: np.ndarray | None = None
 
 
-def _shift_invert(A: sparse.spmatrix, sigma: float) -> LinearOperator:
-    """(A - sigma)^(-1) for eigsh, for a sigma below the spectrum of A."""
-    return LinearOperator(A.shape, matvec=_symmetric_lu(A, sigma).solve, dtype=float)
+@dataclass(frozen=True, eq=False)
+class _Factorization:
+    """A SuperLU factorization of A - shift, or of P (A - shift) P^T when
+    order (the rows and columns of A in factored order) is given."""
+
+    lu: SuperLU
+    order: np.ndarray | None
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(A - shift)^(-1) b, for one or more right-hand sides."""
+        if self.order is None:
+            return self.lu.solve(b)
+        x = np.empty_like(b)
+        x[self.order] = self.lu.solve(b[self.order])
+        return x
+
+    def negative_pivots(self) -> int | None:
+        """The number of eigenvalues of A below the shift, or None when
+        SuperLU pivoted off the diagonal.  By Sylvester's law of inertia it
+        is the number of negative pivots of an LDL^T factorization, which
+        SuperLU gives when it keeps to the diagonal (perm_r == perm_c)."""
+        if not np.array_equal(self.lu.perm_r, self.lu.perm_c):
+            return None
+        return int(np.count_nonzero(self.lu.U.diagonal() < 0.0))
+
+
+def _factor(
+    A: sparse.spmatrix,
+    shift: float,
+    ordering: SymmetricOrdering | None = None,
+    diagonal: bool = True,
+) -> _Factorization:
+    """LU of A - shift under a symmetric fill-reducing ordering (ordering's,
+    once it has one).  With diagonal, the pivots stay on the diagonal
+    unless one is exactly zero; otherwise SuperLU pivots partially.
+    Raises ConvergenceFailure when A - shift is exactly singular."""
+    B = (A - shift * sparse.identity(A.shape[0], format="csc")).tocsc()
+    pivoting = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}} if diagonal else {}
+    order = None if ordering is None else ordering.order
+    try:
+        if order is None:
+            lu = splu(B, permc_spec="MMD_AT_PLUS_A", **pivoting)
+            if ordering is not None:
+                ordering.order = np.argsort(lu.perm_c)
+        else:
+            lu = splu(B[order][:, order], permc_spec="NATURAL", **pivoting)
+    except RuntimeError as exc:
+        raise ConvergenceFailure(f"no LU at the shift {shift!r}: {exc}") from exc
+    return _Factorization(lu, order)
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -290,9 +350,25 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
+def _shift_invert(lu: _Factorization, shape: tuple[int, int]) -> LinearOperator:
+    """(A - sigma)^(-1) for eigsh, from the factorization of A - sigma."""
+    return LinearOperator(shape, matvec=lu.solve, dtype=float)
+
+
+# The Lanczos basis of a solve whose shift lies just below the ground
+# energy: the shift-inverted operator's top eigenvalue then stands far
+# above the rest, and three vectors find it in a few restarts.
+NEAR_SHIFT_NCV = 3
+
+
 @_one_blas_thread()
 def sparse_ground_state(
-    A: sparse.spmatrix, sigma: float, v0: np.ndarray, budget: float
+    A: sparse.spmatrix,
+    sigma: float,
+    v0: np.ndarray,
+    budget: float,
+    ordering: SymmetricOrdering | None = None,
+    fallback: float | None = None,
 ) -> tuple[float, np.ndarray, float]:
     """Lowest eigenpair of a sparse symmetric matrix A, and its residual.
 
@@ -303,11 +379,42 @@ def sparse_ground_state(
     never None, since ARPACK's random start is not reproducible.  Returns
     (lambda, x, ||Ax - lambda x||) with x of unit length, and raises
     ConvergenceFailure when the residual exceeds budget.
+
+    With fallback given, sigma is a guess just below the ground energy.
+    It is certified on the factorization of A - sigma, which must have no
+    negative pivot (none of A's eigenvalues below sigma, by Sylvester's
+    law), and then a basis of NEAR_SHIFT_NCV Lanczos vectors suffices.
+    When that check, ARPACK or the residual fails, the solve is redone at
+    the shift fallback, which must lie below the spectrum, with ARPACK's
+    default basis.  ordering, when given, is the fill-reducing ordering of
+    A's sparsity pattern.
     """
-    # A - sigma is positive definite, so its LU needs no pivoting, and a
-    # symmetric fill-reducing ordering keeps the factors sparse.
+    if fallback is not None:
+        try:
+            return _ground_state(A, sigma, v0, budget, ordering, near=True)
+        except ConvergenceFailure:
+            sigma = fallback
+    return _ground_state(A, sigma, v0, budget, ordering, near=False)
+
+
+def _ground_state(
+    A: sparse.spmatrix,
+    sigma: float,
+    v0: np.ndarray,
+    budget: float,
+    ordering: SymmetricOrdering | None,
+    near: bool,
+) -> tuple[float, np.ndarray, float]:
+    # Below the spectrum A - sigma is positive definite, so its LU needs no
+    # pivoting, and a symmetric fill-reducing ordering keeps it sparse.
+    lu = _factor(A, sigma, ordering)
+    if near and lu.negative_pivots() != 0:
+        raise ConvergenceFailure(f"the shift {sigma!r} is not below the spectrum")
     try:
-        evals, evecs = eigsh(A, k=1, sigma=sigma, which="LM", v0=v0, OPinv=_shift_invert(A, sigma))
+        evals, evecs = eigsh(
+            A, k=1, sigma=sigma, which="LM", v0=v0,
+            ncv=NEAR_SHIFT_NCV if near else None, OPinv=_shift_invert(lu, A.shape),
+        )
     except ArpackError as exc:
         raise ConvergenceFailure(str(exc)) from exc
     lam, x = float(evals[0]), evecs[:, 0]
@@ -320,26 +427,28 @@ def sparse_ground_state(
 
 
 @_one_blas_thread()
-def count_below(A: sparse.spmatrix, shift: float) -> int:
+def count_below(
+    A: sparse.spmatrix, shift: float, ordering: SymmetricOrdering | None = None
+) -> int:
     """The number of eigenvalues of the sparse symmetric A below shift.
 
     By Sylvester's law of inertia it is the number of negative pivots of
     an LDL^T factorization of A - shift.  SuperLU gives one when it keeps
     to the diagonal under a symmetric ordering (perm_r == perm_c); when it
     has to pivot elsewhere, or A - shift is exactly singular, this raises
-    ConvergenceFailure.
+    ConvergenceFailure.  ordering, when given, is the fill-reducing
+    ordering of A's sparsity pattern.
     """
-    try:
-        lu = _symmetric_lu(A, shift)
-    except RuntimeError as exc:
-        raise ConvergenceFailure(f"no inertia at {shift!r}: {exc}") from exc
-    if not np.array_equal(lu.perm_r, lu.perm_c):
+    count = _factor(A, shift, ordering).negative_pivots()
+    if count is None:
         raise ConvergenceFailure(f"no inertia at {shift!r}: SuperLU pivoted off the diagonal")
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    return count
 
 
 @_one_blas_thread()
-def sparse_top_eigenvalue(A: sparse.spmatrix, budget: float) -> float:
+def sparse_top_eigenvalue(
+    A: sparse.spmatrix, budget: float, ordering: SymmetricOrdering | None = None
+) -> float:
     """The largest eigenvalue of a sparse symmetric matrix A.
 
     Lanczos on A itself (the top end converges without shift-invert)
@@ -359,14 +468,18 @@ def sparse_top_eigenvalue(A: sparse.spmatrix, budget: float) -> float:
         raise ConvergenceFailure(
             f"top eigenvalue residual {residual!r} exceeds the budget {budget!r}"
         )
-    if count_below(A, theta + residual + budget) != n:
+    if count_below(A, theta + residual + budget, ordering) != n:
         raise ConvergenceFailure(f"an eigenvalue lies above the Ritz value {theta!r}")
     return theta
 
 
 @_one_blas_thread()
 def sparse_window(
-    A: sparse.spmatrix, sigma: float, interval: tuple[float, float], budget: float
+    A: sparse.spmatrix,
+    sigma: float,
+    interval: tuple[float, float],
+    budget: float,
+    ordering: SymmetricOrdering | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a sparse symmetric A with eigenvalues in [a, b].
 
@@ -381,15 +494,16 @@ def sparse_window(
     (eigenvalues ascending, unit eigenvectors as columns).
     """
     n = A.shape[0]
-    lo = count_below(A, interval[0] - ENDPOINT_TOLERANCE)
-    k = count_below(A, interval[1] + ENDPOINT_TOLERANCE)
+    lo = count_below(A, interval[0] - ENDPOINT_TOLERANCE, ordering)
+    k = count_below(A, interval[1] + ENDPOINT_TOLERANCE, ordering)
     if k == lo:
         return np.empty(0), np.empty((n, 0))
     if k >= n:
         raise ConvergenceFailure(f"the window reaches {k} of {n} eigenvalues; eigsh needs fewer")
     try:
         evals, evecs = eigsh(
-            A, k=k, sigma=sigma, which="LM", v0=_start_vector(n), OPinv=_shift_invert(A, sigma)
+            A, k=k, sigma=sigma, which="LM", v0=_start_vector(n),
+            OPinv=_shift_invert(_factor(A, sigma, ordering), A.shape),
         )
     except ArpackError as exc:
         raise ConvergenceFailure(str(exc)) from exc
@@ -483,11 +597,19 @@ class AnalysisContext:
       - window(interval): sparse_window, certified by the inertia at both
         ends and the residuals; falls back to the eigh decomposition if
         SuperLU pivots off the diagonal or a check fails.
-      - coupled_ground_energy(t): sparse_ground_state on H + t 1_D with
-        the shift lambda_0 - 1, certified by the residual within
-        n eps (||H|| + t).  Each solve starts from the last ground state
-        found (sqrt(m) for the first), a positive vector, so the values
-        are reproducible bit for bit for the same sequence of t.
+      - coupled_ground_energy(t): sparse_ground_state on H + t 1_D,
+        certified by the residual within n eps (||H|| + t).  Its shift is
+        the largest lambda_0(H + t' 1_D) solved so far with t' <= t
+        (lambda_0 if none) less that value's residual and the budget of t,
+        below lambda_0(H + t 1_D) because the ground energy is
+        nondecreasing in t; the inertia of the factorization certifies it,
+        and on failure the solve is redone with the shift lambda_0 - 1.
+        Each solve starts from the ground state at that t' (H's for the
+        first), a positive vector, so the values are reproducible bit for
+        bit for the same sequence of t.
+    Every factorization of H's sparsity pattern (the inertia counts, the
+    window, the coupled solves and the resolvent's LU) reuses ordering,
+    the fill-reducing ordering found for ground_pair.
     """
 
     graph: WeightedGraph
@@ -543,12 +665,28 @@ class AnalysisContext:
         if not self.matrix_free:
             sd = self.decomposition
             return float(sd.eigenvalues[0]), sd.vectors[:, 0]
+        lam, x, _ = self._ground_solve
+        return lam, _readonly(x / np.sqrt(self.graph.m))
+
+    @cached_property
+    def ordering(self) -> SymmetricOrdering:
+        """The fill-reducing ordering of H's sparsity pattern, found by the
+        first factorization given it (ground_pair's in a report) and
+        shared by every later one of H - s or H + t 1_D - s."""
+        return SymmetricOrdering()
+
+    @cached_property
+    def _ground_solve(self) -> tuple[float, np.ndarray, float]:
+        """sparse_ground_state of H: lambda_0, the unit eigenvector in the
+        symmetric picture, and its residual."""
         g = self.graph
-        sqrt_m = np.sqrt(g.m)
-        lam, x, _ = sparse_ground_state(
-            self.sparse_operator, float(np.min(g.V / g.m)) - 1.0, sqrt_m, self.budget
+        return sparse_ground_state(
+            self.sparse_operator,
+            float(np.min(g.V / g.m)) - 1.0,
+            np.sqrt(g.m),
+            self.budget,
+            self.ordering,
         )
-        return lam, _readonly(x / sqrt_m)
 
     @cached_property
     def lambda_0(self) -> float:
@@ -563,7 +701,7 @@ class AnalysisContext:
         """The largest eigenvalue of H."""
         if self.matrix_free:
             try:
-                return sparse_top_eigenvalue(self.sparse_operator, self.budget)
+                return sparse_top_eigenvalue(self.sparse_operator, self.budget, self.ordering)
             except ConvergenceFailure:
                 pass
         return float(self.spectrum[-1])
@@ -612,7 +750,7 @@ class AnalysisContext:
             g = self.graph
             try:
                 evals, x = sparse_window(
-                    self.sparse_operator, self.lambda_0 - 1.0, interval, self.budget
+                    self.sparse_operator, self.lambda_0 - 1.0, interval, self.budget, self.ordering
                 )
             except ConvergenceFailure:
                 pass
@@ -689,10 +827,13 @@ class AnalysisContext:
         return {}
 
     @cached_property
-    def _ground_states(self) -> list[np.ndarray]:
-        """Positive start vectors for sparse solves: sqrt(m), the ground
-        state of H without potential, then each ground state found."""
-        return [np.sqrt(self.graph.m)]
+    def _ground_states(self) -> dict[float, tuple[float, np.ndarray]]:
+        """For each t solved so far from SPARSE_MIN_N vertices on: a lower
+        bound for lambda_0(H + t 1_D) (the value less its residual) and
+        the ground state, positive and of unit length in the symmetric
+        picture.  t = 0 holds H's own."""
+        lam, x, residual = self._ground_solve
+        return {0.0: (lam - residual, np.abs(x))}
 
     def coupled_ground_energy(self, t: float) -> float:
         """The lowest eigenvalue of H + t 1_D, solved once per distinct t
@@ -702,11 +843,19 @@ class AnalysisContext:
                 lam = lowest_eigenvalue(self.coupled(t))
             else:
                 budget = self.graph.n * np.finfo(float).eps * (self.norm + t)
-                lam, x, _ = sparse_ground_state(
-                    self.coupled_sparse(t), self.lambda_0 - 1.0, self._ground_states[-1], budget
+                # lambda_0(H + t 1_D) is nondecreasing in t, so the bound
+                # at the largest t' <= t solved so far lies below it.
+                floor, v0 = self._ground_states[max(s for s in self._ground_states if s <= t)]
+                lam, x, residual = sparse_ground_state(
+                    self.coupled_sparse(t),
+                    floor - budget,
+                    v0,
+                    budget,
+                    self.ordering,
+                    fallback=self.lambda_0 - 1.0,
                 )
                 # The ground state is positive up to sign; abs fixes the sign.
-                self._ground_states.append(np.abs(x))
+                self._ground_states[t] = (lam - residual, np.abs(x))
             self._coupled_ground[t] = lam
         return self._coupled_ground[t]
 
@@ -832,7 +981,7 @@ def resolvent_gap(ctx: AnalysisContext, t: float) -> BoundReport:
     if ctx.matrix_free:
         # Partial pivoting: A is indefinite when V < 0.
         with _one_blas_thread():
-            y = splu(ctx.coupled_sparse(t) + sparse.identity(g.n, format="csc")).solve(e_d)
+            y = _factor(ctx.coupled_sparse(t), -1.0, ctx.ordering, diagonal=False).solve(e_d)
     else:
         y = np.linalg.solve(ctx.coupled(t).sym + np.eye(g.n), e_d)
     r = np.linalg.qr(y, mode="r")

@@ -46,7 +46,7 @@ from specbounds import (
 )
 from specbounds import cli
 from specbounds.spectral import dirichlet_energy, eigenvalues_of
-from conftest import random_instance, random_proper_subset
+from helpers import random_instance, random_proper_subset
 
 GENERATOR_FAMILY_CASES = [
     ("lattice:1:6", ("0", "3", "6")),

@@ -26,7 +26,7 @@ from specbounds import (
     rows_pass,
     validate,
 )
-from conftest import random_instance, random_proper_subset
+from helpers import random_instance, random_proper_subset
 
 
 def test_path_distance_two_unit_edges():
@@ -227,3 +227,32 @@ def test_homogeneity_radii_match_one_quantile_call_per_radius(monkeypatch):
     monkeypatch.setattr(np, "quantile", one_call_per_quantile)
     assert check_homogeneity(g, md) == rows
     assert calls == [(0.25, 0.5, 0.75, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        random_instance(7, n_lo=30, n_hi=60),
+        random_instance(8, n_lo=30, n_hi=60, weight_range=(1e-3, 1e3), m_weighted=True),
+        random_instance(9, n_lo=30, n_hi=60, m_weighted=True, potential_range=(-2.0, 3.0)),
+        lattice_box(2, 6),
+        geometric_comb(12),
+        generate("random:200"),
+    ],
+    ids=["weighted", "measured", "potential", "lattice", "comb", "random200"],
+)
+def test_min_distance_is_the_shortest_edge(g):
+    """homogeneity/min_distance, read off the edge list, is the dense
+    minimum over distinct pairs bit for bit."""
+    md = compute_metric(g)
+    row = check_homogeneity(g, md)[0]
+    assert row.name == "homogeneity/min_distance"
+    assert row.true_value == md.dist[~np.eye(g.n, dtype=bool)].min()
+    assert row.passed and not row.vacuous
+
+
+def test_positive_distances_are_sorted_once_per_metric():
+    md = compute_metric(random_instance(4, n_lo=20, n_hi=30))
+    finite = md.positive_distances
+    assert finite is md.positive_distances
+    assert np.array_equal(finite, np.sort(md.dist[md.dist > 0.0]))

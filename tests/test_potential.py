@@ -20,7 +20,7 @@ from specbounds import (
 )
 from specbounds import potential
 from specbounds.spectral import assemble, dirichlet_energy, lowest_eigenvalue
-from conftest import random_proper_subset
+from helpers import random_proper_subset
 
 
 def _k2_with_potential():

@@ -322,6 +322,40 @@ def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, caps
     assert calls["sparse_ground_state"] == len(ts) + 2
 
 
+def test_report_above_crossover_orders_each_pattern_once(monkeypatch, capsys):
+    """From SPARSE_MIN_N vertices on, SuperLU searches for a fill-reducing
+    ordering twice per report, once for H's sparsity pattern and once for
+    the region block; every other factorization reuses H's.  Every coupled
+    solve takes the shift just below its own eigenvalue, with no fallback."""
+    orderings, solves, ts = Counter(), Counter(), set()
+    splu, ground_state = spectral.splu, spectral._ground_state
+    energy = AnalysisContext.coupled_ground_energy
+
+    def recording_splu(A, permc_spec=None, **kwargs):
+        orderings[permc_spec] += 1
+        return splu(A, permc_spec=permc_spec, **kwargs)
+
+    def recording_ground_state(*args, near):
+        solves["near" if near else "far"] += 1
+        return ground_state(*args, near=near)
+
+    def recording_energy(self, t):
+        ts.add(t)
+        return energy(self, t)
+
+    monkeypatch.setattr(spectral, "splu", recording_splu)
+    monkeypatch.setattr(spectral, "_ground_state", recording_ground_state)
+    monkeypatch.setattr(AnalysisContext, "coupled_ground_energy", recording_energy)
+    argv = ["report", "--generate", f"random:{spectral.SPARSE_MIN_N}", "--centers", "every:4"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert orderings["MMD_AT_PLUS_A"] == 2
+    assert set(orderings) == {"MMD_AT_PLUS_A", "NATURAL"}
+    assert len(ts) >= 24
+    # lambda_0(H) and lambda_Omega take a shift far below the spectrum.
+    assert solves == {"near": len(ts), "far": 2}
+
+
 def test_cli_interval_auto_on_negative_potential(tmp_path, capsys):
     g = random_connected(30, seed=3, potential_range=(-3.0, -1.0))
     path = tmp_path / "g.json"

@@ -34,7 +34,7 @@ from specbounds import (
     validate,
 )
 from specbounds import cli, generate, random_connected, spectral
-from conftest import random_instance, random_proper_subset
+from helpers import random_instance, random_proper_subset
 
 EPS = np.finfo(float).eps
 
@@ -494,6 +494,94 @@ def test_matrix_free_context_matches_dense_oracle(ctx):
     gap = np.min(np.abs(outside[:, None] - dense[selected][None, :]))
     rows = {row.name: row for row in uncertainty_constant(ctx, interval)}
     assert abs(rows["uncertainty/energy_form"].true_value - oracle) <= 4 * len(chosen) * tol / gap
+
+
+def _near_shift_contexts():
+    for spec, centers in [("random:300", "every:4"), ("lattice:2:20", "sublattice:3")]:
+        g = generate(spec)
+        yield AnalysisContext(g, cli.parse_centers(g, centers))
+    g = random_connected(300, seed=3, potential_range=(-3.0, -1.0))
+    yield AnalysisContext(g, cli.parse_centers(g, "every:4"))
+
+
+@pytest.mark.parametrize(
+    "ctx", _near_shift_contexts(), ids=lambda ctx: f"n{ctx.graph.n}-V{ctx.min_potential:.2g}"
+)
+def test_coupled_ground_energies_in_report_order_match_dense(ctx, monkeypatch):
+    """The report's own sequence of couplings (the auto coupling grid, then
+    the uncertainty grid with t_opt last, after larger couplings), each
+    solved from a shift just below it, agrees with dense eigvalsh."""
+    assert ctx.matrix_free
+    interval, threshold = _oracle_interval(ctx), ctx.threshold
+    ts, solves = [], []
+    energy, solve = AnalysisContext.coupled_ground_energy, spectral.sparse_ground_state
+
+    def recording_energy(self, t):
+        if t not in ts:
+            ts.append(t)
+        return energy(self, t)
+
+    def recording_solve(A, *args, **kwargs):
+        lam, x, residual = solve(A, *args, **kwargs)
+        solves.append((A, lam, residual))
+        return lam, x, residual
+
+    monkeypatch.setattr(AnalysisContext, "coupled_ground_energy", recording_energy)
+    monkeypatch.setattr(spectral, "sparse_ground_state", recording_solve)
+    coupling_rate(ctx, cli.parse_t_grid("auto", threshold))
+    uncertainty_constant(ctx, interval)
+    assert len(ts) == len(solves) >= 24
+    for t, (A, lam, residual) in zip(ts, solves):
+        assert ctx.coupled_ground_energy(t) == lam
+        dense = np.linalg.eigvalsh(A.toarray())
+        assert abs(lam - dense[0]) <= ctx.graph.n * EPS * (ctx.norm + t) + residual
+
+
+def test_near_shift_above_the_ground_energy_falls_back(monkeypatch):
+    """A shift between lambda_0 and lambda_1 but nearer lambda_1 has one
+    negative pivot, so the inertia check rejects it before any Lanczos run
+    (which would find lambda_1), and the solve at the fallback shift gives
+    lambda_0 within budget."""
+    g = generate("random:300")
+    ctx = AnalysisContext(g, cli.parse_centers(g, "every:4"))
+    t = ctx.threshold
+    A = ctx.coupled_sparse(t)
+    dense = np.linalg.eigvalsh(A.toarray())
+    sigma = dense[1] - 0.1 * (dense[1] - dense[0])
+    assert spectral.count_below(A, sigma) == 1
+    budget = g.n * EPS * (ctx.norm + t)
+    shifts = []
+    eigsh = spectral.eigsh
+
+    def recording(*args, **kwargs):
+        shifts.append((kwargs["sigma"], kwargs["ncv"]))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", recording)
+    lam, _, residual = sparse_ground_state(
+        A, sigma, np.sqrt(g.m), budget, ctx.ordering, fallback=ctx.lambda_0 - 1.0
+    )
+    assert shifts == [(ctx.lambda_0 - 1.0, None)]
+    assert abs(lam - dense[0]) <= g.n * EPS * max(abs(dense[0]), abs(dense[-1])) + residual
+    near, _, _ = sparse_ground_state(A, dense[0] - 1e-3, np.sqrt(g.m), budget, ctx.ordering)
+    assert abs(lam - near) <= budget
+
+
+def test_inertia_with_the_cached_ordering_matches_superlus_own():
+    """The ordering kept from the ground-state factorization of H gives the
+    same inertia counts as SuperLU's own ordering, for H and for H + t 1_D."""
+    g = generate("random:300")
+    ctx = AnalysisContext(g, cli.parse_centers(g, "every:4"))
+    assert ctx.ordering.order is None
+    ctx.lambda_0
+    order = ctx.ordering.order
+    assert sorted(order) == list(range(g.n))
+    for A in (ctx.sparse_operator, ctx.coupled_sparse(ctx.threshold)):
+        dense = np.linalg.eigvalsh(A.toarray())
+        shifts = [dense[0] - 1.0] + [0.5 * (dense[k - 1] + dense[k]) for k in (1, 5, 150, 299)]
+        for k, shift in zip((0, 1, 5, 150, 299), shifts):
+            assert spectral.count_below(A, shift, ctx.ordering) == spectral.count_below(A, shift) == k
+    assert ctx.ordering.order is order
 
 
 def test_top_eigenvalue_on_a_unit_lattice():

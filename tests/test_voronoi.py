@@ -18,7 +18,7 @@ from specbounds import (
     rows_pass,
     verify_voronoi,
 )
-from conftest import random_instance, random_proper_subset
+from helpers import random_instance, random_proper_subset
 
 
 def test_every_vertex_as_center_gives_singletons():
