@@ -164,8 +164,11 @@ def parse_centers(g: WeightedGraph, spec: str) -> tuple[str, ...]:
     return names
 
 
-def parse_interval(spec: str, lam_omega: float) -> tuple[float, float]:
+def parse_interval(spec: str, lam_omega: float | None) -> tuple[float, float]:
+    """a:b with a <= b, or 'auto' = 0:lam_omega/2 (spectrum passes None)."""
     if spec == "auto":
+        if lam_omega is None:
+            raise ValueError("spectrum --interval takes a:b, not 'auto'")
         if lam_omega < 0.0:
             raise ValueError(
                 f"--interval auto means 0:lambda_Omega/2, which is empty because "
@@ -173,7 +176,10 @@ def parse_interval(spec: str, lam_omega: float) -> tuple[float, float]:
             )
         return (0.0, 0.5 * lam_omega)
     a, _, b = spec.partition(":")
-    return (float(a), float(b))
+    lo, hi = float(a), float(b)
+    if lo > hi:
+        raise ValueError("interval endpoints must satisfy a <= b")
+    return (lo, hi)
 
 
 def parse_t_grid(spec: str, threshold: float) -> list[float]:
@@ -260,18 +266,17 @@ def _distances(run: _Run) -> None:
 
 def _eigenvalues(run: _Run) -> None:
     ctx, args = run.ctx, run.args
+    interval = None if args.interval is None else parse_interval(args.interval, None)
     evals = ctx.spectrum
     run.extra["eigenvalues"] = [float(x) for x in evals]
     if ctx.centers and ctx.omega:
         run.extra["restricted_eigenvalues"] = [
             float(x) for x in eigenvalues_of(ctx.region_operator)
         ]
-    if args.interval is not None:
-        a, _, b = args.interval.partition(":")
-        lo, hi = float(a), float(b)
-        run.extra["interval"] = [lo, hi]
+    if interval is not None:
+        run.extra["interval"] = list(interval)
         run.extra["eigenvalues_in_interval"] = [
-            float(x) for x in evals[window_indices(evals, (lo, hi))]
+            float(x) for x in evals[window_indices(evals, interval)]
         ]
 
 

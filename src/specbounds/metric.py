@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
-from .errors import EmptySet, FullSet
+from .errors import EmptySet, FullSet, InvalidSpec
 from .generators import DEFAULT_SEED
 from .graph import GeometryConstants, WeightedGraph, _readonly, validate
 from .report import BoundReport, make_report
@@ -90,6 +90,8 @@ def ball(md: MetricData, x: str, r: float, closed: bool = True) -> tuple[str, ..
     """
     if r < 0.0:
         raise ValueError("radius must be nonnegative")
+    if x not in md.graph.index:
+        raise InvalidSpec(f"unknown ball center id: {x!r}")
     row = md.dist[md.graph.index[x]]
     mask = row <= r if closed else row < r
     return tuple(md.graph.vertices[k] for k in np.flatnonzero(mask))

@@ -19,9 +19,11 @@ vol[R], ...) are each computed once, on first use.
 The bounds read only the low end of the spectrum and its top: lambda_0(H),
 lambda_max(H) (for ||H|| and ||H+1||), lambda_Omega, the eigenpairs in the
 uncertainty window and the coupled ground energies lambda_0(H + t 1_D).
-Below SPARSE_MIN_N vertices they come from dense eigvalsh and eigh.  From
-there on no dense n x n matrix is formed, and each comes from the CSC form
-of the operator (one nonzero per edge end plus the diagonal):
+Below SPARSE_MIN_N vertices they come from dense eigvalsh and eigh of H,
+its block on the region and copies of H with t added on D's diagonal; both
+cuts are exact (0 - w = -w, (d - 0) + t = (d + t) - 0).  From there on no
+dense n x n matrix is formed, and each comes from the CSC form of the
+operator (one nonzero per edge end plus the diagonal):
 
     lambda_0(H), lambda_Omega
         sparse_ground_state: shift-invert Lanczos (ARPACK) with a shift
@@ -104,23 +106,33 @@ class OperatorMatrix:
     entries: the matrix in the vertex basis (m-self-adjoint).
     sym: the similar symmetric matrix M^(1/2) entries M^(-1/2), built
         entrywise so it is bit-exactly symmetric.
-    basis: vertex ids of the coordinates (the full graph or a region).
     """
 
-    graph: WeightedGraph
-    basis: tuple[str, ...]
     entries: np.ndarray
     sym: np.ndarray
     m: np.ndarray
     coupling_t: float = 0.0
-    restricted: bool = False
+
+    def restricted(self, idx: np.ndarray) -> OperatorMatrix:
+        """The block on the coordinates idx: the operator restricted to a
+        region, whose diagonal keeps the full weighted degree."""
+        block = np.ix_(idx, idx)
+        return OperatorMatrix(
+            _readonly(self.entries[block]), _readonly(self.sym[block]), _readonly(self.m[idx])
+        )
+
+    def coupled(self, d_idx: np.ndarray, t: float) -> OperatorMatrix:
+        """A copy with t added on the diagonal entries d_idx: H + t 1_D."""
+        entries, sym = self.entries.copy(), self.sym.copy()
+        entries[d_idx, d_idx] += t
+        sym[d_idx, d_idx] += t
+        return OperatorMatrix(_readonly(entries), _readonly(sym), self.m, float(t))
 
 
 @dataclass(frozen=True, eq=False)
 class SpectralData:
     """Eigenvalues (ascending) and m-orthonormal eigenvectors (columns)."""
 
-    basis: tuple[str, ...]
     m: np.ndarray
     eigenvalues: np.ndarray
     vectors: np.ndarray
@@ -135,17 +147,18 @@ class SpectralProjection:
     empty: bool
 
 
-AssemblyBase = tuple[np.ndarray, np.ndarray, np.ndarray]
+def _region_indices(g: WeightedGraph, omega: Iterable[str]) -> np.ndarray:
+    idx = g.indices(omega)
+    if idx.size == 0:
+        raise EmptyOmega("cannot restrict to an empty region")
+    return idx
 
 
-def _assembly_base(g: WeightedGraph) -> AssemblyBase:
-    """What every matrix of H shares: W/m, the diagonal of H, and W/sqrt(m m^T)."""
-    m = g.m
-    W = g.weight_matrix
-    Wm = W / m[:, None]
-    diag = Wm.sum(axis=1) + g.V / m
-    sqrt_m = np.sqrt(m)
-    return Wm, diag, W / np.outer(sqrt_m, sqrt_m)
+def _penalty_indices(g: WeightedGraph, d_set: Iterable[str]) -> np.ndarray:
+    d_idx = g.indices(d_set)
+    if d_idx.size == 0:
+        raise EmptyCenters("a coupling term needs a nonempty penalty set")
+    return d_idx
 
 
 def assemble(
@@ -153,61 +166,34 @@ def assemble(
     omega: Iterable[str] | None = None,
     t: float = 0.0,
     d_set: Iterable[str] | None = None,
-    base: AssemblyBase | None = None,
 ) -> OperatorMatrix:
     """Matrix of H (+ potential), of its restriction to omega, or of H + t*1_D.
 
-    With omega given, the result acts on coordinates of omega only; the
-    diagonal keeps the full weighted degree, so couplings into the
-    complement survive as diagonal mass.  With t > 0, d_set names the
-    penalty set and the full-graph matrix gains t on those diagonal
-    entries.  base, when given, is this graph's _assembly_base, computed
-    once by the caller.
+    H is assembled densely; with omega given, the result is its block on
+    omega (the diagonal keeps the full weighted degree, so couplings into
+    the complement survive as diagonal mass).  With t > 0, d_set names the
+    penalty set and the result is H with t added on those diagonal entries.
     """
     if omega is not None and t != 0.0:
         raise ValueError("restriction and coupling term are exclusive")
     if t < 0.0:
         raise ValueError("coupling strength must be nonnegative")
 
-    n = g.n
     m = g.m
-    Wm, diag, S_off = _assembly_base(g) if base is None else base
-    if t != 0.0:
-        if d_set is None:
-            raise EmptyCenters("a coupling term needs a penalty set")
-        d_idx = g.indices(d_set)
-        if d_idx.size == 0:
-            raise EmptyCenters("a coupling term needs a nonempty penalty set")
-        indicator = np.zeros(n)
-        indicator[d_idx] = 1.0
-        diag = diag + t * indicator
-
-    if omega is None:
-        basis = g.vertices
-        A = np.diag(diag) - Wm
-        S = np.diag(diag) - S_off
-        mm = m
-        restricted = False
-    else:
-        idx = g.indices(omega)
-        if idx.size == 0:
-            raise EmptyOmega("cannot restrict to an empty region")
-        basis = tuple(g.vertices[int(i)] for i in idx)
-        block = np.ix_(idx, idx)
-        A = np.diag(diag[idx]) - Wm[block]
-        S = np.diag(diag[idx]) - S_off[block]
-        mm = m[idx]
-        restricted = True
-
-    return OperatorMatrix(
-        graph=g,
-        basis=basis,
-        entries=_readonly(A),
-        sym=_readonly(S),
-        m=_readonly(np.array(mm)),
-        coupling_t=float(t),
-        restricted=restricted,
+    W = g.weight_matrix
+    Wm = W / m[:, None]
+    diag = Wm.sum(axis=1) + g.V / m
+    sqrt_m = np.sqrt(m)
+    H = OperatorMatrix(
+        entries=_readonly(np.diag(diag) - Wm),
+        sym=_readonly(np.diag(diag) - W / np.outer(sqrt_m, sqrt_m)),
+        m=_readonly(m.copy()),
     )
+    if omega is not None:
+        return H.restricted(_region_indices(g, omega))
+    if t != 0.0:
+        return H.coupled(_penalty_indices(g, () if d_set is None else d_set), t)
+    return H
 
 
 def eigdecompose(op: OperatorMatrix) -> SpectralData:
@@ -218,7 +204,6 @@ def eigdecompose(op: OperatorMatrix) -> SpectralData:
         raise ConvergenceFailure(str(exc)) from exc
     vectors = evecs / np.sqrt(op.m)[:, None]
     return SpectralData(
-        basis=op.basis,
         m=op.m,
         eigenvalues=_readonly(evals),
         vectors=_readonly(vectors),
@@ -578,10 +563,12 @@ class AnalysisContext:
     may be empty for quantities of the graph alone.
 
     Below SPARSE_MIN_N vertices the spectrum behind lambda_0, norm,
-    shifted_norm and threshold comes from eigvalsh of H; decomposition is
-    the eigh of the same matrix, which gives ground_pair and window;
-    lambda_omega is the eigvalsh of the region operator, and
-    coupled_ground_energy(t) the eigvalsh of H + t 1_D.
+    shifted_norm and threshold comes from eigvalsh of H (operator, the only
+    dense assembly); decomposition is its eigh, which gives ground_pair and
+    window; lambda_omega is the eigvalsh of H's block on region_indices,
+    coupled_ground_energy(t) that of H with t added on the diagonal at
+    penalty_indices.  Both index sets, which also cut the sparse
+    operators, are found once.
 
     From SPARSE_MIN_N vertices on (matrix_free) no dense n x n matrix is
     assembled or solved.  Everything comes from sparse_operator, and each
@@ -634,13 +621,25 @@ class AnalysisContext:
         return self.graph.n >= SPARSE_MIN_N
 
     @cached_property
-    def assembly_base(self) -> AssemblyBase:
-        return _assembly_base(self.graph)
+    def region_indices(self) -> np.ndarray:
+        """The indices of the region; raises EmptyOmega when D covers the graph."""
+        return _region_indices(self.graph, self.omega)
+
+    @cached_property
+    def penalty_indices(self) -> np.ndarray:
+        """The indices of D; raises EmptyCenters when D is empty."""
+        return _penalty_indices(self.graph, self.centers)
+
+    def _coupling_indices(self, t: float) -> np.ndarray:
+        """Where t 1_D adds t: the penalty indices, for t >= 0."""
+        if t < 0.0:
+            raise ValueError("coupling strength must be nonnegative")
+        return self.penalty_indices
 
     @cached_property
     def operator(self) -> OperatorMatrix:
-        """H on the whole graph."""
-        return assemble(self.graph, base=self.assembly_base)
+        """H on the whole graph, the context's only dense assembly."""
+        return assemble(self.graph)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -723,17 +722,15 @@ class AnalysisContext:
 
     @cached_property
     def region_operator(self) -> OperatorMatrix:
-        """H restricted to the region."""
-        return assemble(self.graph, omega=self.omega, base=self.assembly_base)
+        """H restricted to the region: its block on region_indices."""
+        return self.operator.restricted(self.region_indices)
 
     @cached_property
     def lambda_omega(self) -> float:
         """The lowest Dirichlet eigenvalue of the region."""
         if not self.matrix_free:
             return lowest_eigenvalue(self.region_operator)
-        idx = self.graph.indices(self.omega)
-        if idx.size == 0:
-            raise EmptyOmega("cannot restrict to an empty region")
+        idx = self.region_indices
         lam, _, _ = sparse_ground_state(
             self.sparse_operator[idx][:, idx],
             self.lambda_0 - 1.0,
@@ -756,7 +753,6 @@ class AnalysisContext:
                 pass
             else:
                 sd = SpectralData(
-                    basis=g.vertices,
                     m=g.m,
                     eigenvalues=_readonly(evals),
                     vectors=_readonly(x / np.sqrt(g.m)[:, None]),
@@ -785,8 +781,8 @@ class AnalysisContext:
         return self.volumes.vol_bracket(self.R)
 
     def coupled(self, t: float) -> OperatorMatrix:
-        """H + t 1_D on the whole graph."""
-        return assemble(self.graph, t=t, d_set=self.centers, base=self.assembly_base)
+        """H + t 1_D on the whole graph: operator with t added on D's diagonal."""
+        return self.operator.coupled(self._coupling_indices(t), t)
 
     @cached_property
     def sparse_operator(self) -> sparse.csc_matrix:
@@ -805,21 +801,16 @@ class AnalysisContext:
         )
 
     @cached_property
-    def _penalty_positions(self) -> np.ndarray:
-        """Where the diagonal entries of D sit in sparse_operator.data."""
+    def _diagonal_positions(self) -> np.ndarray:
+        """Where each diagonal entry sits in sparse_operator.data."""
         A = self.sparse_operator
         columns = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
-        diagonal = np.flatnonzero(A.indices == columns)
-        return diagonal[self.graph.indices(self.centers)]
+        return np.flatnonzero(A.indices == columns)
 
     def coupled_sparse(self, t: float) -> sparse.csc_matrix:
         """The symmetric picture of H + t 1_D in CSC form."""
-        if t < 0.0:
-            raise ValueError("coupling strength must be nonnegative")
-        if self._penalty_positions.size == 0:
-            raise EmptyCenters("a coupling term needs a nonempty penalty set")
         A = self.sparse_operator.copy()
-        A.data[self._penalty_positions] += t
+        A.data[self._diagonal_positions[self._coupling_indices(t)]] += t
         return A
 
     @cached_property
@@ -975,7 +966,7 @@ def resolvent_gap(ctx: AnalysisContext, t: float) -> BoundReport:
     ctx.require_region()
     h1, threshold = ctx.shifted_norm, ctx.threshold
 
-    d_idx = g.indices(ctx.centers)
+    d_idx = ctx.penalty_indices
     e_d = np.zeros((g.n, d_idx.size))
     e_d[d_idx, np.arange(d_idx.size)] = 1.0
     if ctx.matrix_free:

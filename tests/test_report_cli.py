@@ -155,6 +155,44 @@ def test_cli_ball_query(capsys):
     assert doc["extra"]["ball"] == ["v1", "v2", "v3"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "spec, center", [("lattice:2:5", "9,9"), ("lattice:2:5", "v0"), ("comb:12", "v0"),
+                     ("apex_ray:20", "v0")]
+)
+def test_cli_unknown_ball_center_exits_one(capsys, fmt, spec, center):
+    code = cli.main(
+        ["metric", "--generate", spec, "--radius", "1.0", "--ball-center", center,
+         "--format", fmt]
+    )
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == f"specbounds: error: unknown ball center id: {center!r}\n"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "uncertainty", "report"])
+def test_cli_interval_with_a_above_b_exits_one(capsys, command):
+    argv = [command, "--generate", "path:6", "--centers", "every:3", "--interval", "3:1"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "specbounds: error: interval endpoints must satisfy a <= b\n"
+
+
+def test_cli_spectrum_interval_auto_exits_one(capsys):
+    assert cli.main(["spectrum", "--generate", "path:6", "--interval", "auto"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "specbounds: error: spectrum --interval takes a:b, not 'auto'\n"
+    assert "could not convert" not in err
+
+
+def test_cli_spectrum_interval_keeps_its_window(capsys):
+    assert cli.main(["spectrum", "--generate", "path:6", "--interval", "0:1"]) == 0
+    extra = json.loads(capsys.readouterr().out)["extra"]
+    assert extra["interval"] == [0.0, 1.0]
+    assert extra["eigenvalues_in_interval"] == [x for x in extra["eigenvalues"] if x <= 1.0 + 1e-12]
+    assert list(extra) == ["eigenvalues", "interval", "eigenvalues_in_interval"]
+
+
 def test_cli_csv_format(capsys):
     code = cli.main(["bounds", "--generate", "path:6", "--centers", "v0,v5", "--format", "csv"])
     out = capsys.readouterr().out
@@ -240,9 +278,10 @@ def test_version_agrees_everywhere(capsys):
 
 
 def test_report_computes_each_shared_quantity_once(monkeypatch, capsys):
-    """One report assembles H and its restriction once each, validates once,
-    decomposes H once, and adds one eigvalsh per coupled operator to the
-    spectra of H and of the restriction."""
+    """One report assembles H once (the restriction and the coupled
+    operators are cut from it), validates once, decomposes H once, and adds
+    one eigvalsh per coupled operator to the spectra of H and of the
+    restriction."""
     calls = Counter()
 
     def counting(name, fn):
@@ -250,8 +289,9 @@ def test_report_computes_each_shared_quantity_once(monkeypatch, capsys):
             calls[name] += 1
             if name == "eigenvalues_of" and args[0].coupling_t > 0.0:
                 calls["coupled_eigenvalues_of"] += 1
-            if name == "assemble" and kwargs.get("t", 0.0) == 0.0 and len(args) < 3:
-                calls["uncoupled_assemble"] += 1
+            if name == "assemble":
+                t = args[2] if len(args) >= 3 else kwargs.get("t", 0.0)
+                calls["coupled_assemble" if t > 0.0 else "uncoupled_assemble"] += 1
             return fn(*args, **kwargs)
 
         return wrapper
@@ -274,7 +314,8 @@ def test_report_computes_each_shared_quantity_once(monkeypatch, capsys):
     capsys.readouterr()
     assert calls["validate"] == 1
     assert calls["eigdecompose"] == 1
-    assert calls["uncoupled_assemble"] == 2
+    assert calls["uncoupled_assemble"] == 1
+    assert calls["coupled_assemble"] == 0
     assert calls["coupled_eigenvalues_of"] > 0
     assert calls["eigenvalues_of"] == 2 + calls["coupled_eigenvalues_of"]
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from specbounds import (
     AnalysisContext,
     ConvergenceFailure,
+    EmptyCenters,
     EmptyOmega,
     OperatorMatrix,
     PreconditionInterval,
@@ -93,6 +94,116 @@ def test_assemble_argument_validation():
         assemble(g, omega=("v0",), t=2.0)
 
 
+def _reference_base(g):
+    """What every matrix of H shares: W/m, the diagonal of H, and W/sqrt(m m^T)."""
+    m = g.m
+    W = g.weight_matrix
+    Wm = W / m[:, None]
+    diag = Wm.sum(axis=1) + g.V / m
+    sqrt_m = np.sqrt(m)
+    return Wm, diag, W / np.outer(sqrt_m, sqrt_m)
+
+
+def _reference_assemble(g, omega=None, t=0.0, d_set=None):
+    """Each matrix assembled directly from the shared parts of H:
+    (entries, sym) of H, of its restriction to omega or of H + t 1_D."""
+    if omega is not None and t != 0.0:
+        raise ValueError("restriction and coupling term are exclusive")
+    if t < 0.0:
+        raise ValueError("coupling strength must be nonnegative")
+
+    n = g.n
+    Wm, diag, S_off = _reference_base(g)
+    if t != 0.0:
+        if d_set is None:
+            raise EmptyCenters("a coupling term needs a penalty set")
+        d_idx = g.indices(d_set)
+        if d_idx.size == 0:
+            raise EmptyCenters("a coupling term needs a nonempty penalty set")
+        indicator = np.zeros(n)
+        indicator[d_idx] = 1.0
+        diag = diag + t * indicator
+
+    if omega is None:
+        A = np.diag(diag) - Wm
+        S = np.diag(diag) - S_off
+    else:
+        idx = g.indices(omega)
+        if idx.size == 0:
+            raise EmptyOmega("cannot restrict to an empty region")
+        block = np.ix_(idx, idx)
+        A = np.diag(diag[idx]) - Wm[block]
+        S = np.diag(diag[idx]) - S_off[block]
+    return A, S
+
+
+def _assembly_contexts():
+    g = random_connected(40, seed=5, m_range=(0.5, 2.0), potential_range=(0.0, 3.0))
+    yield AnalysisContext(g, cli.parse_centers(g, "every:3"))
+    g = random_connected(30, seed=3, potential_range=(-3.0, -1.0))
+    yield AnalysisContext(g, cli.parse_centers(g, "every:4"))
+    g = random_connected(35, seed=8, m_range=(0.5, 2.0), potential_range=(-2.0, 2.0))
+    yield AnalysisContext(g, cli.parse_centers(g, "every:5"))
+    g = generate("lattice:2:5")
+    yield AnalysisContext(g, cli.parse_centers(g, "sublattice:2"))
+    g = generate("comb:12")
+    yield AnalysisContext(g, cli.parse_centers(g, "every:3"))
+    g = generate("random:20")
+    yield AnalysisContext(g, ("v0", "v5", "v0"))
+
+
+@pytest.mark.parametrize("ctx", _assembly_contexts(), ids=lambda ctx: f"n{ctx.graph.n}")
+def test_cut_operators_match_a_direct_assembly(ctx):
+    """H's block on the region and H with t added on D's diagonal have the
+    bits of the matrices assembled directly."""
+    g = ctx.graph
+
+    def same(op, reference):
+        return np.array_equal(op.entries, reference[0]) and np.array_equal(op.sym, reference[1])
+
+    reference = _reference_assemble(g)
+    assert same(assemble(g), reference) and same(ctx.operator, reference)
+    reference = _reference_assemble(g, omega=ctx.omega)
+    assert same(assemble(g, omega=ctx.omega), reference)
+    assert same(ctx.region_operator, reference)
+    for t in (ctx.threshold, 1.0e3 * ctx.threshold, 1.0e30):
+        reference = _reference_assemble(g, t=t, d_set=ctx.centers)
+        assert same(assemble(g, t=t, d_set=ctx.centers), reference)
+        assert same(ctx.coupled(t), reference)
+
+
+def test_dense_and_sparse_cuts_raise_alike(monkeypatch):
+    """A negative t, an empty D and an empty region raise the same
+    exception on the dense operators as on the CSC ones, the resolvent
+    row's included."""
+    g = generate("random:20")
+
+    def raised(fn):
+        with pytest.raises(Exception) as info:
+            fn()
+        return type(info.value)
+
+    def errors():
+        ctx, no_d, no_omega = (
+            AnalysisContext(g, ("v0", "v3")), AnalysisContext(g), AnalysisContext(g, g.vertices)
+        )
+        return (
+            raised(lambda: resolvent_gap(ctx, -1.0)),
+            raised(lambda: resolvent_gap(no_d, 1.0)),
+            raised(lambda: no_omega.lambda_omega),
+        )
+
+    ctx, no_d = AnalysisContext(g, ("v0", "v3")), AnalysisContext(g)
+    assert raised(lambda: ctx.coupled(-1.0)) is raised(lambda: ctx.coupled_sparse(-1.0)) is ValueError
+    assert raised(lambda: no_d.coupled(-1.0)) is raised(lambda: no_d.coupled_sparse(-1.0)) is ValueError
+    assert raised(lambda: no_d.coupled(1.0)) is raised(lambda: no_d.coupled_sparse(1.0)) is EmptyCenters
+    assert raised(lambda: AnalysisContext(g, g.vertices).region_operator) is EmptyOmega
+    dense = errors()
+    monkeypatch.setattr(spectral, "SPARSE_MIN_N", 1)
+    assert AnalysisContext(g).matrix_free
+    assert errors() == dense == (ValueError, EmptyCenters, EmptyOmega)
+
+
 def test_weighted_self_adjointness():
     g = random_instance(8, n_lo=3, n_hi=25, m_weighted=True)
     A = assemble(g).entries
@@ -130,10 +241,7 @@ def test_norm_bound_with_potential_and_coupling():
 
 
 def test_zero_matrix_spectrum():
-    op = OperatorMatrix(
-        graph=None, basis=("a", "b", "c"), entries=np.zeros((3, 3)),
-        sym=np.zeros((3, 3)), m=np.ones(3),
-    )
+    op = OperatorMatrix(entries=np.zeros((3, 3)), sym=np.zeros((3, 3)), m=np.ones(3))
     assert list(eigenvalues_of(op)) == [0.0, 0.0, 0.0]
 
 
