@@ -14,7 +14,6 @@ from specbounds import (
     assemble,
     complete_graph,
     coupling_rate,
-    coupling_threshold,
     generate,
     lowest_eigenvalue,
     resolvent_gap,
@@ -22,7 +21,7 @@ from specbounds import (
 
 print("=== Resolvent gap sweep on the two-point graph ===")
 k2 = complete_graph(2)
-threshold = coupling_threshold(k2)
+threshold = AnalysisContext(k2).threshold
 print(f"coupling threshold 2*||H+1||^2 = {threshold}")
 ts = np.geomspace(threshold, 1000.0 * threshold, 10)
 gaps = []
@@ -40,7 +39,7 @@ centers = g.vertices[::4]
 region = g.complement(centers)
 lam_limit = lowest_eigenvalue(assemble(g, omega=region))
 print(f"Dirichlet ground energy (t = infinity): {lam_limit:.8f}")
-th = coupling_threshold(g)
+th = AnalysisContext(g).threshold
 for t in [0.0, th, 10 * th, 100 * th, 1000 * th]:
     lam_t = lowest_eigenvalue(assemble(g, t=t, d_set=centers)) if t else \
         lowest_eigenvalue(assemble(g))

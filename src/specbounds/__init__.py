@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .cheeger import (
     IsoperimetricData,
-    beta_voronoi_bound,
     cheeger_chain,
     growth_diagnostic,
     region_constant,
@@ -99,7 +98,6 @@ from .spectral import (
     compressed_penalty_matrix,
     count_below,
     coupling_rate,
-    coupling_threshold,
     dirichlet_bounds_finite,
     dirichlet_energy,
     dirichlet_lower_bound,
@@ -108,7 +106,6 @@ from .spectral import (
     lowest_eigenvalue,
     operator_norm,
     resolvent_gap,
-    shifted_norm,
     sparse_ground_state,
     sparse_top_eigenvalue,
     sparse_window,

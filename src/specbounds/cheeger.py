@@ -18,10 +18,9 @@ import numpy as np
 
 from .errors import CapacityOverflow, NotCombinatorial
 from .graph import WeightedGraph, is_combinatorial
-from .metric import MetricData, covering_radius
+from .metric import MetricData
 from .report import BoundReport, make_report
 from .spectral import AnalysisContext
-from .voronoi import build_voronoi
 
 # After the package modules, so scipy loads through metric first: importing
 # it here ahead of them made `import specbounds.cli` 20-40 ms slower on a
@@ -132,30 +131,6 @@ def region_constant(g: WeightedGraph, omega: Iterable[str]) -> IsoperimetricData
         witness=tuple(v for v, inside in zip(omega, mask) if inside),
         boundary_size=new_boundary,
         volume=float(new_size),
-    )
-
-
-def beta_voronoi_bound(ctx: AnalysisContext) -> BoundReport:
-    """Voronoi lower bound: the region constant is at least 1/vol[R].
-
-    R is the covering radius of the centers.
-    """
-    g = ctx.graph
-    _require_combinatorial(g)
-    build_voronoi(g, ctx.centers)  # existence witness for the decomposition behind the bound
-    omega = ctx.omega
-    # Not ctx.R: the region may be empty here, and then only Covr(D) exists.
-    R = covering_radius(ctx.metric, ctx.centers)
-    bound = 1.0 / ctx.volumes.vol_bracket(R)
-    if not omega:
-        return make_report(
-            "cheeger/region_constant_vs_volume", 0.0, bound, ">=",
-            vacuous=True, note="region empty; constant is an infimum over nothing",
-        )
-    iso = region_constant(g, omega)
-    return make_report(
-        "cheeger/region_constant_vs_volume", iso.beta, bound, ">=",
-        note=f"witness size {int(iso.volume)}",
     )
 
 

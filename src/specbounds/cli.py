@@ -14,7 +14,7 @@ import io
 import sys
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -44,7 +44,9 @@ from .spectral import (
 from .voronoi import VoronoiDecomposition, build_voronoi, verify_voronoi
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="specbounds",
         description="Geometric eigenvalue bounds on finite weighted graphs.",
@@ -267,7 +269,7 @@ def _distances(run: _Run) -> None:
 def _eigenvalues(run: _Run) -> None:
     ctx, args = run.ctx, run.args
     interval = None if args.interval is None else parse_interval(args.interval, None)
-    evals = ctx.spectrum
+    evals = eigenvalues_of(ctx.operator)
     run.extra["eigenvalues"] = [float(x) for x in evals]
     if ctx.centers and ctx.omega:
         run.extra["restricted_eigenvalues"] = [

@@ -114,7 +114,8 @@ class WeightedGraph:
         return float(self.m.sum())
 
     def indices(self, subset: Iterable[str]) -> np.ndarray:
-        return np.array(sorted(self.index[u] for u in subset), dtype=np.intp)
+        """The sorted indices of the subset's vertices, each once."""
+        return np.array(sorted({self.index[u] for u in subset}), dtype=np.intp)
 
     def complement(self, subset: Iterable[str]) -> tuple[str, ...]:
         inside = set(subset)

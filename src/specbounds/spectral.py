@@ -19,11 +19,13 @@ vol[R], ...) are each computed once, on first use.
 The bounds read only the low end of the spectrum and its top: lambda_0(H),
 lambda_max(H) (for ||H|| and ||H+1||), lambda_Omega, the eigenpairs in the
 uncertainty window and the coupled ground energies lambda_0(H + t 1_D).
-Below SPARSE_MIN_N vertices they come from dense eigvalsh and eigh of H,
-its block on the region and copies of H with t added on D's diagonal; both
-cuts are exact (0 - w = -w, (d - 0) + t = (d + t) - 0).  From there on no
-dense n x n matrix is formed, and each comes from the CSC form of the
-operator (one nonzero per edge end plus the diagonal):
+Below SPARSE_MIN_N vertices H is solved once, by eigh: both ends of its
+spectrum and the window's pairs come from that decomposition.  lambda_Omega
+and the coupled energies come from eigvalsh of H's block on the region and
+of copies of H with t added on D's diagonal; both cuts are exact
+(0 - w = -w, (d - 0) + t = (d + t) - 0).  From there on no dense n x n
+matrix is formed, and each comes from the CSC form of the operator (one
+nonzero per edge end plus the diagonal):
 
     lambda_0(H), lambda_Omega
         sparse_ground_state: shift-invert Lanczos (ARPACK) with a shift
@@ -525,11 +527,6 @@ def operator_norm(op: OperatorMatrix) -> float:
     return float(max(abs(evals[0]), abs(evals[-1])))
 
 
-def shifted_norm(g: WeightedGraph) -> float:
-    """The norm of H + 1 (H includes the graph potential when present)."""
-    return AnalysisContext(g).shifted_norm
-
-
 def dirichlet_energy(g: WeightedGraph, f: Sequence[float], include_potential: bool = False) -> float:
     """Energy form: sum over edges of b(x,y) (f(x)-f(y))^2, plus V f^2 if asked.
 
@@ -562,10 +559,11 @@ class AnalysisContext:
     quantity costs one assembly or one eigensolve per context.  centers
     may be empty for quantities of the graph alone.
 
-    Below SPARSE_MIN_N vertices the spectrum behind lambda_0, norm,
-    shifted_norm and threshold comes from eigvalsh of H (operator, the only
-    dense assembly); decomposition is its eigh, which gives ground_pair and
-    window; lambda_omega is the eigvalsh of H's block on region_indices,
+    Below SPARSE_MIN_N vertices decomposition, the eigh of H (operator,
+    the only dense assembly), is H's one eigensolve: ground_pair and
+    lambda_0 are its first pair, lambda_max its last eigenvalue, norm,
+    shifted_norm and threshold follow from the two, and window selects
+    from it.  lambda_omega is the eigvalsh of H's block on region_indices,
     coupled_ground_energy(t) that of H with t added on the diagonal at
     penalty_indices.  Both index sets, which also cut the sparse
     operators, are found once.
@@ -577,7 +575,7 @@ class AnalysisContext:
         min V/m - 1 (the Laplacian part is positive semidefinite) from
         sqrt(m); certified by the residual.
       - lambda_max: sparse_top_eigenvalue, certified by the residual and
-        the inertia above it; falls back to eigvalsh if that fails.
+        the inertia above it; falls back to decomposition if that fails.
       - lambda_omega: sparse_ground_state on the region block with the
         shift lambda_0 - 1 (below it by interlacing) from sqrt(m) on the
         region; certified by the residual.
@@ -642,10 +640,6 @@ class AnalysisContext:
         return assemble(self.graph)
 
     @cached_property
-    def spectrum(self) -> np.ndarray:
-        return eigenvalues_of(self.operator)
-
-    @cached_property
     def decomposition(self) -> SpectralData:
         return eigdecompose(self.operator)
 
@@ -689,10 +683,7 @@ class AnalysisContext:
 
     @cached_property
     def lambda_0(self) -> float:
-        """The lowest eigenvalue of H (from eigvalsh below the crossover,
-        whose last digits can differ from eigh's in ground_pair)."""
-        if not self.matrix_free:
-            return float(self.spectrum[0])
+        """The lowest eigenvalue of H."""
         return self.ground_pair[0]
 
     @cached_property
@@ -703,7 +694,7 @@ class AnalysisContext:
                 return sparse_top_eigenvalue(self.sparse_operator, self.budget, self.ordering)
             except ConvergenceFailure:
                 pass
-        return float(self.spectrum[-1])
+        return float(self.decomposition.eigenvalues[-1])
 
     @cached_property
     def norm(self) -> float:
@@ -932,11 +923,6 @@ def dirichlet_lower_bound(ctx: AnalysisContext) -> list[BoundReport]:
 # ---------------------------------------------------------------------------
 
 
-def coupling_threshold(g: WeightedGraph) -> float:
-    """Couplings at or above 2 ||H+1||^2 are inside the estimate's regime."""
-    return AnalysisContext(g).threshold
-
-
 def resolvent_gap(ctx: AnalysisContext, t: float) -> BoundReport:
     """Distance between the coupled resolvent and the restricted resolvent.
 
@@ -1116,10 +1102,8 @@ def uncertainty_constant(
     geometric variant with 1/(R vol[R]) in place of lam_omega and
     ||H+1||^4 in the denominator, and the best sampled coupling value
     (lam_t - max I)/t over a geometric grid plus the analytic optimizer.
-    The eigenpairs in the interval come from ctx.window.  ||H+1|| is
-    ctx.shifted_norm from SPARSE_MIN_N vertices on; below, it is read off
-    the eigh spectrum that gives the window, as it always was (eigvalsh's
-    can differ in the last digits).
+    The eigenpairs in the interval come from ctx.window, and ||H+1|| is
+    ctx.shifted_norm.
     The geometric variant, and its comparison with the energy form, need
     lam_omega >= 1/(R vol[R]), proved for V >= 0; with some V(x) < 0 both
     rows are reported but not asserted.
@@ -1136,10 +1120,7 @@ def uncertainty_constant(
             f"max I = {max_i!r} reaches the Dirichlet ground energy {lam_omega!r}"
         )
     sd, indices = ctx.window((a, b))
-    if ctx.matrix_free:
-        h1 = ctx.shifted_norm
-    else:
-        h1 = float(np.max(np.abs(sd.eigenvalues + 1.0)))
+    h1 = ctx.shifted_norm
 
     kappa_thm = (lam_omega - max_i) ** 2 / (
         16.0 * h1 * h1 * (lam_omega + 1.0) ** 2

@@ -14,6 +14,15 @@ checkouts give byte-identical output when
 is empty.  stdout longer than STDOUT_LIMIT bytes (the distance matrices of
 large graphs) is written as its length and SHA-256 digest.
 
+    PYTHONPATH=src python tests/cli_matrix.py --compare OUTDIR_A OUTDIR_B
+
+compares two such directories.  It prints each case whose exit code,
+stderr, row names or pass/vacuous flags differ (or that only one side
+has) and exits 1 if there is any.  Otherwise it prints, per row name, the
+number of cases in which that row changed (its values or note) and the
+largest absolute and relative change of its true, bound and slack values,
+plus the number of cases whose output outside the rows changed; it exits 0.
+
 The graph files among the inputs are written to a temporary directory,
 which is the working directory during the run, so the paths echoed in each
 report's config are the same in every checkout.  pytest does not collect
@@ -23,8 +32,11 @@ this file: its name does not start with test_.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
+import json
+import math
 import os
 import re
 import sys
@@ -103,7 +115,83 @@ def case_name(*parts: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.:,-]+", "_", "--".join(p for p in parts if p)) + ".txt"
 
 
+CSV_HEADER = "name,true,bound,relation,slack,pass,vacuous,note"
+VALUES = ("true", "bound", "slack")
+
+
+def parse_case(text: str) -> tuple[str, str, list[dict], str]:
+    """(status, stderr, rows, the rest of stdout) of one case file."""
+    status, rest = text.split("\n--- stderr\n", 1)
+    stderr, stdout = rest.split("--- stdout\n", 1)
+    if stdout.startswith("{"):
+        doc = json.loads(stdout)
+        rows = doc.pop("rows")
+        return status, stderr, rows, json.dumps(doc, sort_keys=True)
+    head, header, body = stdout.partition(CSV_HEADER + "\n")
+    if not header:
+        return status, stderr, [], stdout
+    rows = []
+    for name, true, bound, _, slack, passed, vacuous, note in csv.reader(io.StringIO(body)):
+        rows.append({
+            "name": name, "true": float(true), "bound": float(bound), "slack": float(slack),
+            "pass": passed == "true", "vacuous": vacuous == "true", "note": note,
+        })
+    return status, stderr, rows, head
+
+
+def _change(a: float, b: float) -> tuple[float, float]:
+    """Absolute and relative change from a to b; (0, 0) when equal."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0, 0.0
+    delta = abs(a - b)
+    return delta, delta / max(abs(a), abs(b))
+
+
+def compare(dir_a: Path, dir_b: Path) -> int:
+    names = sorted({p.name for p in dir_a.iterdir()} | {p.name for p in dir_b.iterdir()})
+    broken, identical, outside = [], 0, 0
+    moved: dict[str, list] = {}  # row name -> [cases, largest abs, largest rel]
+    for name in names:
+        path_a, path_b = dir_a / name, dir_b / name
+        if not (path_a.exists() and path_b.exists()):
+            broken.append(f"{name}: only in {dir_a if path_a.exists() else dir_b}")
+            continue
+        text_a, text_b = path_a.read_text(encoding="utf-8"), path_b.read_text(encoding="utf-8")
+        if text_a == text_b:
+            identical += 1
+            continue
+        status_a, err_a, rows_a, rest_a = parse_case(text_a)
+        status_b, err_b, rows_b, rest_b = parse_case(text_b)
+        shape_a = [(r["name"], r["pass"], r["vacuous"]) for r in rows_a]
+        shape_b = [(r["name"], r["pass"], r["vacuous"]) for r in rows_b]
+        if (status_a, err_a, shape_a) != (status_b, err_b, shape_b):
+            broken.append(f"{name}: exit code, stderr, row names or flags differ")
+            continue
+        outside += rest_a != rest_b
+        for row_a, row_b in zip(rows_a, rows_b):
+            if row_a == row_b:
+                continue
+            entry = moved.setdefault(row_a["name"], [0, 0.0, 0.0])
+            entry[0] += 1
+            for key in VALUES:
+                delta, rel = _change(float(row_a[key]), float(row_b[key]))
+                entry[1], entry[2] = max(entry[1], delta), max(entry[2], rel)
+    for line in broken:
+        print(line)
+    print(f"{len(names)} cases: {identical} identical, {len(broken)} with a different "
+          f"exit code, stderr, row names or flags")
+    if broken:
+        return 1
+    print(f"{outside} cases changed outside their rows")
+    print(f"{'row':44s} {'cases':>5s} {'max abs':>10s} {'max rel':>10s}")
+    for row, (cases, delta, rel) in sorted(moved.items()):
+        print(f"{row:44s} {cases:5d} {delta:10.3g} {rel:10.3g}")
+    return 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 1

@@ -21,7 +21,6 @@ from specbounds import (
     complete_graph,
     compute_metric,
     coupling_rate,
-    coupling_threshold,
     covering_radius,
     dirichlet_bounds_finite,
     dirichlet_lower_bound,
@@ -129,14 +128,14 @@ def test_criterion_05_coupling_convergence():
     for seed in range(100):
         g = random_instance(seed + 60_000, n_lo=2, n_hi=40, m_weighted=seed % 2 == 1)
         d_set = random_proper_subset(g, seed + 70_000)
-        threshold = coupling_threshold(g)
+        threshold = AnalysisContext(g).threshold
         ts = list(np.geomspace(threshold, 200.0 * threshold, 5))
         ctx = AnalysisContext(g, d_set)
         assert rows_pass(coupling_rate(ctx, ts))
         gap_row = resolvent_gap(ctx, ts[2])
         assert gap_row.passed and not gap_row.vacuous
     k2 = complete_graph(2)
-    threshold = coupling_threshold(k2)
+    threshold = AnalysisContext(k2).threshold
     ts = np.geomspace(threshold, 100.0 * threshold, 9)
     gaps = [resolvent_gap(AnalysisContext(k2, ("v1",)), float(t)).true_value for t in ts]
     slope = float(np.polyfit(np.log(ts), np.log(gaps), 1)[0])

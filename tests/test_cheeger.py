@@ -12,7 +12,6 @@ from specbounds import (
     IsoperimetricData,
     NotCombinatorial,
     WeightedGraph,
-    beta_voronoi_bound,
     cheeger_chain,
     complete_graph,
     compute_metric,
@@ -25,6 +24,7 @@ from specbounds import (
     region_constant,
     rows_pass,
 )
+from specbounds import cli
 from specbounds.cheeger import _maximal_minimizer, _region_network
 
 
@@ -264,24 +264,32 @@ def test_min_cut_capacity_overflow_raises():
     assert _maximal_minimizer(inner, out_degree, 1, 3).all()
 
 
+def _voronoi_bound_row(ctx):
+    """The chain's row comparing the region constant with 1/vol[R]."""
+    (row,) = [r for r in cheeger_chain(ctx) if r.name == "cheeger/region_constant_vs_volume"]
+    return row
+
+
 def test_voronoi_bound_on_path():
     g = path_graph(3)
-    row = beta_voronoi_bound(AnalysisContext(g, ("v2",)))
+    row = _voronoi_bound_row(AnalysisContext(g, ("v2",)))
     assert row.true_value == 0.5
     assert row.bound_value == pytest.approx(1.0 / 3.0, rel=1e-15)
     assert row.passed and not row.vacuous
 
 
-def test_voronoi_bound_all_centers_is_vacuous():
+def test_chain_refuses_centers_covering_the_graph(capsys):
     g = path_graph(4)
-    row = beta_voronoi_bound(AnalysisContext(g, g.vertices))
-    assert row.vacuous
+    with pytest.raises(ValueError):
+        cheeger_chain(AnalysisContext(g, g.vertices))
+    assert cli.main(["cheeger", "--generate", "path:4", "--centers", "every:1"]) == 1
+    assert "no region remains" in capsys.readouterr().err
 
 
 def test_voronoi_bound_on_line_with_every_fourth_center():
     g = lattice_box(1, 12)
     d_set = tuple(v for v in g.vertices if int(v) % 4 == 0)
-    row = beta_voronoi_bound(AnalysisContext(g, d_set))
+    row = _voronoi_bound_row(AnalysisContext(g, d_set))
     assert row.passed and not row.vacuous
     assert row.true_value == beta_exhaustive(g, g.complement(d_set)).beta
 

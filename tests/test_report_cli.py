@@ -124,6 +124,25 @@ def test_cli_usage_error_exits_one(capsys):
     assert cli.main(["nonsense"]) == 1
 
 
+def test_parser_is_built_once_per_process(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    # A usage error leaves the shared parser usable.
+    assert cli.main(["report", "--generate", "path:6"]) == 1  # centers required
+    assert cli.main(["report", "--generate", "path:6", "--centers", "every:3"]) == 0
+
+
+@pytest.mark.parametrize("command", [["report"], ["bounds", "--t-grid", "auto"]], ids=" ".join)
+def test_cli_repeated_center_id_counts_once(capsys, command):
+    """A centre named twice is one centre; two equal columns of E_D made
+    the resolvent row's block on D singular."""
+
+    def rows(centers):
+        assert cli.main([*command, "--generate", "path:6", "--centers", centers]) == 0
+        return json.loads(capsys.readouterr().out)["rows"]
+
+    assert rows("v0,v0") == rows("v0")
+
+
 def test_cli_injected_bound_violation_exits_two(monkeypatch, capsys):
     def broken(ctx):
         return [make_report("dirichlet/lower_ball_volume", 0.0, 1.0, ">=")]
@@ -279,9 +298,8 @@ def test_version_agrees_everywhere(capsys):
 
 def test_report_computes_each_shared_quantity_once(monkeypatch, capsys):
     """One report assembles H once (the restriction and the coupled
-    operators are cut from it), validates once, decomposes H once, and adds
-    one eigvalsh per coupled operator to the spectra of H and of the
-    restriction."""
+    operators are cut from it), validates once, and solves H once (eigh):
+    besides the coupled operators, eigvalsh runs only on the restriction."""
     calls = Counter()
 
     def counting(name, fn):
@@ -317,7 +335,7 @@ def test_report_computes_each_shared_quantity_once(monkeypatch, capsys):
     assert calls["uncoupled_assemble"] == 1
     assert calls["coupled_assemble"] == 0
     assert calls["coupled_eigenvalues_of"] > 0
-    assert calls["eigenvalues_of"] == 2 + calls["coupled_eigenvalues_of"]
+    assert calls["eigenvalues_of"] == 1 + calls["coupled_eigenvalues_of"]
 
 
 def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, capsys):
@@ -513,13 +531,14 @@ def test_cli_negative_potential_gives_vacuous_rows(tmp_path, capsys, seed, poten
     path = tmp_path / "g.json"
     path.write_text(dumps_graph(g), encoding="utf-8")
     ctx = AnalysisContext(g, g.vertices[::4])
-    assert ctx.spectrum[0] < 0.0 and ctx.lambda_omega < 0.0
+    lam_0 = spectral.eigenvalues_of(ctx.operator)[0]
+    assert lam_0 < 0.0 and ctx.lambda_omega < 0.0
     argv = [command, "--graph", str(path), "--centers", "every:4"]
     if command == "bounds":
         argv += ["--t-grid", "auto"]
     else:
         # Below lambda_Omega, since --interval auto is empty here.
-        argv.append(f"--interval={ctx.spectrum[0] - 1.0}:{ctx.lambda_omega - 0.1}")
+        argv.append(f"--interval={lam_0 - 1.0}:{ctx.lambda_omega - 0.1}")
     assert cli.main(argv) == 0
     rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
     min_v = f"min V = {float(g.V.min())!r}"

@@ -16,10 +16,10 @@ from specbounds import (
     build_voronoi,
     complete_graph,
     coupling_rate,
-    coupling_threshold,
     dirichlet_bounds_finite,
     dirichlet_energy,
     dirichlet_lower_bound,
+    dumps_graph,
     eigdecompose,
     eigenvalues_of,
     lattice_box,
@@ -28,7 +28,6 @@ from specbounds import (
     path_graph,
     resolvent_gap,
     rows_pass,
-    shifted_norm,
     sparse_ground_state,
     spectral_projection,
     uncertainty_constant,
@@ -356,7 +355,7 @@ def test_resolvent_gap_rejects_full_penalty_set():
 
 def test_resolvent_gap_decay_slope_on_k2():
     g = complete_graph(2)
-    threshold = coupling_threshold(g)
+    threshold = AnalysisContext(g).threshold
     ts = np.geomspace(threshold, 10.0 * threshold, 8)
     gaps = [resolvent_gap(AnalysisContext(g, ("v1",)), float(t)).true_value for t in ts]
     slope = np.polyfit(np.log(ts), np.log(gaps), 1)[0]
@@ -425,7 +424,7 @@ def test_rows_stay_asserted_without_negative_potential(g):
     ctx = AnalysisContext(g, cli.parse_centers(g, "every:4"))
     if g.potential is None:
         # Rounding puts lambda_0(H) below zero; only the sign of V decides.
-        assert ctx.spectrum[0] < 0.0
+        assert eigenvalues_of(ctx.operator)[0] < 0.0
     rows = [
         dirichlet_bounds_finite(ctx)[0],
         *dirichlet_lower_bound(ctx),
@@ -450,7 +449,7 @@ def test_coupling_rate_k2_closed_form():
 def test_coupling_rate_random_instances(seed):
     g = random_instance(300 + seed, n_lo=2, n_hi=40, m_weighted=seed % 2 == 1)
     d_set = random_proper_subset(g, seed + 2)
-    threshold = coupling_threshold(g)
+    threshold = AnalysisContext(g).threshold
     ts = [0.0] + list(np.geomspace(threshold, 50.0 * threshold, 5))
     assert rows_pass(coupling_rate(AnalysisContext(g, d_set), ts))
 
@@ -466,7 +465,7 @@ def _sparse_chain(ctx, ts):
     g, v0, out = ctx.graph, np.sqrt(ctx.graph.m), []
     for t in ts:
         lam, x, residual = sparse_ground_state(
-            ctx.coupled_sparse(t), float(ctx.spectrum[0]) - 1.0, v0,
+            ctx.coupled_sparse(t), float(eigenvalues_of(ctx.operator)[0]) - 1.0, v0,
             g.n * EPS * (ctx.norm + t),
         )
         out.append((lam, residual))
@@ -523,7 +522,8 @@ def test_sparse_ground_state_residual_over_budget_raises():
     ctx = AnalysisContext(generate("random:30"), ("v0", "v7"))
     with pytest.raises(ConvergenceFailure, match="residual"):
         sparse_ground_state(
-            ctx.coupled_sparse(5.0), float(ctx.spectrum[0]) - 1.0, np.sqrt(ctx.graph.m), 0.0
+            ctx.coupled_sparse(5.0), float(eigenvalues_of(ctx.operator)[0]) - 1.0,
+            np.sqrt(ctx.graph.m), 0.0,
         )
 
 
@@ -536,8 +536,52 @@ def test_sparse_path_is_deterministic_above_crossover():
     ts = list(np.geomspace(first.threshold, 1.0e4 * first.threshold, 6))
     values = [first.coupled_ground_energy(t) for t in ts]
     assert values == [second.coupled_ground_energy(t) for t in ts]
-    lower, upper = float(first.spectrum[0]), first.lambda_omega
+    lower, upper = float(eigenvalues_of(first.operator)[0]), first.lambda_omega
     assert all(lower <= v <= upper for v in values)
+
+
+# ---------------------------------------------------------------------------
+# The dense context below the crossover
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "g, centers",
+    [
+        (random_connected(60, seed=21, m_range=(0.5, 2.0), potential_range=(0.0, 3.0)), "every:4"),
+        (random_connected(30, seed=3, potential_range=(-3.0, -1.0)), "every:4"),
+        (generate("lattice:2:5"), "sublattice:2"),
+    ],
+    ids=["measure", "negative_potential", "lattice"],
+)
+def test_dense_context_reads_both_ends_of_h_from_its_one_eigh(
+    monkeypatch, tmp_path, capsys, g, centers
+):
+    """Below the crossover lambda_0, lambda_max and ||H+1|| are read off the
+    eigh that gives ground_pair and the window, so bounds solves H once."""
+    assert g.n < spectral.SPARSE_MIN_N
+    ctx = AnalysisContext(g, cli.parse_centers(g, centers))
+    evals = ctx.decomposition.eigenvalues
+    assert ctx.lambda_0 == ctx.ground_pair[0]
+    assert ctx.lambda_max == evals[-1]
+    assert ctx.shifted_norm == np.max(np.abs(evals + 1.0))
+
+    solves = []
+    for name in ("eigenvalues_of", "eigdecompose"):
+        original = getattr(spectral, name)
+
+        def recording(op, name=name, original=original):
+            solves.append((name, op.sym.shape[0], op.coupling_t))
+            return original(op)
+
+        monkeypatch.setattr(spectral, name, recording)
+    path = tmp_path / "g.json"
+    path.write_text(dumps_graph(g), encoding="utf-8")
+    argv = ["bounds", "--graph", str(path), "--centers", centers, "--t-grid", "auto"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert [s for s in solves if s[0] == "eigdecompose"] == [("eigdecompose", g.n, 0.0)]
+    assert ("eigenvalues_of", g.n, 0.0) not in solves
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +619,7 @@ def test_matrix_free_context_matches_dense_oracle(ctx):
     """Each sparse value is within its residual budget of the eigenvalue
     the dense solvers give, which are themselves within n eps ||H||."""
     assert ctx.matrix_free
-    dense = ctx.spectrum
+    dense = eigenvalues_of(ctx.operator)
     tol = ctx.budget + ctx.graph.n * EPS * max(abs(dense[0]), abs(dense[-1]))
     assert abs(ctx.lambda_0 - dense[0]) <= tol
     assert abs(ctx.lambda_max - dense[-1]) <= tol
@@ -699,14 +743,14 @@ def test_top_eigenvalue_on_a_unit_lattice():
     ctx = AnalysisContext(generate("lattice:2:20"))
     ones = np.ones(ctx.graph.n)
     assert not np.any(ctx.sparse_operator @ ones)
-    dense = ctx.spectrum
+    dense = eigenvalues_of(ctx.operator)
     top = spectral.sparse_top_eigenvalue(ctx.sparse_operator, ctx.budget)
     assert abs(top - dense[-1]) <= ctx.budget + ctx.graph.n * EPS * dense[-1]
 
 
 def test_inertia_counts_eigenvalues_below_a_shift():
     ctx = AnalysisContext(generate("random:300"))
-    dense = ctx.spectrum
+    dense = eigenvalues_of(ctx.operator)
     for k in (0, 1, 4, 150, 299):
         shift = 0.5 * (dense[k - 1] + dense[k]) if k else dense[0] - 1.0
         assert spectral.count_below(ctx.sparse_operator, shift) == k
