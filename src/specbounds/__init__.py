@@ -93,7 +93,6 @@ from .spectral import (
     AnalysisContext,
     OperatorMatrix,
     SpectralData,
-    SpectralProjection,
     assemble,
     compressed_penalty_matrix,
     count_below,
@@ -104,12 +103,10 @@ from .spectral import (
     eigdecompose,
     eigenvalues_of,
     lowest_eigenvalue,
-    operator_norm,
     resolvent_gap,
     sparse_ground_state,
     sparse_top_eigenvalue,
     sparse_window,
-    spectral_projection,
     uncertainty_constant,
     window_indices,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -186,6 +187,11 @@ def parse_interval(spec: str, lam_omega: float | None) -> tuple[float, float]:
 
 def parse_t_grid(spec: str, threshold: float) -> list[float]:
     if spec == "auto":
+        if not math.isfinite(100.0 * threshold):
+            raise ValueError(
+                f"--t-grid auto: 100 times the coupling threshold 2 ||H+1||^2 = "
+                f"{threshold!r} overflows float64; give start:stop:points"
+            )
         return [0.0] + list(np.geomspace(threshold, 100.0 * threshold, 8))
     start, stop, points = spec.split(":")
     if not (float(start) > 0.0 and float(stop) > 0.0):

@@ -14,11 +14,11 @@ class NonSymmetricWeights(GraphError):
 
 
 class NonPositiveMeasure(GraphError):
-    """A vertex measure is zero or negative."""
+    """A vertex measure is zero, negative or not finite."""
 
 
 class NegativeEdgeWeight(GraphError):
-    """An edge weight is negative (or a stored edge has nonpositive weight)."""
+    """An edge weight is negative or not finite (or a stored edge has weight 0)."""
 
 
 class NonFinitePotential(GraphError):

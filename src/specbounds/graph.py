@@ -10,6 +10,7 @@ on demand.  Instances are immutable and safe to share between threads.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -152,6 +153,7 @@ class WeightedGraph:
             mv = np.array([float(x) for x in m])
             if mv.shape != (len(vertices),):
                 raise GraphFormatError("measure list length mismatch")
+        _check_finite(NonPositiveMeasure, "measure", vertices, mv)
         if np.any(mv <= 0.0):
             raise NonPositiveMeasure("every vertex measure must be positive")
 
@@ -162,6 +164,8 @@ class WeightedGraph:
             i, j = index[u], index[v]
             if i == j:
                 raise NonzeroDiagonal(f"self-loop at {u!r}")
+            if not math.isfinite(w):
+                raise NegativeEdgeWeight(f"weight on edge {u!r}-{v!r} is not finite: {float(w)!r}")
             if w < 0.0:
                 raise NegativeEdgeWeight(f"negative weight on {u!r}-{v!r}")
             if w == 0.0:
@@ -183,7 +187,7 @@ class WeightedGraph:
                 pv = np.array([float(x) for x in potential])
                 if pv.shape != (len(vertices),):
                     raise GraphFormatError("potential list length mismatch")
-            _check_potential_finite(vertices, pv)
+            _check_finite(NonFinitePotential, "potential", vertices, pv)
             pv = _readonly(pv)
 
         edge_tuple = tuple(
@@ -192,13 +196,14 @@ class WeightedGraph:
         return cls(vertices, _readonly(mv), edge_tuple, pv)
 
 
-def _check_potential_finite(vertices: Sequence[str], potential: np.ndarray) -> None:
-    bad = np.flatnonzero(~np.isfinite(potential))
+def _check_finite(
+    error: type[Exception], what: str, vertices: Sequence[str], values: np.ndarray
+) -> None:
+    """Raise error naming the first vertex whose value is NaN or infinite."""
+    bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         k = int(bad[0])
-        raise NonFinitePotential(
-            f"potential at vertex {vertices[k]!r} is not finite: {float(potential[k])!r}"
-        )
+        raise error(f"{what} at vertex {vertices[k]!r} is not finite: {float(values[k])!r}")
 
 
 @dataclass(frozen=True)
@@ -228,7 +233,8 @@ def validate(g: WeightedGraph) -> GeometryConstants:
         raise GraphFormatError("duplicate vertex identifiers")
     if g.m.shape != (g.n,):
         raise GraphFormatError("measure array shape mismatch")
-    if np.any(g.m <= 0.0) or not np.all(np.isfinite(g.m)):
+    _check_finite(NonPositiveMeasure, "measure", g.vertices, g.m)
+    if np.any(g.m <= 0.0):
         raise NonPositiveMeasure("every vertex measure must be positive")
 
     seen: set[tuple[int, int]] = set()
@@ -239,7 +245,11 @@ def validate(g: WeightedGraph) -> GeometryConstants:
             raise NonzeroDiagonal(f"self-loop at {g.vertices[i]!r}")
         if i > j:
             raise NonSymmetricWeights("edges must be stored with i < j")
-        if w < 0.0 or not np.isfinite(w):
+        if not math.isfinite(w):
+            raise NegativeEdgeWeight(
+                f"weight on edge {g.vertices[i]!r}-{g.vertices[j]!r} is not finite: {float(w)!r}"
+            )
+        if w < 0.0:
             raise NegativeEdgeWeight(f"negative weight on pair ({i}, {j})")
         if w == 0.0:
             raise NegativeEdgeWeight(f"stored zero weight on pair ({i}, {j})")
@@ -250,7 +260,7 @@ def validate(g: WeightedGraph) -> GeometryConstants:
     if g.potential is not None:
         if g.potential.shape != (g.n,):
             raise GraphFormatError("potential array shape mismatch")
-        _check_potential_finite(g.vertices, g.potential)
+        _check_finite(NonFinitePotential, "potential", g.vertices, g.potential)
 
     # Connectivity.
     reached = np.zeros(g.n, dtype=bool)

@@ -79,6 +79,7 @@ pivoting (A is indefinite when V < 0).
 from __future__ import annotations
 
 import ctypes
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -138,15 +139,6 @@ class SpectralData:
     m: np.ndarray
     eigenvalues: np.ndarray
     vectors: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralProjection:
-    """Spectral projection onto a closed energy interval."""
-
-    matrix: np.ndarray
-    indices: tuple[int, ...]
-    empty: bool
 
 
 def _region_indices(g: WeightedGraph, omega: Iterable[str]) -> np.ndarray:
@@ -521,27 +513,26 @@ def window_indices(eigenvalues: np.ndarray, interval: tuple[float, float]) -> np
     )
 
 
-def operator_norm(op: OperatorMatrix) -> float:
-    """Spectral norm in the weighted space (largest |eigenvalue|)."""
-    evals = eigenvalues_of(op)
-    return float(max(abs(evals[0]), abs(evals[-1])))
-
-
-def dirichlet_energy(g: WeightedGraph, f: Sequence[float], include_potential: bool = False) -> float:
+def dirichlet_energy(
+    g: WeightedGraph, f: Sequence[float] | np.ndarray, include_potential: bool = False
+) -> float | np.ndarray:
     """Energy form: sum over edges of b(x,y) (f(x)-f(y))^2, plus V f^2 if asked.
 
-    The edge terms are added one after another in stored edge order
-    (cumsum, not the pairwise np.sum), so the result has the same bits as
-    a plain loop over the edges.
+    f of shape (n,) gives one float; f of shape (k, n) gives the k energies
+    of its rows as an array.  The edge terms are added one after another in
+    stored edge order (cumsum, not the pairwise np.sum), so each energy has
+    the same bits as a plain loop over the edges.  Both sums run along the
+    contiguous last axis, so a row of a batch gets the bits of the 1-D call
+    on that row.
     """
     fa = np.asarray(f, dtype=float)
     i, j, w = g.edge_arrays
-    diff = fa[i] - fa[j]
+    diff = fa[..., i] - fa[..., j]
     terms = w * diff * diff
-    total = float(np.cumsum(terms)[-1]) if terms.size else 0.0
+    total = np.cumsum(terms, axis=-1)[..., -1] if w.size else np.zeros(fa.shape[:-1])
     if include_potential:
-        total += float(np.sum(g.V * fa * fa))
-    return total
+        total = total + np.sum(g.V * fa * fa, axis=-1)
+    return float(total) if fa.ndim == 1 else total
 
 
 # From this many vertices on, the context is matrix-free: every spectral
@@ -982,6 +973,14 @@ def resolvent_gap(ctx: AnalysisContext, t: float) -> BoundReport:
     )
 
 
+def _fourth_power(x: float) -> float:
+    """x ** 4, or inf where that leaves float64 (Python's ** raises there)."""
+    try:
+        return x ** 4
+    except OverflowError:
+        return math.inf
+
+
 def coupling_rate(ctx: AnalysisContext, t_list: Sequence[float]) -> list[BoundReport]:
     """Convergence of the coupled ground energy to the Dirichlet one.
 
@@ -1023,7 +1022,7 @@ def coupling_rate(ctx: AnalysisContext, t_list: Sequence[float]) -> list[BoundRe
         )
 
     refined_factor = 4.0 * h1 * h1 * (lam_inf + 1.0) ** 2
-    coarse_factor = 4.0 * h1 ** 4
+    coarse_factor = 4.0 * _fourth_power(h1)
     for k, i in enumerate(order):
         t = ts[i]
         below = t < threshold
@@ -1052,26 +1051,8 @@ def coupling_rate(ctx: AnalysisContext, t_list: Sequence[float]) -> list[BoundRe
 
 
 # ---------------------------------------------------------------------------
-# Spectral projections and the uncertainty constant
+# The uncertainty constant
 # ---------------------------------------------------------------------------
-
-def spectral_projection(sd: SpectralData, interval: tuple[float, float]) -> SpectralProjection:
-    """Projection onto eigenvectors with eigenvalues in a closed interval.
-
-    Endpoint membership allows 1e-12 of solver jitter.  An interval that
-    captures no eigenvalue yields the zero projection with empty=True.
-    """
-    a, b = float(interval[0]), float(interval[1])
-    if a > b:
-        raise ValueError("interval endpoints must satisfy a <= b")
-    sel = window_indices(sd.eigenvalues, (a, b))
-    phi = sd.vectors[:, sel]
-    matrix = phi @ (phi * sd.m[:, None]).T
-    return SpectralProjection(
-        matrix=_readonly(matrix),
-        indices=tuple(int(i) for i in sel),
-        empty=sel.size == 0,
-    )
 
 
 def compressed_penalty_matrix(
@@ -1128,7 +1109,7 @@ def uncertainty_constant(
     geo = 1.0 / (ctx.R * ctx.vol_R)
     kappa_cor = None
     if max_i < geo:
-        kappa_cor = (geo - max_i) ** 2 / (16.0 * h1 ** 4)
+        kappa_cor = (geo - max_i) ** 2 / (16.0 * _fourth_power(h1))
 
     rows: list[BoundReport] = []
     if not indices:

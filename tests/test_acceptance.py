@@ -33,7 +33,6 @@ from specbounds import (
     inradius,
     lattice_box,
     lowest_eigenvalue,
-    operator_norm,
     path_graph,
     potential_dirichlet_bound,
     random_connected,
@@ -45,7 +44,7 @@ from specbounds import (
 )
 from specbounds import cli
 from specbounds.spectral import dirichlet_energy, eigenvalues_of
-from helpers import random_instance, random_proper_subset
+from helpers import operator_norm, random_instance, random_proper_subset
 
 GENERATOR_FAMILY_CASES = [
     ("lattice:1:6", ("0", "3", "6")),

@@ -85,6 +85,26 @@ def test_non_finite_potential_rejected(value):
         validate(g)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_weight_rejected_with_its_own_message(value):
+    message = f"weight on edge 'a'-'b' is not finite: {value!r}"
+    with pytest.raises(NegativeEdgeWeight, match=message):
+        WeightedGraph.from_edge_list(("a", "b"), 1.0, [("a", "b", value)])
+    g = WeightedGraph(("a", "b"), np.ones(2), ((0, 1, value),))
+    with pytest.raises(NegativeEdgeWeight, match=message):
+        validate(g)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_measure_rejected_with_its_own_message(value):
+    message = f"measure at vertex 'b' is not finite: {value!r}"
+    with pytest.raises(NonPositiveMeasure, match=message):
+        WeightedGraph.from_edge_list(("a", "b"), {"a": 1.0, "b": value}, [("a", "b", 1.0)])
+    g = WeightedGraph(("a", "b"), np.array([1.0, value]), ((0, 1, 1.0),))
+    with pytest.raises(NonPositiveMeasure, match=message):
+        validate(g)
+
+
 def test_disconnected_graph_rejected():
     g = WeightedGraph.from_edge_list(
         ("a", "b", "c", "d"), 1.0, [("a", "b", 1.0), ("c", "d", 1.0)]

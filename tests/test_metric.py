@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specbounds import (
+    DEFAULT_SEED,
     BallVolumeTable,
     EmptySet,
     FullSet,
@@ -21,6 +22,7 @@ from specbounds import (
     apex_ray,
     inradius,
     lattice_box,
+    make_report,
     path_graph,
     path_length,
     rows_pass,
@@ -227,6 +229,80 @@ def test_homogeneity_radii_match_one_quantile_call_per_radius(monkeypatch):
     monkeypatch.setattr(np, "quantile", one_call_per_quantile)
     assert check_homogeneity(g, md) == rows
     assert calls == [(0.25, 0.5, 0.75, 1.0)]
+
+
+def _loop_ball_count(g, md, max_centers=24, seed=DEFAULT_SEED):
+    """Reference for check_homogeneity's ball_count row: one ball at a
+    time, centre-major, keeping the first strictly smaller margin.  Also
+    returns every margin."""
+    c = validate(g)
+    rng = np.random.default_rng(seed)
+    if g.n <= max_centers:
+        centers = np.arange(g.n)
+    else:
+        centers = rng.choice(g.n, size=max_centers, replace=False)
+        centers.sort()
+    finite = md.positive_distances
+    radii = [0.5 / c.b_max]
+    radii.extend(float(q) for q in np.quantile(finite, (0.25, 0.5, 0.75, 1.0)))
+    worst, margins = None, []
+    for x in centers:
+        row = md.dist[x]
+        for r in radii:
+            count = float(np.count_nonzero(row <= r))
+            base = r * c.delta * c.m_max
+            exponent = r * c.b_max
+            with np.errstate(over="ignore"):
+                bound = float(np.power(base, exponent)) + 1.0
+            bound = float(min(bound, np.finfo(float).max))
+            margin = bound - count
+            margins.append(margin)
+            if worst is None or margin < worst[0]:
+                worst = (margin, count, bound, g.vertices[int(x)], r)
+    _, count, bound, vid, r = worst
+    row = make_report(
+        "homogeneity/ball_count", count, bound, "<=",
+        note=f"tightest sample at x={vid} r={r!r}",
+    )
+    return row, margins
+
+
+def _overflowing_path():
+    """Edge lengths 1e308: the longer distances overflow to inf and the
+    upper quantile radii come out NaN."""
+    ids = tuple(f"v{i}" for i in range(6))
+    return WeightedGraph.from_edge_list(ids, 1.0, [(a, b, 1e-308) for a, b in zip(ids, ids[1:])])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate("random:120"),
+        generate("lattice:2:5"),
+        generate("comb:12"),
+        path_graph(40),
+        random_instance(11, n_lo=30, n_hi=60, weight_range=(1e-3, 1e3), m_weighted=True),
+        _overflowing_path(),
+    ],
+    ids=["random120", "lattice", "comb", "path40", "measured", "overflow"],
+)
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_ball_count_matches_ball_loop_bit_for_bit(g):
+    """One broadcast count and argmin over (centre, radius) give the row of
+    the per-ball loop, bit for bit, ties and NaN radii included."""
+    md = compute_metric(g)
+    rows = check_homogeneity(g, md)
+    expected, margins = _loop_ball_count(g, md)
+    assert rows[1] == expected
+    for seed in (1, 2):
+        assert check_homogeneity(g, md, seed=seed)[1] == _loop_ball_count(g, md, seed=seed)[0]
+    # The smallest margin is tied on every graph here (every ball of radius
+    # 0.5 / b_max is one vertex); on the overflow path the first tied pair
+    # is not the first one sampled.
+    margins = np.array(margins)
+    ties = np.flatnonzero(margins == np.nanmin(margins))
+    assert ties.size > 1
+    assert rows[1].note == expected.note
 
 
 @pytest.mark.parametrize(

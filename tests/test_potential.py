@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specbounds import (
+    DEFAULT_SEED,
     AnalysisContext,
     DoublingUnverified,
     WeightedGraph,
@@ -13,6 +14,7 @@ from specbounds import (
     ground_state_transform,
     ground_state_transform_check,
     lattice_box,
+    make_report,
     potential_dirichlet_bound,
     random_connected,
     rows_pass,
@@ -134,6 +136,63 @@ def test_transform_identity_random_instances(seed):
     gs = ground_state(AnalysisContext(g))
     row = ground_state_transform_check(g, gs, samples=40, seed=seed)
     assert row.passed
+
+
+def _loop_transform_check(g, gs, samples=100, seed=DEFAULT_SEED):
+    """Reference for ground_state_transform_check: one sample at a time."""
+    transformed = ground_state_transform(g, gs)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        f = rng.standard_normal(g.n)
+        lhs = (
+            dirichlet_energy(g, f, include_potential=True)
+            - gs.lambda_v * float(np.sum(f * f * g.m))
+        )
+        rhs = dirichlet_energy(transformed, f / gs.phi)
+        rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
+        worst = max(worst, rel)
+    return make_report(
+        "potential/transform_identity", worst, 1e-8, "<=",
+        note=f"worst relative mismatch over {samples} random functions",
+    )
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        random_connected(60, seed=5, m_range=(0.5, 2.0)),
+        random_connected(60, seed=6, m_range=(0.5, 2.0), potential_range=(0.0, 2.0)),
+        random_connected(30, seed=7, potential_range=(-3.0, 1.0)),
+        random_connected(300, seed=8, m_range=(0.5, 2.0), potential_range=(0.0, 2.0)),
+        random_connected(20, seed=9, weight_range=(1e306, 1e307)),
+    ],
+    ids=["measure", "potential", "negative_potential", "sparse_potential", "overflow"],
+)
+@pytest.mark.parametrize("samples", [0, 1, 100])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_transform_check_matches_sample_loop_bit_for_bit(g, samples):
+    """One (samples, n) draw and two batched energy calls give the row of
+    the per-sample loop, bit for bit; on the overflow graph some energies
+    are inf and their NaN mismatches are skipped in both."""
+    gs = ground_state(AnalysisContext(g))
+    for seed in (DEFAULT_SEED, 3):
+        row = ground_state_transform_check(g, gs, samples=samples, seed=seed)
+        assert row == _loop_transform_check(g, gs, samples=samples, seed=seed)
+
+
+def test_transform_check_makes_two_energy_calls(monkeypatch):
+    g = random_connected(40, seed=4, potential_range=(0.0, 2.0))
+    gs = ground_state(AnalysisContext(g))
+    calls = []
+
+    def counting(graph, f, include_potential=False):
+        calls.append(np.shape(f))
+        return dirichlet_energy(graph, f, include_potential)
+
+    monkeypatch.setattr(potential, "dirichlet_energy", counting)
+    ground_state_transform_check(g, gs)
+    assert calls == [(100, g.n), (100, g.n)]
 
 
 def test_potential_bound_k2_hand_case():

@@ -1,6 +1,7 @@
 """Report rendering, round trips, CLI contract, and determinism."""
 
 import json
+import math
 import sys
 import tomllib
 from collections import Counter
@@ -22,6 +23,7 @@ from specbounds import (
     render_json,
 )
 from specbounds import cli
+from specbounds.report import dumps_value
 
 
 def test_report_relations_and_tolerance():
@@ -54,6 +56,39 @@ def test_json_round_trip_is_exact():
     report = _sample_report()
     back = parse_json(render_json(report))
     assert back == report
+
+
+def _dumps_as_dict(report):
+    """Reference for render_json: the whole report through dumps_value."""
+    rows = [
+        {"name": r.name, "true": r.true_value, "bound": r.bound_value,
+         "relation": r.relation, "slack": r.slack, "pass": r.passed,
+         "vacuous": r.vacuous, "note": r.note}
+        for r in report.rows
+    ]
+    doc = {"config": report.config, "rows": rows, "timings": report.timings,
+           "version": report.version}
+    return dumps_value(doc) + "\n"
+
+
+def test_json_rows_match_the_generic_writer_byte_for_byte(capsys):
+    report = _sample_report()
+    odd = make_report(
+        "odd/\"quoted\"", -0.0, float("inf"), "<=",
+        note='say "hi" \\ back\\slash, caf\u00e9 \u03bb\u2080 \U0001d53c',
+    )
+    report = Report(report.config, report.rows + (odd,), report.timings, report.version)
+    assert render_json(report) == _dumps_as_dict(report)
+    assert parse_json(render_json(report)) == report
+    assert render_json(Report(config={}, rows=())) == _dumps_as_dict(Report(config={}, rows=()))
+    # The golden 22-vertex report, timings included.
+    expected = json.loads(
+        (Path(__file__).parent / "data" / "report_lattice_2_5_region22.json").read_text()
+    )
+    assert cli.main(expected["argv"]) == expected["exit_code"]
+    golden = parse_json(capsys.readouterr().out)
+    assert len(golden.rows) == len(expected["rows"])
+    assert render_json(golden) == _dumps_as_dict(golden)
 
 
 def test_json_empty_rows_is_valid():
@@ -284,6 +319,65 @@ def test_cli_rejects_non_finite_potential(tmp_path, capsys, literal, command):
     assert "potential at vertex 'v3' is not finite" in err
 
 
+@pytest.mark.parametrize(
+    "field, index, literal, message",
+    [
+        ("edges", 0, "NaN", "weight on edge 'v0'-'v1' is not finite: nan"),
+        ("edges", 0, "Infinity", "weight on edge 'v0'-'v1' is not finite: inf"),
+        ("vertices", 3, "NaN", "measure at vertex 'v3' is not finite: nan"),
+        ("vertices", 3, "Infinity", "measure at vertex 'v3' is not finite: inf"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "report"])
+def test_cli_rejects_non_finite_weight_or_measure(tmp_path, capsys, field, index, literal,
+                                                  message, command):
+    g = random_connected(8, seed=3)
+    doc = json.loads(dumps_graph(g))
+    entry = doc[field][index]
+    entry["b" if field == "edges" else "m"] = "@"
+    assert (entry.get("u"), entry.get("w")) in ((None, None), ("v0", "v1"))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc).replace('"@"', literal), encoding="utf-8")
+    code = cli.main([command, "--graph", str(path), "--centers", "every:4"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"specbounds: error: {message}\n"
+
+
+def _overflow_path(tmp_path, weights):
+    ids = ("a", "b", "c", "d")
+    g = graph.WeightedGraph.from_edge_list(ids, 1.0, list(zip(ids, ids[1:], weights)))
+    path = tmp_path / "g.json"
+    path.write_text(dumps_graph(g), encoding="utf-8")
+    return path
+
+
+def test_cli_report_with_overflowing_threshold_is_a_one_line_error(tmp_path, capsys):
+    """||H+1|| near 1e300: 2 ||H+1||^2 leaves float64, so the automatic
+    coupling grid cannot be built.  The report says so in one line instead
+    of an OverflowError traceback from 4 ||H+1||^4."""
+    path = _overflow_path(tmp_path, (1e300, 1e-300, 0.5))
+    code = cli.main(["report", "--graph", str(path), "--centers", "a"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("specbounds: error: --t-grid auto: ")
+    assert "overflows float64" in err and err.count("\n") == 1
+
+
+def test_cli_report_with_overflowing_fourth_power_of_norm(tmp_path, capsys):
+    """||H+1|| near 1e100: the threshold is finite but 4 ||H+1||^4 is not.
+    The coarse coupling rows and the geometric uncertainty form get the
+    bounds -inf and 0, which hold, instead of an OverflowError."""
+    path = _overflow_path(tmp_path, (1e100, 1.0, 1.0))
+    assert cli.main(["report", "--graph", str(path), "--centers", "a"]) == 0
+    rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    coarse = [r for name, r in rows.items() if name.startswith("coupling/rate#")]
+    assert len(coarse) == 9  # t = 0 and the 8 points of the automatic grid
+    assert all(r["bound"] == -math.inf and r["pass"] for r in coarse)
+    assert all(r["bound"] > -math.inf for name, r in rows.items()
+               if name.startswith("coupling/rate_refined#"))
+
+
 def test_version_agrees_everywhere(capsys):
     assert cli.main(["--version"]) == 0
     printed = capsys.readouterr().out.strip()
@@ -498,14 +592,12 @@ def test_report_above_crossover_runs_no_dense_eigensolve_or_solve(monkeypatch, c
         cli.main(["spectrum", "--generate", f"random:{n}"])
 
 
-def test_uncertainty_forms_no_projection_matrix(monkeypatch, capsys):
-    """uncertainty_constant reads only the window's indices, never the
-    n x n spectral projection."""
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("spectral projection formed")
-
-    monkeypatch.setattr(spectral, "spectral_projection", forbidden)
+def test_uncertainty_forms_no_projection_matrix(capsys):
+    """uncertainty_constant reads only the window's indices: the package
+    has no code that forms the n x n spectral projection (its reference
+    implementation lives in tests/helpers.py)."""
+    assert not hasattr(spectral, "spectral_projection")
+    assert not hasattr(spectral, "SpectralProjection")
     assert cli.main(["uncertainty", "--generate", "random:40", "--centers", "every:4"]) == 0
     assert "projection rank" in capsys.readouterr().out
 

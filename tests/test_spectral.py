@@ -24,17 +24,15 @@ from specbounds import (
     eigenvalues_of,
     lattice_box,
     lowest_eigenvalue,
-    operator_norm,
     path_graph,
     resolvent_gap,
     rows_pass,
     sparse_ground_state,
-    spectral_projection,
     uncertainty_constant,
     validate,
 )
 from specbounds import cli, generate, random_connected, spectral
-from helpers import random_instance, random_proper_subset
+from helpers import operator_norm, random_instance, random_proper_subset, spectral_projection
 
 EPS = np.finfo(float).eps
 
@@ -962,7 +960,7 @@ def _loop_energy(g, f, include_potential=False):
     return total
 
 
-@pytest.mark.parametrize(
+ENERGY_GRAPHS = pytest.mark.parametrize(
     "g",
     [
         random_instance(23, n_lo=40, n_hi=80, m_weighted=True),
@@ -972,12 +970,27 @@ def _loop_energy(g, f, include_potential=False):
     ],
     ids=["weighted", "potential", "combinatorial", "single_vertex"],
 )
+
+
+@ENERGY_GRAPHS
 def test_energy_matches_edge_loop_bit_for_bit(g):
     rng = np.random.default_rng(g.n)
     for _ in range(50):
         f = rng.standard_normal(g.n)
         for include in (False, True):
             assert dirichlet_energy(g, f, include) == _loop_energy(g, f, include)
+
+
+@ENERGY_GRAPHS
+@pytest.mark.parametrize("k", [0, 1, 100])
+def test_batched_energy_matches_one_call_per_row(g, k):
+    """A (k, n) batch gives, row by row, the bits of the 1-D call."""
+    f = np.random.default_rng(g.n + k).standard_normal((k, g.n))
+    for include in (False, True):
+        batch = dirichlet_energy(g, f, include)
+        assert isinstance(batch, np.ndarray) and batch.shape == (k,)
+        assert batch.tolist() == [dirichlet_energy(g, row, include) for row in f]
+        assert batch.tolist() == [_loop_energy(g, row, include) for row in f]
 
 
 def test_edge_sum_energy_matches_double_sum():
