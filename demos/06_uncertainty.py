@@ -12,29 +12,26 @@ import numpy as np
 
 from specbounds import (
     AnalysisContext,
-    assemble,
-    eigdecompose,
     generate,
-    lowest_eigenvalue,
     uncertainty_constant,
     window_indices,
 )
 
 g = generate("lattice:1:40")
 centers = tuple(v for v in g.vertices if int(v) % 4 == 0)
-region = g.complement(centers)
-lam = lowest_eigenvalue(assemble(g, omega=region))
+ctx = AnalysisContext(g, centers)
+lam = ctx.lambda_omega
 print(f"line of 41 vertices, every 4th vertex penalized")
 print(f"Dirichlet ground energy of the free region: {lam:.6f}")
 
 interval = (0.0, 0.5 * lam)
 print(f"energy window I = [0, {interval[1]:.6f}]")
-sd = eigdecompose(assemble(g))
+sd = ctx.decomposition
 inside = window_indices(sd.eigenvalues, interval)
 print(f"eigenvalues inside the window: {len(inside)}")
 
 print("\n=== Constants ===")
-for row in uncertainty_constant(AnalysisContext(g, centers), interval):
+for row in uncertainty_constant(ctx, interval):
     marker = "ok " if row.passed else "BAD"
     print(f"  [{marker}] {row.name:32s} true {row.true_value:12.6g}  "
           f"bound {row.bound_value:12.6g}")

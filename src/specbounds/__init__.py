@@ -93,7 +93,6 @@ from .spectral import (
     AnalysisContext,
     OperatorMatrix,
     SpectralData,
-    assemble,
     compressed_penalty_matrix,
     count_below,
     coupling_rate,

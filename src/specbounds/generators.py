@@ -75,7 +75,7 @@ def normalized(g: WeightedGraph) -> WeightedGraph:
     """Replace the measure by m(x) = sum_y b(x, y) (keeps weights and potential)."""
     if not g.edges:
         raise InvalidSpec("normalized measure needs at least one edge")
-    m = g.weight_matrix.sum(axis=1)
+    m = g.weighted_degree
     edges = [(g.vertices[i], g.vertices[j], w) for i, j, w in g.edges]
     pot = None if g.potential is None else list(g.potential)
     return WeightedGraph.from_edge_list(g.vertices, list(m), edges, potential=pot)

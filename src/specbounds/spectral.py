@@ -11,6 +11,10 @@ only the off-diagonal couplings into D.
 All eigenproblems are solved after the similarity M^(1/2) A M^(-1/2),
 which is genuinely symmetric with the same spectrum; eigenvectors map back
 through M^(-1/2) and are then orthonormal in the m-weighted inner product.
+H is assembled once, in that picture, from the edge list: a CSC matrix
+with -b(x,y)/sqrt(m(x) m(y)) at each edge end and (sum_y b(x,y))/m(x) +
+V(x)/m(x) on the diagonal (AnalysisContext.sparse_operator).  The dense H
+is that matrix densified.
 
 The bound functions take an AnalysisContext: one graph with one penalty
 set, whose shared quantities (lambda_0(H), ||H||, lambda_Omega, R,
@@ -19,13 +23,12 @@ vol[R], ...) are each computed once, on first use.
 The bounds read only the low end of the spectrum and its top: lambda_0(H),
 lambda_max(H) (for ||H|| and ||H+1||), lambda_Omega, the eigenpairs in the
 uncertainty window and the coupled ground energies lambda_0(H + t 1_D).
-Below SPARSE_MIN_N vertices H is solved once, by eigh: both ends of its
-spectrum and the window's pairs come from that decomposition.  lambda_Omega
-and the coupled energies come from eigvalsh of H's block on the region and
-of copies of H with t added on D's diagonal; both cuts are exact
-(0 - w = -w, (d - 0) + t = (d + t) - 0).  From there on no dense n x n
-matrix is formed, and each comes from the CSC form of the operator (one
-nonzero per edge end plus the diagonal):
+Below SPARSE_MIN_N vertices H is densified and solved once, by eigh: both
+ends of its spectrum and the window's pairs come from that decomposition.
+lambda_Omega and the coupled energies come from eigvalsh of the dense H's
+block on the region and of copies of it with t added on D's diagonal.
+From there on no dense n x n matrix is formed, and each comes from the
+CSC form:
 
     lambda_0(H), lambda_Omega
         sparse_ground_state: shift-invert Lanczos (ARPACK) with a shift
@@ -60,10 +63,11 @@ coupled operators): the dense solver's own error budget n eps ||H||, with
 Every factorization of a matrix with H's sparsity pattern reuses the
 fill-reducing ordering SuperLU found for the first (SymmetricOrdering):
 the matrix is permuted symmetrically and factored in that order, with the
-same fill and no new search.  Every sparse factorization and Lanczos run
-holds scipy's bundled OpenBLAS to one thread (_one_blas_thread): its
-workers otherwise spin on both cores of a small machine and slow numpy's
-separate OpenBLAS, which runs the dense LAPACK calls that follow.
+same fill and no new search.  Before the first sparse factorization or
+Lanczos run, scipy's bundled OpenBLAS is set to one thread for the rest
+of the process (_one_blas_thread): its workers otherwise spin on both
+cores of a small machine and slow numpy's separate OpenBLAS, which runs
+the dense LAPACK calls that follow.
 
 The resolvent row never forms an n x n inverse.  With A = H + t 1_D + 1,
 Y = A^(-1) E_D (the columns of the coupled resolvent on D) and
@@ -80,7 +84,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, cached_property
 from pathlib import Path
@@ -104,32 +107,23 @@ from .report import BoundReport, make_report
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """A self-adjoint operator in two pictures.
+    """A self-adjoint operator as the symmetric matrix M^(1/2) A M^(-1/2),
+    with the measure m that maps its eigenvectors back to the vertex
+    basis."""
 
-    entries: the matrix in the vertex basis (m-self-adjoint).
-    sym: the similar symmetric matrix M^(1/2) entries M^(-1/2), built
-        entrywise so it is bit-exactly symmetric.
-    """
-
-    entries: np.ndarray
     sym: np.ndarray
     m: np.ndarray
-    coupling_t: float = 0.0
 
     def restricted(self, idx: np.ndarray) -> OperatorMatrix:
         """The block on the coordinates idx: the operator restricted to a
         region, whose diagonal keeps the full weighted degree."""
-        block = np.ix_(idx, idx)
-        return OperatorMatrix(
-            _readonly(self.entries[block]), _readonly(self.sym[block]), _readonly(self.m[idx])
-        )
+        return OperatorMatrix(_readonly(self.sym[np.ix_(idx, idx)]), _readonly(self.m[idx]))
 
     def coupled(self, d_idx: np.ndarray, t: float) -> OperatorMatrix:
-        """A copy with t added on the diagonal entries d_idx: H + t 1_D."""
-        entries, sym = self.entries.copy(), self.sym.copy()
-        entries[d_idx, d_idx] += t
+        """A copy with t added on the diagonal at d_idx: H + t 1_D."""
+        sym = self.sym.copy()
         sym[d_idx, d_idx] += t
-        return OperatorMatrix(_readonly(entries), _readonly(sym), self.m, float(t))
+        return OperatorMatrix(_readonly(sym), self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,55 +133,6 @@ class SpectralData:
     m: np.ndarray
     eigenvalues: np.ndarray
     vectors: np.ndarray
-
-
-def _region_indices(g: WeightedGraph, omega: Iterable[str]) -> np.ndarray:
-    idx = g.indices(omega)
-    if idx.size == 0:
-        raise EmptyOmega("cannot restrict to an empty region")
-    return idx
-
-
-def _penalty_indices(g: WeightedGraph, d_set: Iterable[str]) -> np.ndarray:
-    d_idx = g.indices(d_set)
-    if d_idx.size == 0:
-        raise EmptyCenters("a coupling term needs a nonempty penalty set")
-    return d_idx
-
-
-def assemble(
-    g: WeightedGraph,
-    omega: Iterable[str] | None = None,
-    t: float = 0.0,
-    d_set: Iterable[str] | None = None,
-) -> OperatorMatrix:
-    """Matrix of H (+ potential), of its restriction to omega, or of H + t*1_D.
-
-    H is assembled densely; with omega given, the result is its block on
-    omega (the diagonal keeps the full weighted degree, so couplings into
-    the complement survive as diagonal mass).  With t > 0, d_set names the
-    penalty set and the result is H with t added on those diagonal entries.
-    """
-    if omega is not None and t != 0.0:
-        raise ValueError("restriction and coupling term are exclusive")
-    if t < 0.0:
-        raise ValueError("coupling strength must be nonnegative")
-
-    m = g.m
-    W = g.weight_matrix
-    Wm = W / m[:, None]
-    diag = Wm.sum(axis=1) + g.V / m
-    sqrt_m = np.sqrt(m)
-    H = OperatorMatrix(
-        entries=_readonly(np.diag(diag) - Wm),
-        sym=_readonly(np.diag(diag) - W / np.outer(sqrt_m, sqrt_m)),
-        m=_readonly(m.copy()),
-    )
-    if omega is not None:
-        return H.restricted(_region_indices(g, omega))
-    if t != 0.0:
-        return H.coupled(_penalty_indices(g, () if d_set is None else d_set), t)
-    return H
 
 
 def eigdecompose(op: OperatorMatrix) -> SpectralData:
@@ -235,26 +180,19 @@ def _scipy_openblas():
     return None
 
 
-@contextmanager
-def _one_blas_thread():
-    """Hold scipy's OpenBLAS to one thread, and restore the count after.
+def _one_blas_thread() -> None:
+    """Hold scipy's OpenBLAS at one thread for the rest of the process.
 
     The sparse solves make many small BLAS calls; with two threads on two
     cores they run slower, and the idle workers keep spinning against
-    numpy's own OpenBLAS.  The library is looked up on first use, not at
-    import; without it this does nothing.
+    numpy's own OpenBLAS.  The count is never set back: numpy's next
+    LAPACK call can stall behind the workers that wakes.  The library is
+    looked up on first use, not at import; without it this does nothing.
     """
     blas = _scipy_openblas()
-    if blas is None:
-        yield
-        return
-    get_threads, set_threads = blas
-    old = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(old)
+    if blas is not None:
+        _, set_threads = blas
+        set_threads(1)
 
 
 @dataclass(eq=False)
@@ -340,7 +278,6 @@ def _shift_invert(lu: _Factorization, shape: tuple[int, int]) -> LinearOperator:
 NEAR_SHIFT_NCV = 3
 
 
-@_one_blas_thread()
 def sparse_ground_state(
     A: sparse.spmatrix,
     sigma: float,
@@ -405,7 +342,6 @@ def _ground_state(
     return lam, x, residual
 
 
-@_one_blas_thread()
 def count_below(
     A: sparse.spmatrix, shift: float, ordering: SymmetricOrdering | None = None
 ) -> int:
@@ -424,7 +360,6 @@ def count_below(
     return count
 
 
-@_one_blas_thread()
 def sparse_top_eigenvalue(
     A: sparse.spmatrix, budget: float, ordering: SymmetricOrdering | None = None
 ) -> float:
@@ -452,7 +387,6 @@ def sparse_top_eigenvalue(
     return theta
 
 
-@_one_blas_thread()
 def sparse_window(
     A: sparse.spmatrix,
     sigma: float,
@@ -548,19 +482,21 @@ class AnalysisContext:
 
     Every property is computed on first use and then kept, so each shared
     quantity costs one assembly or one eigensolve per context.  centers
-    may be empty for quantities of the graph alone.
+    may be empty for quantities of the graph alone.  sparse_operator, the
+    CSC matrix of H built from the edge list, is the context's one
+    assembly of H; every other operator is a copy or a cut of it.
 
-    Below SPARSE_MIN_N vertices decomposition, the eigh of H (operator,
-    the only dense assembly), is H's one eigensolve: ground_pair and
+    Below SPARSE_MIN_N vertices operator is sparse_operator densified once,
+    and decomposition, its eigh, is H's one eigensolve: ground_pair and
     lambda_0 are its first pair, lambda_max its last eigenvalue, norm,
     shifted_norm and threshold follow from the two, and window selects
-    from it.  lambda_omega is the eigvalsh of H's block on region_indices,
-    coupled_ground_energy(t) that of H with t added on the diagonal at
-    penalty_indices.  Both index sets, which also cut the sparse
-    operators, are found once.
+    from it.  lambda_omega is the eigvalsh of operator's block on
+    region_indices (region_operator), coupled_ground_energy(t) that of
+    operator with t added on the diagonal at penalty_indices (coupled(t)).
+    Both index sets, which also cut the sparse operators, are found once.
 
     From SPARSE_MIN_N vertices on (matrix_free) no dense n x n matrix is
-    assembled or solved.  Everything comes from sparse_operator, and each
+    formed or solved.  Everything comes from sparse_operator, and each
     value is certified within budget = n eps ||H||_1:
       - ground_pair, lambda_0: sparse_ground_state with the shift
         min V/m - 1 (the Laplacian part is positive semidefinite) from
@@ -612,12 +548,18 @@ class AnalysisContext:
     @cached_property
     def region_indices(self) -> np.ndarray:
         """The indices of the region; raises EmptyOmega when D covers the graph."""
-        return _region_indices(self.graph, self.omega)
+        idx = self.graph.indices(self.omega)
+        if idx.size == 0:
+            raise EmptyOmega("cannot restrict to an empty region")
+        return idx
 
     @cached_property
     def penalty_indices(self) -> np.ndarray:
         """The indices of D; raises EmptyCenters when D is empty."""
-        return _penalty_indices(self.graph, self.centers)
+        idx = self.graph.indices(self.centers)
+        if idx.size == 0:
+            raise EmptyCenters("a coupling term needs a nonempty penalty set")
+        return idx
 
     def _coupling_indices(self, t: float) -> np.ndarray:
         """Where t 1_D adds t: the penalty indices, for t >= 0."""
@@ -627,8 +569,8 @@ class AnalysisContext:
 
     @cached_property
     def operator(self) -> OperatorMatrix:
-        """H on the whole graph, the context's only dense assembly."""
-        return assemble(self.graph)
+        """H on the whole graph as a dense matrix: sparse_operator densified."""
+        return OperatorMatrix(_readonly(self.sparse_operator.toarray()), self.graph.m)
 
     @cached_property
     def decomposition(self) -> SpectralData:
@@ -768,7 +710,11 @@ class AnalysisContext:
 
     @cached_property
     def sparse_operator(self) -> sparse.csc_matrix:
-        """The symmetric picture of H in CSC form, built from the edge list."""
+        """The symmetric picture of H in CSC form, built from the edge list:
+        the program's one assembly of H.  Every sparse factorization and
+        Lanczos run is of this matrix or one cut from it, so scipy's
+        OpenBLAS is held at one thread here, before the first."""
+        _one_blas_thread()
         g = self.graph
         i, j, w = g.edge_arrays
         sqrt_m = np.sqrt(g.m)
@@ -948,8 +894,7 @@ def resolvent_gap(ctx: AnalysisContext, t: float) -> BoundReport:
     e_d[d_idx, np.arange(d_idx.size)] = 1.0
     if ctx.matrix_free:
         # Partial pivoting: A is indefinite when V < 0.
-        with _one_blas_thread():
-            y = _factor(ctx.coupled_sparse(t), -1.0, ctx.ordering, diagonal=False).solve(e_d)
+        y = _factor(ctx.coupled_sparse(t), -1.0, ctx.ordering, diagonal=False).solve(e_d)
     else:
         y = np.linalg.solve(ctx.coupled(t).sym + np.eye(g.n), e_d)
     r = np.linalg.qr(y, mode="r")
@@ -988,7 +933,8 @@ def coupling_rate(ctx: AnalysisContext, t_list: Sequence[float]) -> list[BoundRe
     that the coupled ground energy is nondecreasing in t, and that above
     the coupling threshold the gap closes at least like
     4 ||H+1||^2 (lam+1)^2 / (t+1), with the coarser all-norm variant
-    4 ||H+1||^4 / (t+1) reported alongside.
+    4 ||H+1||^4 / (t+1) reported alongside.  Where 4 ||H+1||^4 overflows
+    float64, that variant is evaluated as (4 ||H+1||^2) (||H+1||^2 / (t+1)).
     """
     ctx.require_region()
     ts = [float(t) for t in t_list]
@@ -1023,6 +969,12 @@ def coupling_rate(ctx: AnalysisContext, t_list: Sequence[float]) -> list[BoundRe
 
     refined_factor = 4.0 * h1 * h1 * (lam_inf + 1.0) ** 2
     coarse_factor = 4.0 * _fourth_power(h1)
+
+    def coarse_bound(t: float) -> float:
+        if math.isfinite(coarse_factor):
+            return lam_inf - coarse_factor / (t + 1.0)
+        return lam_inf - (4.0 * h1 * h1) * (h1 * h1 / (t + 1.0))
+
     for k, i in enumerate(order):
         t = ts[i]
         below = t < threshold
@@ -1031,7 +983,7 @@ def coupling_rate(ctx: AnalysisContext, t_list: Sequence[float]) -> list[BoundRe
             make_report(
                 f"coupling/rate#{k}",
                 lam_ts[i],
-                lam_inf - coarse_factor / (t + 1.0),
+                coarse_bound(t),
                 ">=",
                 vacuous=below,
                 note=note,

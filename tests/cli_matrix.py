@@ -22,6 +22,7 @@ has) and exits 1 if there is any.  Otherwise it prints, per row name, the
 number of cases in which that row changed (its values or note) and the
 largest absolute and relative change of its true, bound and slack values,
 plus the number of cases whose output outside the rows changed; it exits 0.
+Either way it first prints, per input, how many of its cases changed.
 
 The graph files among the inputs are written to a temporary directory,
 which is the working directory during the run, so the paths echoed in each
@@ -151,6 +152,7 @@ def compare(dir_a: Path, dir_b: Path) -> int:
     names = sorted({p.name for p in dir_a.iterdir()} | {p.name for p in dir_b.iterdir()})
     broken, identical, outside = [], 0, 0
     moved: dict[str, list] = {}  # row name -> [cases, largest abs, largest rel]
+    changed = {name.split("--", 1)[0]: 0 for name in names}  # input -> changed cases
     for name in names:
         path_a, path_b = dir_a / name, dir_b / name
         if not (path_a.exists() and path_b.exists()):
@@ -160,6 +162,7 @@ def compare(dir_a: Path, dir_b: Path) -> int:
         if text_a == text_b:
             identical += 1
             continue
+        changed[name.split("--", 1)[0]] += 1
         status_a, err_a, rows_a, rest_a = parse_case(text_a)
         status_b, err_b, rows_b, rest_b = parse_case(text_b)
         shape_a = [(r["name"], r["pass"], r["vacuous"]) for r in rows_a]
@@ -180,6 +183,9 @@ def compare(dir_a: Path, dir_b: Path) -> int:
         print(line)
     print(f"{len(names)} cases: {identical} identical, {len(broken)} with a different "
           f"exit code, stderr, row names or flags")
+    print(f"{'input':44s} {'changed cases':>13s}")
+    for source, count in sorted(changed.items()):
+        print(f"{source:44s} {count:13d}")
     if broken:
         return 1
     print(f"{outside} cases changed outside their rows")

@@ -14,7 +14,6 @@ import pytest
 from specbounds import (
     AnalysisContext,
     BallVolumeTable,
-    assemble,
     build_voronoi,
     check_homogeneity,
     cheeger_chain,
@@ -44,7 +43,7 @@ from specbounds import (
 )
 from specbounds import cli
 from specbounds.spectral import dirichlet_energy, eigenvalues_of
-from helpers import operator_norm, random_instance, random_proper_subset
+from helpers import operator_norm, random_instance, random_proper_subset, reference_assemble
 
 GENERATOR_FAMILY_CASES = [
     ("lattice:1:6", ("0", "3", "6")),
@@ -147,7 +146,7 @@ def test_criterion_06_uncertainty_constants():
         g = random_instance(seed + 80_000, n_lo=2, n_hi=60, m_weighted=seed % 3 == 1)
         d_set = random_proper_subset(g, seed + 90_000)
         omega = g.complement(d_set)
-        lam = lowest_eigenvalue(assemble(g, omega=omega))
+        lam = lowest_eigenvalue(reference_assemble(g, omega=omega))
         rows = uncertainty_constant(AnalysisContext(g, d_set), (0.0, 0.5 * lam))
         assert rows_pass(rows)
         energy_row = next(r for r in rows if r.name == "uncertainty/energy_form")
@@ -231,9 +230,11 @@ def test_criterion_09_structural_invariants():
         c = validate(g)
         md = compute_metric(g)
         # Operator norm dominated by twice the weighted degree bound.
-        assert operator_norm(assemble(g)) <= c.operator_norm_bound + 1e-9
-        # Constants are harmonic.
-        residual = assemble(g).entries @ np.ones(g.n)
+        H = AnalysisContext(g).operator
+        assert operator_norm(H) <= c.operator_norm_bound + 1e-9
+        # Constants are harmonic: H 1 = 0, so the symmetric picture
+        # M^(1/2) H M^(-1/2) sends sqrt(m) to 0.
+        residual = H.sym @ np.sqrt(g.m)
         assert np.abs(residual).max() <= 1e-9
         # Triangle inequality on all triples.
         dist = md.dist

@@ -1,5 +1,8 @@
 """Ground states, the transform, and the potential Dirichlet bound."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,8 +24,8 @@ from specbounds import (
     validate,
 )
 from specbounds import potential
-from specbounds.spectral import assemble, dirichlet_energy, lowest_eigenvalue
-from helpers import random_proper_subset
+from specbounds.spectral import dirichlet_energy, lowest_eigenvalue
+from helpers import random_proper_subset, reference_assemble
 
 
 def _k2_with_potential():
@@ -139,10 +142,11 @@ def test_transform_identity_random_instances(seed):
 
 
 def _loop_transform_check(g, gs, samples=100, seed=DEFAULT_SEED):
-    """Reference for ground_state_transform_check: one sample at a time."""
+    """Reference for ground_state_transform_check: one sample at a time.
+    A sample whose mismatch is NaN (an energy overflowed) is not counted."""
     transformed = ground_state_transform(g, gs)
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst, count = 0.0, 0
     for _ in range(samples):
         f = rng.standard_normal(g.n)
         lhs = (
@@ -151,10 +155,18 @@ def _loop_transform_check(g, gs, samples=100, seed=DEFAULT_SEED):
         )
         rhs = dirichlet_energy(transformed, f / gs.phi)
         rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12)
-        worst = max(worst, rel)
+        if not math.isnan(rel):
+            worst, count = max(worst, rel), count + 1
+    note = f"worst relative mismatch over {samples} random functions"
+    if 0 < count < samples:
+        note = (
+            f"worst relative mismatch over {count} of {samples} random functions; "
+            f"the energies of the other {samples - count} overflow"
+        )
+    elif count < samples:
+        note = f"the energies of all {samples} random functions overflow; not asserted"
     return make_report(
-        "potential/transform_identity", worst, 1e-8, "<=",
-        note=f"worst relative mismatch over {samples} random functions",
+        "potential/transform_identity", worst, 1e-8, "<=", vacuous=count == 0 < samples, note=note
     )
 
 
@@ -179,6 +191,28 @@ def test_transform_check_matches_sample_loop_bit_for_bit(g, samples):
     for seed in (DEFAULT_SEED, 3):
         row = ground_state_transform_check(g, gs, samples=samples, seed=seed)
         assert row == _loop_transform_check(g, gs, samples=samples, seed=seed)
+
+
+def test_transform_check_names_the_samples_it_could_evaluate():
+    """Where energies overflow float64, the row says how many of the samples
+    it evaluated, is vacuous when it could evaluate none, and prints no
+    overflow warning."""
+    g = random_connected(20, seed=9, weight_range=(1e306, 1e307))
+    ids = [f"v{i}" for i in range(10)]
+    huge = WeightedGraph.from_edge_list(
+        ids, 1.0, [(u, v, 1e308) for k, u in enumerate(ids) for v in ids[k + 1:]]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = ground_state_transform_check(g, ground_state(AnalysisContext(g)))
+        none = ground_state_transform_check(huge, ground_state(AnalysisContext(huge)))
+    assert row.note == (
+        "worst relative mismatch over 14 of 100 random functions; "
+        "the energies of the other 86 overflow"
+    )
+    assert row.passed and not row.vacuous
+    assert none.note == "the energies of all 100 random functions overflow; not asserted"
+    assert none.vacuous
 
 
 def test_transform_check_makes_two_energy_calls(monkeypatch):
@@ -225,7 +259,7 @@ def test_potential_bound_random_instances(seed):
     d_set = random_proper_subset(g, seed + 1)
     ctx = AnalysisContext(g, d_set)
     gs = ground_state(ctx)
-    truth = lowest_eigenvalue(assemble(g, omega=g.complement(d_set)))
+    truth = lowest_eigenvalue(reference_assemble(g, omega=g.complement(d_set)))
     rows = potential_dirichlet_bound(ctx, gs)
     assert rows[0].true_value == pytest.approx(truth)
     assert rows_pass(rows)

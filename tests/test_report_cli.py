@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import specbounds
 from specbounds import graph, spectral
@@ -24,6 +25,8 @@ from specbounds import (
 )
 from specbounds import cli
 from specbounds.report import dumps_value
+
+from helpers import record_coupled
 
 
 def test_report_relations_and_tolerance():
@@ -366,14 +369,17 @@ def test_cli_report_with_overflowing_threshold_is_a_one_line_error(tmp_path, cap
 
 def test_cli_report_with_overflowing_fourth_power_of_norm(tmp_path, capsys):
     """||H+1|| near 1e100: the threshold is finite but 4 ||H+1||^4 is not.
-    The coarse coupling rows and the geometric uncertainty form get the
-    bounds -inf and 0, which hold, instead of an OverflowError."""
+    The coarse coupling rows on the automatic grid get the finite bound
+    lambda_Omega - (4 ||H+1||^2)(||H+1||^2 / (t+1)); only at t = 0, where
+    that bound is about -6e401, is it -inf.  The geometric uncertainty
+    form gets the bound 0.  All hold, with no OverflowError."""
     path = _overflow_path(tmp_path, (1e100, 1.0, 1.0))
     assert cli.main(["report", "--graph", str(path), "--centers", "a"]) == 0
     rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
     coarse = [r for name, r in rows.items() if name.startswith("coupling/rate#")]
     assert len(coarse) == 9  # t = 0 and the 8 points of the automatic grid
-    assert all(r["bound"] == -math.inf and r["pass"] for r in coarse)
+    assert coarse[0]["note"].startswith("t=0.0;") and coarse[0]["bound"] == -math.inf
+    assert all(math.isfinite(r["bound"]) and r["pass"] and not r["vacuous"] for r in coarse[1:])
     assert all(r["bound"] > -math.inf for name, r in rows.items()
                if name.startswith("coupling/rate_refined#"))
 
@@ -390,30 +396,21 @@ def test_version_agrees_everywhere(capsys):
     assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "specbounds.__version__"}
 
 
-def test_report_computes_each_shared_quantity_once(monkeypatch, capsys):
-    """One report assembles H once (the restriction and the coupled
-    operators are cut from it), validates once, and solves H once (eigh):
-    besides the coupled operators, eigvalsh runs only on the restriction."""
-    calls = Counter()
+def _count_calls(monkeypatch, calls, targets, coupled):
+    """Count calls of each (module, name) in targets, under every name a
+    specbounds module binds it to, and eigenvalues_of calls on an operator
+    from AnalysisContext.coupled as coupled_eigenvalues_of."""
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            if name == "eigenvalues_of" and args[0].coupling_t > 0.0:
+            if name == "eigenvalues_of" and any(args[0] is op for op in coupled):
                 calls["coupled_eigenvalues_of"] += 1
-            if name == "assemble":
-                t = args[2] if len(args) >= 3 else kwargs.get("t", 0.0)
-                calls["coupled_assemble" if t > 0.0 else "uncoupled_assemble"] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    for module, name in [
-        (spectral, "eigenvalues_of"),
-        (spectral, "eigdecompose"),
-        (spectral, "assemble"),
-        (graph, "validate"),
-    ]:
+    for module, name in targets:
         original = getattr(module, name)
         wrapped = counting(name, original)
         for mod_name, mod in list(sys.modules.items()):
@@ -422,43 +419,52 @@ def test_report_computes_each_shared_quantity_once(monkeypatch, capsys):
                     if value is original:
                         monkeypatch.setattr(mod, attr, wrapped)
 
+
+def test_report_computes_each_shared_quantity_once(monkeypatch, capsys):
+    """One report densifies H once (the restriction and the coupled
+    operators are cut from that array), validates once, and solves H once
+    (eigh): besides the coupled operators, eigvalsh runs only on the
+    restriction."""
+    calls = Counter()
+    coupled = record_coupled(monkeypatch)
+    _count_calls(
+        monkeypatch,
+        calls,
+        [(spectral, "eigenvalues_of"), (spectral, "eigdecompose"), (graph, "validate")],
+        coupled,
+    )
+    toarray = sparse.csc_matrix.toarray
+
+    def counting_toarray(self, *args, **kwargs):
+        calls["toarray"] += 1
+        return toarray(self, *args, **kwargs)
+
+    monkeypatch.setattr(sparse.csc_matrix, "toarray", counting_toarray)
+
     assert cli.main(["report", "--generate", "random:40", "--centers", "every:4"]) == 0
     capsys.readouterr()
     assert calls["validate"] == 1
     assert calls["eigdecompose"] == 1
-    assert calls["uncoupled_assemble"] == 1
-    assert calls["coupled_assemble"] == 0
-    assert calls["coupled_eigenvalues_of"] > 0
+    assert calls["toarray"] == 1
+    # One coupled copy more than the eigensolves: the resolvent row's.
+    assert calls["coupled_eigenvalues_of"] == len(coupled) - 1 > 0
     assert calls["eigenvalues_of"] == 1 + calls["coupled_eigenvalues_of"]
 
 
 def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, capsys):
     """From SPARSE_MIN_N vertices on, a report makes one sparse solve per
     distinct coupling t plus one each for lambda_0(H) and lambda_Omega,
-    runs eigvalsh on no coupled operator, and assembles no dense coupled
+    runs eigvalsh on no coupled operator, and cuts no dense coupled
     matrix (the resolvent row factors the sparse one)."""
     calls = Counter()
     ts = set()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            if name == "eigenvalues_of" and args[0].coupling_t > 0.0:
-                calls["coupled_eigenvalues_of"] += 1
-            if name == "assemble" and kwargs.get("t", 0.0) > 0.0:
-                calls["coupled_assemble"] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in ("eigenvalues_of", "assemble", "sparse_ground_state"):
-        original = getattr(spectral, name)
-        wrapped = counting(name, original)
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name == "specbounds" or mod_name.startswith("specbounds."):
-                for attr, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, attr, wrapped)
+    coupled = record_coupled(monkeypatch)
+    _count_calls(
+        monkeypatch,
+        calls,
+        [(spectral, "eigenvalues_of"), (spectral, "sparse_ground_state")],
+        coupled,
+    )
     solve = AnalysisContext.coupled_ground_energy
 
     def recording(self, t):
@@ -470,7 +476,7 @@ def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, caps
     assert cli.main(argv) == 0
     capsys.readouterr()
     assert calls["coupled_eigenvalues_of"] == 0
-    assert calls["coupled_assemble"] == 0
+    assert coupled == []
     assert len(ts) >= 24
     assert calls["sparse_ground_state"] == len(ts) + 2
 
