@@ -21,6 +21,7 @@ from .errors import (
     CapacityOverflow,
     ConvergenceFailure,
     DisconnectedGraph,
+    DistanceOverflow,
     DoublingUnverified,
     EmptyCenters,
     EmptyOmega,
@@ -68,7 +69,6 @@ from .metric import (
     covering_radius,
     geodesic,
     inradius,
-    path_length,
 )
 from .potential import (
     GroundState,

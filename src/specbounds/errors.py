@@ -37,6 +37,10 @@ class InvalidSpec(GraphError):
     """A generator specification is malformed or out of range."""
 
 
+class DistanceOverflow(GraphError):
+    """A shortest-path distance exceeds the float64 range."""
+
+
 class EmptySet(GraphError):
     """An operation received an empty vertex set where a nonempty one is required."""
 

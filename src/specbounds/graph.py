@@ -3,20 +3,22 @@
 A graph is a finite vertex list with a positive measure ``m`` per vertex,
 symmetric nonnegative edge weights ``b`` with zero diagonal, and an optional
 real potential per vertex.  Edge weights are stored once per unordered pair,
-so symmetry holds by construction; the symmetric dense view is synthesized
-on demand.  Instances are immutable and safe to share between threads.
+so symmetry holds by construction; the symmetric view is one sparse matrix,
+built on first use.  No n x n array is formed.  Instances are immutable and
+safe to share between threads.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
     DisconnectedGraph,
@@ -27,6 +29,10 @@ from .errors import (
     NonSymmetricWeights,
     NonzeroDiagonal,
 )
+
+
+# Rows of the dense weight matrix that weighted_degree holds at once.
+DEGREE_BLOCK = 256
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -44,6 +50,8 @@ class WeightedGraph:
         edges: tuple of (i, j, weight) with i < j and weight > 0, sorted
             by (i, j).  One entry per unordered pair.
         potential: optional per-vertex potential, shape (n,); absent means 0.
+    Every reader of the edges reads edges, edge_arrays or adjacency (the
+    sparse weight matrix); each view is built once, on first use.
     """
 
     vertices: tuple[str, ...]
@@ -67,15 +75,6 @@ class WeightedGraph:
         return self.potential
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per-vertex neighbor list of (neighbor index, weight)."""
-        nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.n)]
-        for i, j, w in self.edges:
-            nbrs[i].append((j, w))
-            nbrs[j].append((i, w))
-        return tuple(tuple(sorted(row)) for row in nbrs)
-
-    @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The edges as (i, j, weight) arrays, in stored order."""
         table = np.array(self.edges, dtype=float).reshape(-1, 3)
@@ -86,22 +85,41 @@ class WeightedGraph:
         )
 
     @cached_property
-    def weight_matrix(self) -> np.ndarray:
-        """Dense symmetric weight matrix, zero diagonal."""
-        W = np.zeros((self.n, self.n))
-        for i, j, w in self.edges:
-            W[i, j] = w
-            W[j, i] = w
-        return _readonly(W)
+    def adjacency(self) -> sparse.csr_matrix:
+        """The symmetric weight matrix b(x, y) in CSR form: row x lists the
+        neighbors of x in increasing order, with their weights.  The
+        graph's one neighbor structure; its arrays are read-only."""
+        i, j, w = self.edge_arrays
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+        order = np.argsort(rows * self.n + cols)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=self.n))])
+        data = np.concatenate([w, w])[order]
+        W = sparse.csr_matrix((data, cols[order], indptr), shape=(self.n, self.n))
+        for a in (W.data, W.indices, W.indptr):
+            _readonly(a)
+        return W
 
     @cached_property
     def weighted_degree(self) -> np.ndarray:
-        """Row sums of the weight matrix: sum_y b(x, y) per vertex."""
-        return _readonly(self.weight_matrix.sum(axis=1))
+        """sum_y b(x, y) per vertex, with the bits of the dense row sums
+        W.sum(axis=1): numpy sums a contiguous row pairwise, so the rows are
+        summed densified, DEGREE_BLOCK at a time in one reused block."""
+        W = self.adjacency
+        degree = np.empty(self.n)
+        block = np.zeros((min(DEGREE_BLOCK, self.n), self.n))
+        for start in range(0, self.n, DEGREE_BLOCK):
+            stop = min(start + DEGREE_BLOCK, self.n)
+            lo, hi = W.indptr[start], W.indptr[stop]
+            rows = np.repeat(np.arange(stop - start), np.diff(W.indptr[start : stop + 1]))
+            at = rows, W.indices[lo:hi]
+            block[at] = W.data[lo:hi]
+            degree[start:stop] = block[: stop - start].sum(axis=1)
+            block[at] = 0.0
+        return _readonly(degree)
 
     def b(self, u: str, v: str) -> float:
         """Symmetric edge weight between two vertex ids (0 when no edge)."""
-        return float(self.weight_matrix[self.index[u], self.index[v]])
+        return float(self.adjacency[self.index[u], self.index[v]])
 
     def m_of(self, u: str) -> float:
         return float(self.m[self.index[u]])
@@ -264,36 +282,24 @@ def validate(g: WeightedGraph) -> GeometryConstants:
 
     # Connectivity.
     reached = np.zeros(g.n, dtype=bool)
-    reached[0] = True
-    queue = deque([0])
-    adj = g.adjacency
-    while queue:
-        u = queue.popleft()
-        for v, _ in adj[u]:
-            if not reached[v]:
-                reached[v] = True
-                queue.append(v)
+    reached[breadth_first_order(g.adjacency, 0, return_predecessors=False)] = True
     if not reached.all():
         missing = g.vertices[int(np.flatnonzero(~reached)[0])]
         raise DisconnectedGraph(f"vertex {missing!r} is not reachable from {g.vertices[0]!r}")
 
-    degree = g.weighted_degree
-    delta = float(np.max(degree / g.m))
-    m_max = float(np.max(g.m))
-    b_max = max((w for _, _, w in g.edges), default=0.0)
-    max_degree = max((len(row) for row in g.adjacency), default=0)
+    delta = float(np.max(g.weighted_degree / g.m))
     return GeometryConstants(
         delta=delta,
-        m_max=m_max,
-        b_max=b_max,
+        m_max=float(np.max(g.m)),
+        b_max=float(g.edge_arrays[2].max(initial=0.0)),
         operator_norm_bound=2.0 * delta,
-        max_degree=max_degree,
+        max_degree=int(np.diff(g.adjacency.indptr).max()),
     )
 
 
 def is_combinatorial(g: WeightedGraph) -> bool:
     """True when every edge weight is exactly 1 and every measure exactly 1."""
-    return bool(np.all(g.m == 1.0)) and all(w == 1.0 for _, _, w in g.edges)
+    return bool(np.all(g.m == 1.0) and np.all(g.edge_arrays[2] == 1.0))
 
 
 # ---------------------------------------------------------------------------

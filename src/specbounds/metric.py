@@ -2,19 +2,19 @@
 
 The distance between two vertices is the infimum of path lengths, where an
 edge of weight b contributes length 1/b.  All-pairs distances come from one
-single-source shortest-path run per vertex over the positive-weight
-adjacency; the predecessor structure of each run is kept so a geodesic can
-be read back for any pair.
+single-source shortest-path run per vertex over the graph's sparse
+adjacency with lengths for weights; the predecessor structure of each run
+is kept so a geodesic can be read back for any pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy import sparse
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .errors import EmptySet, FullSet, InvalidSpec
@@ -50,9 +50,9 @@ class MetricData:
 
 def compute_metric(g: WeightedGraph) -> MetricData:
     """All-pairs shortest paths under edge length 1/b, with witnesses."""
-    i, j, w = g.edge_arrays
-    upper = csr_matrix((1.0 / w, (i, j)), shape=(g.n, g.n))
-    dist, pred = _dijkstra(upper + upper.T, directed=True, return_predecessors=True)
+    W = g.adjacency
+    lengths = sparse.csr_matrix((1.0 / W.data, W.indices, W.indptr), shape=W.shape)
+    dist, pred = _dijkstra(lengths, directed=True, return_predecessors=True)
     pred = pred.astype(np.int64)
     pred[pred < 0] = -1
     return MetricData(g, _readonly(dist), _readonly(pred))
@@ -70,17 +70,6 @@ def geodesic(md: MetricData, x: str, y: str) -> tuple[str, ...]:
         chain.append(p)
     chain.reverse()
     return tuple(md.graph.vertices[k] for k in chain)
-
-
-def path_length(g: WeightedGraph, path: Sequence[str]) -> float:
-    """Sum of 1/b over consecutive edges of an explicit vertex path."""
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        w = g.b(u, v)
-        if w <= 0.0:
-            raise ValueError(f"path uses missing edge {u!r}-{v!r}")
-        total += 1.0 / w
-    return total
 
 
 def ball(md: MetricData, x: str, r: float, closed: bool = True) -> tuple[str, ...]:
@@ -132,18 +121,21 @@ def covering_radius(md: MetricData, d_set: Iterable[str]) -> float:
 class BallVolumeTable:
     """Ball-volume queries over a fixed metric.
 
-    vol_of_ball(x, r) is m(B_r(x)); vol_bracket(s) is the supremum of
-    closed-ball volumes of radius s over all centers.
+    vol_bracket(s) is the supremum of closed-ball volumes of radius s over
+    all centers.
     """
 
     md: MetricData
 
-    def vol_of_ball(self, x: str, r: float) -> float:
-        row = self.md.dist[self.md.graph.index[x]]
-        return float(self.md.graph.m[row <= r].sum())
+    @cached_property
+    def _brackets(self) -> dict[float, float]:
+        return {}
 
     def vol_bracket(self, s: float) -> float:
-        return float(((self.md.dist <= s) @ self.md.graph.m).max())
+        """vol[s], evaluated once per distinct s (a report reuses vol[R])."""
+        if s not in self._brackets:
+            self._brackets[s] = float(((self.md.dist <= s) @ self.md.graph.m).max())
+        return self._brackets[s]
 
     def vol_bracket_within(self, s: float, subset: Iterable[str]) -> float:
         """sup over x of m(B_s(x) intersected with the given subset)."""

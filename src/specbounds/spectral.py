@@ -96,6 +96,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, SuperLU, eigsh, spl
 
 from .errors import (
     ConvergenceFailure,
+    DistanceOverflow,
     EmptyCenters,
     EmptyOmega,
     PreconditionInterval,
@@ -533,7 +534,13 @@ class AnalysisContext:
 
     @cached_property
     def metric(self) -> MetricData:
-        return compute_metric(self.graph)
+        """All-pairs distances; DistanceOverflow names the first inf one."""
+        self.constants  # a disconnected graph is refused as such
+        md = compute_metric(self.graph)
+        if math.isinf(md.dist.max()):
+            x, y = (self.graph.vertices[i] for i in np.argwhere(np.isinf(md.dist))[0])
+            raise DistanceOverflow(f"the distance from {x!r} to {y!r} overflows float64")
+        return md
 
     @cached_property
     def omega(self) -> tuple[str, ...]:
@@ -1083,8 +1090,7 @@ def uncertainty_constant(
     gram = compressed_penalty_matrix(sd, ctx.graph, ctx.centers, indices)
     truth = float(np.linalg.eigvalsh(gram)[0])
 
-    threshold = 2.0 * h1 * h1
-    t_grid = list(np.geomspace(threshold, 1.0e4 * h1 * h1, grid_points))
+    t_grid = list(np.geomspace(ctx.threshold, 1.0e4 * h1 * h1, grid_points))
     t_opt = 8.0 * h1 * h1 * (lam_omega + 1.0) ** 2 / (lam_omega - max_i)
     t_grid.append(t_opt)
     kappa_samples = []

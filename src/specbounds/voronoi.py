@@ -57,16 +57,16 @@ class VoronoiDecomposition:
             members[self.centers[int(self.label[i])]].append(v)
         return {p: tuple(vs) for p, vs in members.items()}
 
+    def _witness_indices(self, i: int) -> list[int]:
+        """The witness path to vertex index i, as indices, center first."""
+        chain = [i]
+        while self.pred[chain[-1]] >= 0:
+            chain.append(int(self.pred[chain[-1]]))
+        return chain[::-1]
+
     def witness(self, x: str) -> tuple[str, ...]:
         """Witness path from the owning center to x (center first)."""
-        chain = [self.graph.index[x]]
-        while True:
-            p = int(self.pred[chain[-1]])
-            if p < 0:
-                break
-            chain.append(p)
-        chain.reverse()
-        return tuple(self.graph.vertices[k] for k in chain)
+        return tuple(self.graph.vertices[k] for k in self._witness_indices(self.graph.index[x]))
 
 
 def build_voronoi(g: WeightedGraph, d_set: Iterable[str]) -> VoronoiDecomposition:
@@ -89,7 +89,8 @@ def build_voronoi(g: WeightedGraph, d_set: Iterable[str]) -> VoronoiDecompositio
     for rank, p in enumerate(centers):
         heapq.heappush(heap, (0.0, rank, g.index[p], -1))
 
-    adj = g.adjacency
+    W = g.adjacency
+    indptr, indices, lengths = W.indptr.tolist(), W.indices.tolist(), (1.0 / W.data).tolist()
     remaining = n
     while heap and remaining:
         d, rank, v, via = heapq.heappop(heap)
@@ -100,9 +101,10 @@ def build_voronoi(g: WeightedGraph, d_set: Iterable[str]) -> VoronoiDecompositio
         label[v] = rank
         dist[v] = d
         pred[v] = via
-        for u, w in adj[v]:
+        for k in range(indptr[v], indptr[v + 1]):
+            u = indices[k]
             if not settled[u]:
-                heapq.heappush(heap, (d + 1.0 / w, rank, u, v))
+                heapq.heappush(heap, (d + lengths[k], rank, u, v))
 
     return VoronoiDecomposition(
         graph=g,
@@ -129,33 +131,23 @@ def verify_voronoi(vd: VoronoiDecomposition, md: MetricData) -> list[BoundReport
     # (V1): witness paths are geodesics from the center and stay in the cell.
     worst_rel = 0.0
     containment_violations = 0
-    W = g.weight_matrix
+    # The weight of each witness edge (pred[i], i), 0 where there is none;
+    # a center's entry is never read.
+    w_pred = np.asarray(g.adjacency[np.maximum(vd.pred, 0), np.arange(n)]).ravel()
     for i in range(n):
-        path = [i]
-        while vd.pred[path[-1]] >= 0:
-            path.append(int(vd.pred[path[-1]]))
-        path.reverse()
+        path = vd._witness_indices(i)
         if path[0] != int(center_idx[label[i]]):
             containment_violations += 1
             continue
         length = 0.0
-        broken = False
         for a, b in zip(path, path[1:]):
-            if label[a] != label[i]:
+            if label[a] != label[i] or w_pred[b] <= 0.0:
                 containment_violations += 1
-                broken = True
                 break
-            w = W[a, b]
-            if w <= 0.0:
-                containment_violations += 1
-                broken = True
-                break
-            length += 1.0 / w
-        if broken:
-            continue
-        true_d = float(md.dist[path[0], i])
-        rel = abs(length - true_d) / max(true_d, 1.0)
-        worst_rel = max(worst_rel, rel)
+            length += 1.0 / w_pred[b]
+        else:
+            true_d = float(md.dist[path[0], i])
+            worst_rel = max(worst_rel, abs(length - true_d) / max(true_d, 1.0))
 
     rows = [
         make_report(

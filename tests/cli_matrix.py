@@ -44,7 +44,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from specbounds import cli, dumps_graph, generate, random_connected
+from specbounds import WeightedGraph, cli, dumps_graph, generate, random_connected
 
 GENERATED = [
     ("random:100", "every:4"),
@@ -65,6 +65,10 @@ FILES = {
     "negative300.json": dict(n=300, seed=3, potential_range=(-3.0, -1.0)),
 }
 FILE_CENTERS = "every:4"
+
+# A valid 7-vertex path whose every edge weight is 1e-308: each edge has
+# length 1e308, so every distance of two or more edges overflows to inf.
+EXTREME_PATH = "path1e-308.json"
 
 # Options per subcommand; [] runs it with its defaults.  "9,9" is a vertex
 # id that most inputs lack.
@@ -110,6 +114,10 @@ def inputs(workdir: Path):
         g = random_connected(params.pop("n"), **params)
         (workdir / name).write_text(dumps_graph(g), encoding="utf-8")
         yield name.removesuffix(".json"), ["--graph", name], FILE_CENTERS, g.vertices[0]
+    ids = [f"v{k}" for k in range(7)]
+    g = WeightedGraph.from_edge_list(ids, 1.0, [(u, v, 1e-308) for u, v in zip(ids, ids[1:])])
+    (workdir / EXTREME_PATH).write_text(dumps_graph(g), encoding="utf-8")
+    yield EXTREME_PATH.removesuffix(".json"), ["--graph", EXTREME_PATH], "v0", "v0"
 
 
 def case_name(*parts: str) -> str:

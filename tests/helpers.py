@@ -58,6 +58,15 @@ class DenseOperator(OperatorMatrix):
     entries: np.ndarray
 
 
+def dense_weights(g: WeightedGraph) -> np.ndarray:
+    """The dense symmetric weight matrix, filled from the stored edge list:
+    the reference for the graph's sparse adjacency and its row sums."""
+    W = np.zeros((g.n, g.n))
+    for i, j, w in g.edges:
+        W[i, j] = W[j, i] = w
+    return W
+
+
 def reference_assemble(
     g: WeightedGraph,
     omega: Iterable[str] | None = None,
@@ -65,13 +74,13 @@ def reference_assemble(
     d_set: Iterable[str] = (),
 ) -> DenseOperator:
     """H, its block on omega, or H + t 1_D, assembled directly from
-    g.weight_matrix: the reference for the operators the package cuts from
+    dense_weights(g): the reference for the operators the package cuts from
     its one CSC assembly.  The diagonal is (sum_y b(x,y))/m(x) + V(x)/m(x),
     the package's, so sym has the bits of the package's matrices."""
     m = g.m
-    W = g.weight_matrix
+    W = dense_weights(g)
     sqrt_m = np.sqrt(m)
-    diag = g.weighted_degree / m + g.V / m
+    diag = W.sum(axis=1) / m + g.V / m
     diag[g.indices(d_set)] += t
     entries = np.diag(diag) - W / m[:, None]
     sym = np.diag(diag) - W / np.outer(sqrt_m, sqrt_m)

@@ -28,6 +28,12 @@ from specbounds import cli
 from specbounds.cheeger import _maximal_minimizer, _region_network
 
 
+def neighbor_indices(g: WeightedGraph, i: int) -> list[int]:
+    """The neighbors of vertex i: its row of the CSR adjacency."""
+    W = g.adjacency
+    return W.indices[W.indptr[i] : W.indptr[i + 1]].tolist()
+
+
 def boundary_count(g: WeightedGraph, subset) -> int:
     """Ordered boundary pairs of a subset, counted by scanning neighbors:
     the independent check of a witness's boundary size."""
@@ -35,7 +41,7 @@ def boundary_count(g: WeightedGraph, subset) -> int:
     inside[g.indices(subset)] = True
     count = 0
     for i in np.flatnonzero(inside):
-        for j, _ in g.adjacency[int(i)]:
+        for j in neighbor_indices(g, int(i)):
             if not inside[j]:
                 count += 1
     return count
@@ -58,11 +64,11 @@ def beta_exhaustive(g: WeightedGraph, omega) -> IsoperimetricData:
 
     idx = [g.index[v] for v in omega]
     local = {gidx: pos for pos, gidx in enumerate(idx)}
-    degrees = np.array([len(g.adjacency[i]) for i in idx], dtype=np.int64)
+    degrees = np.array([len(neighbor_indices(g, i)) for i in idx], dtype=np.int64)
     adj_mask = np.zeros(k, dtype=np.uint32)
     for pos, gidx in enumerate(idx):
         bits = 0
-        for j, _ in g.adjacency[gidx]:
+        for j in neighbor_indices(g, gidx):
             if j in local:
                 bits |= 1 << local[j]
         adj_mask[pos] = bits
@@ -112,9 +118,9 @@ def beta_connected_oracle(g: WeightedGraph, omega) -> float:
     idx = [g.index[v] for v in omega]
     local = {gidx: pos for pos, gidx in enumerate(idx)}
     neighbors = [
-        [local[j] for j, _ in g.adjacency[gidx] if j in local] for gidx in idx
+        [local[j] for j in neighbor_indices(g, gidx) if j in local] for gidx in idx
     ]
-    degrees = [len(g.adjacency[i]) for i in idx]
+    degrees = [len(neighbor_indices(g, i)) for i in idx]
 
     best = np.inf
     for mask in range(1, 1 << k):

@@ -1,5 +1,7 @@
 """Graph model, validation, generators, and JSON round trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,10 @@ from specbounds import (
     random_connected,
     validate,
 )
+from specbounds.graph import DEGREE_BLOCK
+from specbounds.voronoi import build_voronoi
+
+from helpers import dense_weights
 
 
 def test_validate_k2_constants():
@@ -109,8 +115,42 @@ def test_disconnected_graph_rejected():
     g = WeightedGraph.from_edge_list(
         ("a", "b", "c", "d"), 1.0, [("a", "b", 1.0), ("c", "d", 1.0)]
     )
-    with pytest.raises(DisconnectedGraph):
+    with pytest.raises(DisconnectedGraph, match="^vertex 'c' is not reachable from 'a'$"):
         validate(g)
+
+
+@pytest.mark.parametrize("m_range", [None, (0.5, 2.0)], ids=["unit", "measure"])
+@pytest.mark.parametrize(
+    "n", [1, 2, DEGREE_BLOCK - 1, DEGREE_BLOCK, DEGREE_BLOCK + 1, 2 * DEGREE_BLOCK + 100]
+)
+def test_adjacency_and_weighted_degree_match_the_dense_weights(n, m_range):
+    """The CSR adjacency is the dense weight matrix, and weighted_degree
+    has the bits of its numpy row sums on one block, a block and one row,
+    and more than two blocks."""
+    g = random_connected(
+        n, seed=n, weight_range=(1e-3, 1e3), m_range=m_range, extra_edge_factor=8.0
+    )
+    W = dense_weights(g)
+    A = g.adjacency
+    assert A.has_canonical_format
+    assert not any(a.flags.writeable for a in (A.data, A.indices, A.indptr))
+    assert np.array_equal(A.toarray(), W)
+    assert np.array_equal(g.weighted_degree, W.sum(axis=1))
+    assert validate(g).max_degree == int(np.count_nonzero(W, axis=1).max())
+
+
+def test_validate_and_voronoi_form_no_dense_matrix():
+    """validate and build_voronoi on n = 3721 stay far below one n x n
+    float64 array (110 MB): the graph layer keeps only its edges."""
+    g = generate("lattice:2:60")
+    tracemalloc.start()
+    try:
+        validate(g)
+        build_voronoi(g, g.vertices[::9])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_single_vertex_is_valid():

@@ -5,6 +5,7 @@ import math
 import sys
 import tomllib
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from scipy import sparse
 
 import specbounds
-from specbounds import graph, spectral
+from specbounds import graph, metric, spectral
 from specbounds import (
     AnalysisContext,
     Report,
@@ -382,6 +383,59 @@ def test_cli_report_with_overflowing_fourth_power_of_norm(tmp_path, capsys):
     assert all(math.isfinite(r["bound"]) and r["pass"] and not r["vacuous"] for r in coarse[1:])
     assert all(r["bound"] > -math.inf for name, r in rows.items()
                if name.startswith("coupling/rate_refined#"))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command", ["report", "metric", "voronoi", "bounds", "uncertainty", "transform"]
+)
+def test_cli_overflowing_distance_is_a_one_line_error(tmp_path, capsys, command):
+    """Edges of length 1e308: the distance over two of them is inf.  Every
+    command that reads distances refuses them in one line naming the first
+    such pair, with no warning on the way, where report, metric and
+    voronoi raised an uncaught NaN error and the others built rows on
+    R = inf."""
+    path = _overflow_path(tmp_path, (1e-308, 1e-308, 1e-308))
+    code = cli.main([command, "--graph", str(path), "--centers", "a"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err == "specbounds: error: the distance from 'a' to 'c' overflows float64\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["validate", "spectrum"])
+def test_cli_commands_without_distances_accept_overflowing_ones(tmp_path, capsys, command):
+    path = _overflow_path(tmp_path, (1e-308, 1e-308, 1e-308))
+    assert cli.main([command, "--graph", str(path), "--centers", "a"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [["report"], ["transform", "--doubling-N", "2"]])
+def test_vol_bracket_is_evaluated_once_per_radius(monkeypatch, capsys, argv):
+    """Without a potential c = 1, so vol[c^2 R] is vol[R]; the doubling grid
+    asks for vol[R] again, and for each scale at factor 1.0.  Each distinct
+    radius is evaluated once per context."""
+    asked, evaluated = [], []
+    vol_bracket = metric.BallVolumeTable.vol_bracket
+
+    def asking(self, s):
+        asked.append(s)
+        return vol_bracket(self, s)
+
+    class Evaluations(dict):
+        def __setitem__(self, s, value):
+            evaluated.append(s)
+            super().__setitem__(s, value)
+
+    brackets = cached_property(lambda self: Evaluations())
+    brackets.__set_name__(metric.BallVolumeTable, "_brackets")
+    monkeypatch.setattr(metric.BallVolumeTable, "_brackets", brackets)
+    monkeypatch.setattr(metric.BallVolumeTable, "vol_bracket", asking)
+    code = cli.main([*argv, "--generate", "random:40", "--centers", "every:4"])
+    assert code == 0
+    capsys.readouterr()
+    assert len(asked) == (2 if argv == ["report"] else 22)
+    assert sorted(evaluated) == sorted(set(asked))
 
 
 def test_version_agrees_everywhere(capsys):

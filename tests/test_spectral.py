@@ -35,6 +35,7 @@ from specbounds import (
 )
 from specbounds import cli, generate, random_connected, spectral
 from helpers import (
+    dense_weights,
     operator_norm,
     random_instance,
     random_proper_subset,
@@ -912,7 +913,7 @@ def test_uncertainty_on_lattice_line_with_sparse_centers():
 
 def _double_sum_energy(g, f):
     total = 0.0
-    W = g.weight_matrix
+    W = dense_weights(g)
     for x in range(g.n):
         for y in range(g.n):
             total += W[x, y] * (f[x] - f[y]) ** 2
