@@ -54,6 +54,10 @@ GENERATED = [
     ("lattice:2:20", "sublattice:3"),
     ("comb:12", "every:3"),
     ("apex_ray:200", "every:4"),
+    # The widest error budgets n eps (||H|| + t) against t: where the
+    # uncertainty grid may skip fewest couplings (none on comb:26).
+    ("comb:26", "every:3"),
+    ("random:200:0.001:1000", "every:3"),
 ]
 
 # Graph files: measure with a positive potential below and above the sparse

@@ -106,6 +106,14 @@ def record_coupled(monkeypatch) -> list[OperatorMatrix]:
     return coupled
 
 
+def uncertainty_grid(ctx: AnalysisContext, interval: tuple[float, float]) -> list[float]:
+    """The 17 couplings uncertainty_constant samples, in its order: 16 from
+    the threshold to 1e4 ||H+1||^2, geometric, then the analytic t_opt."""
+    h1, lam, max_i = ctx.shifted_norm, ctx.lambda_omega, float(interval[1])
+    ts = list(np.geomspace(ctx.threshold, 1.0e4 * h1 * h1, 16))
+    return ts + [8.0 * h1 * h1 * (lam + 1.0) ** 2 / (lam - max_i)]
+
+
 def operator_norm(op: OperatorMatrix) -> float:
     """Spectral norm in the weighted space (largest |eigenvalue|)."""
     evals = eigenvalues_of(op)

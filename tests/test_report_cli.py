@@ -27,7 +27,7 @@ from specbounds import (
 from specbounds import cli
 from specbounds.report import dumps_value
 
-from helpers import record_coupled
+from helpers import record_coupled, uncertainty_grid
 
 
 def test_report_relations_and_tolerance():
@@ -385,6 +385,50 @@ def test_cli_report_with_overflowing_fourth_power_of_norm(tmp_path, capsys):
                if name.startswith("coupling/rate_refined#"))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
+def test_cli_uncertainty_on_an_overflowing_coupling_grid(tmp_path, capsys):
+    """||H+1|| = 2e153: the threshold 8e306 is finite, but the other 15
+    couplings of the uncertainty grid and t_opt are inf, with NaN samples.
+    The first sample seeds the best one and a NaN never replaces it, as
+    with max(); the NaN ceiling of each inf coupling compares false, so it
+    is solved rather than skipped.  This output is pinned, and the one
+    warning is np.geomspace's, where the grid overflows."""
+    path = _overflow_path(tmp_path, (1e153, 1.0, 1.0))
+    assert cli.main(["uncertainty", "--graph", str(path), "--centers", "a"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    keys = ("name", "true", "bound", "pass", "vacuous", "note")
+    assert [tuple(r[k] for k in keys) for r in rows] == [
+        ("uncertainty/energy_form", 0.4999999999999999, 2.98410946289146e-310, True, False,
+         "projection rank 1"),
+        ("uncertainty/geometry_form", 0.4999999999999999, 0.0, True, True,
+         "interval reaches the geometric bound; variant skipped"),
+        ("uncertainty/sampled_coupling", 0.4999999999999999, 2.387287570313158e-308, True, False,
+         "best of 17 sampled couplings"),
+        ("uncertainty/sampled_vs_energy", 2.387287570313158e-308, 2.98410946289146e-310, True,
+         False, "sampled constant at the analytic optimizer dominates"),
+    ]
+
+
+def test_cli_geometry_form_where_the_fourth_power_of_the_norm_overflows(tmp_path, capsys):
+    """||H+1|| = 2e78: ||H+1||^4 overflows, so the geometric uncertainty
+    constant is evaluated as (geo - max I)^2 / (16 ||H+1||^2) / ||H+1||^2,
+    a subnormal 5.17e-317, where it was (geo - max I)^2 / inf = 0."""
+    path = _overflow_path(tmp_path, (1e78, 1.0, 1.0))
+    argv = ["uncertainty", "--graph", str(path), "--centers", "a", "--interval", "0:0.01"]
+    assert cli.main(argv) == 0
+    rows = {r["name"]: r for r in json.loads(capsys.readouterr().out)["rows"]}
+    ctx = AnalysisContext(graph.load_graph(path), ("a",))
+    h1, geo = ctx.shifted_norm, 1.0 / (ctx.R * ctx.vol_R)
+    with pytest.raises(OverflowError):
+        h1**4
+    kappa_cor = (geo - 0.01) ** 2 / (16.0 * h1 * h1) / (h1 * h1)
+    assert kappa_cor == 5.1660156e-317
+    for name in ("uncertainty/geometry_form", "uncertainty/energy_vs_geometry"):
+        assert rows[name]["bound"] == kappa_cor
+        assert rows[name]["pass"] and not rows[name]["vacuous"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "command", ["report", "metric", "voronoi", "bounds", "uncertainty", "transform"]
@@ -505,13 +549,40 @@ def test_report_computes_each_shared_quantity_once(monkeypatch, capsys):
     assert calls["eigenvalues_of"] == 1 + calls["coupled_eigenvalues_of"]
 
 
+def _solve_skipped(monkeypatch, ctx, ts):
+    """Solve, on ctx's own warm-started chain, the couplings of the auto
+    uncertainty grid that the report skipped (those not in ts), and check
+    each against dense eigvalsh within n eps (||H|| + t) plus its residual.
+    Returns how many there were."""
+    interval = cli.parse_interval("auto", ctx.lambda_omega)
+    skipped = [t for t in uncertainty_grid(ctx, interval) if t not in ts]
+    results = []
+    solve = spectral.sparse_ground_state
+
+    def recording(A, *args, **kwargs):
+        lam, x, residual = solve(A, *args, **kwargs)
+        results.append((A, lam, residual))
+        return lam, x, residual
+
+    monkeypatch.setattr(spectral, "sparse_ground_state", recording)
+    for t in skipped:
+        ctx.coupled_ground_energy(t)
+    assert len(results) == len(skipped)
+    for t, (A, lam, residual) in zip(skipped, results):
+        assert ctx.coupled_ground_energy(t) == lam
+        dense = np.linalg.eigvalsh(A.toarray())
+        assert abs(lam - dense[0]) <= ctx.graph.n * np.finfo(float).eps * (ctx.norm + t) + residual
+    return len(skipped)
+
+
 def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, capsys):
     """From SPARSE_MIN_N vertices on, a report makes one sparse solve per
-    distinct coupling t plus one each for lambda_0(H) and lambda_Omega,
-    runs eigvalsh on no coupled operator, and cuts no dense coupled
-    matrix (the resolvent row factors the sparse one)."""
+    distinct coupling t it solves (8: the uncertainty grid adds none to the
+    coupling grid's) plus one each for lambda_0(H) and lambda_Omega, runs
+    eigvalsh on no coupled operator, and cuts no dense coupled matrix (the
+    resolvent row factors the sparse one)."""
     calls = Counter()
-    ts = set()
+    ts, contexts = set(), set()
     coupled = record_coupled(monkeypatch)
     _count_calls(
         monkeypatch,
@@ -523,6 +594,7 @@ def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, caps
 
     def recording(self, t):
         ts.add(t)
+        contexts.add(self)
         return solve(self, t)
 
     monkeypatch.setattr(AnalysisContext, "coupled_ground_energy", recording)
@@ -531,16 +603,21 @@ def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, caps
     capsys.readouterr()
     assert calls["coupled_eigenvalues_of"] == 0
     assert coupled == []
-    assert len(ts) >= 24
+    assert len(ts) == 8
     assert calls["sparse_ground_state"] == len(ts) + 2
+    (ctx,) = contexts
+    assert _solve_skipped(monkeypatch, ctx, ts) == 16
+    assert calls["sparse_ground_state"] == len(ts) + 2 == 26
 
 
 def test_report_above_crossover_orders_each_pattern_once(monkeypatch, capsys):
     """From SPARSE_MIN_N vertices on, SuperLU searches for a fill-reducing
     ordering twice per report, once for H's sparsity pattern and once for
     the region block; every other factorization reuses H's.  Every coupled
-    solve takes the shift just below its own eigenvalue, with no fallback."""
-    orderings, solves, ts = Counter(), Counter(), set()
+    solve takes the shift just below its own eigenvalue, with no fallback,
+    and so do the couplings the report skips when solved after it."""
+    orderings, solves = Counter(), Counter()
+    ts, contexts = set(), set()
     splu, ground_state = spectral.splu, spectral._ground_state
     energy = AnalysisContext.coupled_ground_energy
 
@@ -554,6 +631,7 @@ def test_report_above_crossover_orders_each_pattern_once(monkeypatch, capsys):
 
     def recording_energy(self, t):
         ts.add(t)
+        contexts.add(self)
         return energy(self, t)
 
     monkeypatch.setattr(spectral, "splu", recording_splu)
@@ -564,9 +642,13 @@ def test_report_above_crossover_orders_each_pattern_once(monkeypatch, capsys):
     capsys.readouterr()
     assert orderings["MMD_AT_PLUS_A"] == 2
     assert set(orderings) == {"MMD_AT_PLUS_A", "NATURAL"}
-    assert len(ts) >= 24
+    assert len(ts) == 8
     # lambda_0(H) and lambda_Omega take a shift far below the spectrum.
     assert solves == {"near": len(ts), "far": 2}
+    (ctx,) = contexts
+    assert _solve_skipped(monkeypatch, ctx, ts) == 16
+    assert orderings["MMD_AT_PLUS_A"] == 2
+    assert solves == {"near": len(ts), "far": 2} and len(ts) == 24
 
 
 def test_cli_interval_auto_on_negative_potential(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specbounds import (
@@ -34,6 +34,7 @@ from specbounds import (
     validate,
 )
 from specbounds import cli, generate, random_connected, spectral
+from cli_matrix import FILES as CLI_MATRIX_FILES
 from helpers import (
     dense_weights,
     operator_norm,
@@ -42,6 +43,7 @@ from helpers import (
     record_coupled,
     reference_assemble,
     spectral_projection,
+    uncertainty_grid,
 )
 
 EPS = np.finfo(float).eps
@@ -650,7 +652,9 @@ def _near_shift_contexts():
 def test_coupled_ground_energies_in_report_order_match_dense(ctx, monkeypatch):
     """The report's own sequence of couplings (the auto coupling grid, then
     the uncertainty grid with t_opt last, after larger couplings), each
-    solved from a shift just below it, agrees with dense eigvalsh."""
+    solved from a shift just below it, agrees with dense eigvalsh.  The
+    report solves 8 of the 24; the 16 uncertainty couplings it skips are
+    then solved on the same warm-started chain and checked too."""
     assert ctx.matrix_free
     interval, threshold = _oracle_interval(ctx), ctx.threshold
     ts, solves = [], []
@@ -670,7 +674,12 @@ def test_coupled_ground_energies_in_report_order_match_dense(ctx, monkeypatch):
     monkeypatch.setattr(spectral, "sparse_ground_state", recording_solve)
     coupling_rate(ctx, cli.parse_t_grid("auto", threshold))
     uncertainty_constant(ctx, interval)
-    assert len(ts) == len(solves) >= 24
+    assert len(ts) == len(solves) == 8
+    skipped = [t for t in uncertainty_grid(ctx, interval) if t not in ts]
+    assert len(skipped) == 16
+    for t in skipped:
+        ctx.coupled_ground_energy(t)
+    assert len(ts) == len(solves) == 24
     for t, (A, lam, residual) in zip(ts, solves):
         assert ctx.coupled_ground_energy(t) == lam
         dense = np.linalg.eigvalsh(A.toarray())
@@ -904,6 +913,113 @@ def test_uncertainty_on_lattice_line_with_sparse_centers():
     rows = uncertainty_constant(AnalysisContext(g, d_set), (0.0, 0.5 * lam))
     assert rows_pass(rows)
     assert not all(r.vacuous for r in rows)
+
+
+def _ground_window(ctx):
+    """From below lambda_0 to halfway to lambda_Omega: an interval that
+    holds the ground state of H whatever the sign of V."""
+    return (ctx.lambda_0 - 1.0, 0.5 * (ctx.lambda_0 + ctx.lambda_omega))
+
+
+def _record_couplings(monkeypatch):
+    """Patch coupled_ground_energy to keep each (context, t) it is asked for."""
+    asked = set()
+    energy = AnalysisContext.coupled_ground_energy
+
+    def recording(self, t):
+        asked.add((self, t))
+        return energy(self, t)
+
+    monkeypatch.setattr(AnalysisContext, "coupled_ground_energy", recording)
+    return asked
+
+
+def _all_couplings(g, centers, interval):
+    """(t, lambda_0(H + t 1_D)) at each of the 17 couplings of the
+    uncertainty grid, every one solved, on a fresh context."""
+    ctx = AnalysisContext(g, centers)
+    return [(t, ctx.coupled_ground_energy(t)) for t in uncertainty_grid(ctx, interval)]
+
+
+def _best_sample(couplings, interval):
+    """The sampled constant without skipping: max() of every
+    (lambda_t - max I)/t, which keeps the first of equal or NaN samples."""
+    return max((lam_t - interval[1]) / t for t, lam_t in couplings)
+
+
+def _matrix_input(source):
+    """A generator spec, or the name of one of tests/cli_matrix.py's graph files."""
+    if source + ".json" not in CLI_MATRIX_FILES:
+        return generate(source)
+    params = dict(CLI_MATRIX_FILES[source + ".json"])
+    return random_connected(params.pop("n"), **params)
+
+
+@pytest.mark.parametrize(
+    "source, centers, solved",
+    [
+        ("random:100", "every:4", 8),
+        ("random:300", "every:4", 8),
+        ("measure60", "every:4", 8),
+        ("measure300", "every:4", 8),
+        ("negative30", "every:4", 8),
+        ("negative300", "every:4", 8),
+        ("comb:12", "every:3", 11),
+        ("comb:26", "every:3", 24),
+    ],
+)
+def test_sampled_coupling_skips_only_couplings_that_cannot_win(
+    monkeypatch, source, centers, solved
+):
+    """In report order (the auto coupling grid, then the uncertainty grid),
+    the sampled constant is exactly the best of all 17 samples, taken on a
+    fresh context, while the report solves only the coupling grid's 8 of
+    its 24 distinct couplings; where the budgets n eps t are wide it
+    solves more (11 on comb:12), or all 24 (comb:26, t up to 1e33)."""
+    g = _matrix_input(source)
+    ctx = AnalysisContext(g, cli.parse_centers(g, centers))
+    interval = _ground_window(ctx)
+    asked = _record_couplings(monkeypatch)
+    coupling_rate(ctx, cli.parse_t_grid("auto", ctx.threshold))
+    rows = {row.name: row for row in uncertainty_constant(ctx, interval)}
+    assert len(asked) == solved
+    row = rows["uncertainty/sampled_coupling"]
+    assert row.note == "best of 17 sampled couplings"
+    assert row.bound_value == _best_sample(_all_couplings(g, ctx.centers, interval), interval)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(2, 40),
+    st.integers(0, 10**6),
+    st.floats(-8.0, 8.0),
+    st.floats(-8.0, 8.0),
+)
+def test_pruned_sampled_constant_is_the_exhaustive_max(n, seed, lo, hi):
+    """Weights log-uniform in [10^lo, 10^hi] within 1e-8..1e8, random
+    measures and potentials of both signs: every coupling of the grid
+    keeps the premise of the skipping rule as computed,
+    lambda_t <= lambda_Omega + e_t with e_t = ctx.budget + n eps (||H|| + t),
+    and the reported sampled constant is the max over all 17 samples."""
+    lo, hi = sorted((lo, hi))
+    rng = np.random.default_rng(seed)
+    tree = random_connected(n, seed=seed)
+    ids = tree.vertices
+    edges = [(ids[i], ids[j], float(10.0 ** rng.uniform(lo, hi))) for i, j, _ in tree.edges]
+    potential = 10.0 ** rng.uniform(lo, hi) * rng.uniform(-1.0, 1.0, n)
+    g = WeightedGraph.from_edge_list(
+        ids, list(10.0 ** rng.uniform(-1.0, 1.0, n)), edges, potential=list(potential)
+    )
+    centers = random_proper_subset(g, seed)
+    ctx = AnalysisContext(g, centers)
+    interval = _ground_window(ctx)
+    assume(interval[1] < ctx.lambda_omega)
+    rows = {row.name: row for row in uncertainty_constant(ctx, interval)}
+    couplings = _all_couplings(g, centers, interval)
+    for t, lam_t in couplings:
+        e_t = ctx.budget + g.n * EPS * (ctx.norm + t)
+        assert lam_t <= ctx.lambda_omega + e_t
+    assert rows["uncertainty/sampled_coupling"].bound_value == _best_sample(couplings, interval)
 
 
 # ---------------------------------------------------------------------------
