@@ -14,7 +14,6 @@ from specbounds import (
     AnalysisContext,
     generate,
     uncertainty_constant,
-    window_indices,
 )
 
 g = generate("lattice:1:40")
@@ -26,9 +25,8 @@ print(f"Dirichlet ground energy of the free region: {lam:.6f}")
 
 interval = (0.0, 0.5 * lam)
 print(f"energy window I = [0, {interval[1]:.6f}]")
-sd = ctx.decomposition
-inside = window_indices(sd.eigenvalues, interval)
-print(f"eigenvalues inside the window: {len(inside)}")
+evals, vectors = ctx.window(interval)
+print(f"eigenvalues inside the window: {evals.size}")
 
 print("\n=== Constants ===")
 for row in uncertainty_constant(ctx, interval):
@@ -40,8 +38,8 @@ print("\nInterpretation: for every f in the window's spectral subspace,")
 print("||f restricted to D||^2 >= kappa ||f||^2 with kappa the true value above.")
 
 rng = np.random.default_rng(1)
-coeffs = rng.standard_normal(len(inside))
-f = sd.vectors[:, inside] @ coeffs
+coeffs = rng.standard_normal(evals.size)
+f = vectors @ coeffs
 mass_d = sum(f[g.index[v]] ** 2 * g.m[g.index[v]] for v in centers)
 mass = float(np.sum(f * f * g.m))
 print(f"random sample from the subspace: mass fraction on D = {mass_d / mass:.4f}")

@@ -83,7 +83,6 @@ from .report import (
     PASS_TOLERANCE,
     Report,
     make_report,
-    parse_json,
     render,
     render_csv,
     render_json,
@@ -92,7 +91,6 @@ from .report import (
 from .spectral import (
     AnalysisContext,
     OperatorMatrix,
-    SpectralData,
     compressed_penalty_matrix,
     count_below,
     coupling_rate,

@@ -50,8 +50,9 @@ class WeightedGraph:
         edges: tuple of (i, j, weight) with i < j and weight > 0, sorted
             by (i, j).  One entry per unordered pair.
         potential: optional per-vertex potential, shape (n,); absent means 0.
-    Every reader of the edges reads edges, edge_arrays or adjacency (the
-    sparse weight matrix); each view is built once, on first use.
+    Every reader of the edges reads edges, edge_arrays, adjacency (the
+    sparse weight matrix) or lengths (1/b on its pattern); each view is
+    built once, on first use.
     """
 
     vertices: tuple[str, ...]
@@ -98,6 +99,20 @@ class WeightedGraph:
         for a in (W.data, W.indices, W.indptr):
             _readonly(a)
         return W
+
+    @cached_property
+    def lengths(self) -> sparse.csr_matrix:
+        """The edge lengths 1/b(x, y) on adjacency's pattern, in CSR form:
+        the one place the path metric's lengths are computed.  A weight
+        below about 5.6e-309 has length inf, with no warning; the
+        distances through it are then refused as overflowing.  Its arrays
+        are read-only."""
+        W = self.adjacency
+        with np.errstate(over="ignore"):
+            L = sparse.csr_matrix((1.0 / W.data, W.indices, W.indptr), shape=W.shape)
+        for a in (L.data, L.indices, L.indptr):
+            _readonly(a)
+        return L
 
     @cached_property
     def weighted_degree(self) -> np.ndarray:

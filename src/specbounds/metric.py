@@ -2,9 +2,9 @@
 
 The distance between two vertices is the infimum of path lengths, where an
 edge of weight b contributes length 1/b.  All-pairs distances come from one
-single-source shortest-path run per vertex over the graph's sparse
-adjacency with lengths for weights; the predecessor structure of each run
-is kept so a geodesic can be read back for any pair.
+single-source shortest-path run per vertex over the graph's sparse edge
+lengths (WeightedGraph.lengths); the predecessor structure of each run is
+kept so a geodesic can be read back for any pair.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .errors import EmptySet, FullSet, InvalidSpec
@@ -50,9 +49,7 @@ class MetricData:
 
 def compute_metric(g: WeightedGraph) -> MetricData:
     """All-pairs shortest paths under edge length 1/b, with witnesses."""
-    W = g.adjacency
-    lengths = sparse.csr_matrix((1.0 / W.data, W.indices, W.indptr), shape=W.shape)
-    dist, pred = _dijkstra(lengths, directed=True, return_predecessors=True)
+    dist, pred = _dijkstra(g.lengths, directed=True, return_predecessors=True)
     pred = pred.astype(np.int64)
     pred[pred < 0] = -1
     return MetricData(g, _readonly(dist), _readonly(pred))
@@ -186,11 +183,10 @@ def check_homogeneity(
         # The shortest edge is the closest pair: Dijkstra gives a one-edge
         # path the length 0.0 + 1/w, and a longer path is no shorter than
         # its own shortest edge.
-        _, _, w = g.edge_arrays
         rows.append(
             make_report(
                 "homogeneity/min_distance",
-                float(np.min(1.0 / w)),
+                float(g.lengths.data.min()),
                 1.0 / c.b_max,
                 ">=",
             )

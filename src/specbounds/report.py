@@ -184,29 +184,6 @@ def render_csv(report: Report) -> str:
     return buf.getvalue()
 
 
-def parse_json(text: str) -> Report:
-    doc = json.loads(text)
-    rows = tuple(
-        BoundReport(
-            name=r["name"],
-            true_value=float(r["true"]),
-            bound_value=float(r["bound"]),
-            relation=r["relation"],
-            slack=float(r["slack"]),
-            passed=bool(r["pass"]),
-            vacuous=bool(r["vacuous"]),
-            note=r["note"],
-        )
-        for r in doc["rows"]
-    )
-    return Report(
-        config=doc["config"],
-        rows=rows,
-        timings=doc.get("timings", {}),
-        version=doc.get("version", ""),
-    )
-
-
 def render(report: Report, fmt: str) -> str:
     if fmt == "json":
         return render_json(report)

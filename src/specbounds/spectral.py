@@ -28,14 +28,18 @@ ends of its spectrum and the window's pairs come from that decomposition.
 lambda_Omega and the coupled energies come from eigvalsh of the dense H's
 block on the region and of copies of it with t added on D's diagonal.
 From there on no dense n x n matrix is formed, and each comes from the
-CSC form:
+CSC form through one certified Lanczos run, _lanczos: it calls ARPACK's
+eigsh (shift-invert with a given factorization of A - sigma, or on A
+itself for the top end), turns an ArpackError into ConvergenceFailure,
+sorts the pairs and holds every residual ||Ax - lambda x|| to the budget.
+Each solver below adds only its own check:
 
     lambda_0(H), lambda_Omega
         sparse_ground_state: shift-invert Lanczos (ARPACK) with a shift
         below the whole spectrum (min V/m - 1 for H, lambda_0(H) - 1 for
         the region block), so the largest eigenvalue of the
-        shift-inverted operator is the ground energy.  Certified by the
-        residual ||Ax - lambda x||.
+        shift-inverted operator is the ground energy.  The residual is
+        its only check.
     lambda_0(H + t 1_D)
         sparse_ground_state with the shift just below the eigenvalue: the
         largest lambda_0(H + t' 1_D) already solved with t' <= t
@@ -53,9 +57,13 @@ CSC form:
         sparse_window: count_below at a and b (Sylvester's law of inertia
         on an LDL^T factorization) gives how many eigenvalues lie below
         each end; one shift-invert Lanczos run returns that many lowest
-        pairs, each certified by its residual, and those in [a, b] are
-        kept.  When SuperLU pivots off the diagonal or a check fails, the
-        dense eigh is used instead.
+        pairs, which must split at a as the counts do and be orthonormal
+        to n eps, and those in [a, b] are kept.  When SuperLU pivots off
+        the diagonal or a check fails, the dense eigh is used instead.
+
+AnalysisContext.window(interval) returns the window's eigenvalues and
+m-orthonormal eigenvectors on both sides of SPARSE_MIN_N: the uncertainty
+constant reads those pairs, with no index into a full decomposition.
 
 Every residual must stay within n eps ||H||_1 (n eps (||H|| + t) for the
 coupled operators): the dense solver's own error budget n eps ||H||, with
@@ -127,27 +135,14 @@ class OperatorMatrix:
         return OperatorMatrix(_readonly(sym), self.m)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralData:
-    """Eigenvalues (ascending) and m-orthonormal eigenvectors (columns)."""
-
-    m: np.ndarray
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-
-def eigdecompose(op: OperatorMatrix) -> SpectralData:
-    """Full symmetric eigendecomposition; deterministic for fixed input."""
+def eigdecompose(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Full symmetric eigendecomposition: the eigenvalues ascending and the
+    m-orthonormal eigenvectors as columns.  Deterministic for fixed input."""
     try:
         evals, evecs = np.linalg.eigh(op.sym)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-    vectors = evecs / np.sqrt(op.m)[:, None]
-    return SpectralData(
-        m=op.m,
-        eigenvalues=_readonly(evals),
-        vectors=_readonly(vectors),
-    )
+    return _readonly(evals), _readonly(evecs / np.sqrt(op.m)[:, None])
 
 
 def eigenvalues_of(op: OperatorMatrix) -> np.ndarray:
@@ -217,6 +212,7 @@ class _Factorization:
 
     lu: SuperLU
     order: np.ndarray | None
+    shift: float
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(A - shift)^(-1) b, for one or more right-hand sides."""
@@ -258,7 +254,7 @@ def _factor(
             lu = splu(B[order][:, order], permc_spec="NATURAL", **pivoting)
     except RuntimeError as exc:
         raise ConvergenceFailure(f"no LU at the shift {shift!r}: {exc}") from exc
-    return _Factorization(lu, order)
+    return _Factorization(lu, order, shift)
 
 
 def _start_vector(n: int) -> np.ndarray:
@@ -268,9 +264,40 @@ def _start_vector(n: int) -> np.ndarray:
     return np.random.default_rng(0).standard_normal(n)
 
 
-def _shift_invert(lu: _Factorization, shape: tuple[int, int]) -> LinearOperator:
-    """(A - sigma)^(-1) for eigsh, from the factorization of A - sigma."""
-    return LinearOperator(shape, matvec=lu.solve, dtype=float)
+def _lanczos(
+    A: sparse.spmatrix,
+    k: int,
+    v0: np.ndarray,
+    budget: float,
+    factor: _Factorization | None = None,
+    ncv: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """k eigenpairs of the sparse symmetric A from one ARPACK run: every
+    sparse eigensolve goes through here.
+
+    Without factor, Lanczos on A itself gives the k largest; with factor,
+    the factorization of A - sigma, shift-invert Lanczos gives the k
+    nearest sigma.  v0 is the start vector, never None, since ARPACK's
+    random start is not reproducible.  Returns (eigenvalues ascending, unit
+    eigenvectors as columns, the largest residual ||Ax - lambda x||), and
+    raises ConvergenceFailure when ARPACK fails or a residual exceeds
+    budget.
+    """
+    if factor is None:
+        options = {"which": "LA"}
+    else:
+        opinv = LinearOperator(A.shape, matvec=factor.solve, dtype=float)
+        options = {"sigma": factor.shift, "which": "LM", "OPinv": opinv}
+    try:
+        evals, evecs = eigsh(A, k=k, v0=v0, ncv=ncv, **options)
+    except ArpackError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+    order = np.argsort(evals)
+    evals, evecs = evals[order], evecs[:, order]
+    residual = max(float(np.linalg.norm(A @ x - lam * x)) for lam, x in zip(evals, evecs.T))
+    if not residual <= budget:
+        raise ConvergenceFailure(f"Lanczos residual {residual!r} exceeds the budget {budget!r}")
+    return evals, evecs, residual
 
 
 # The Lanczos basis of a solve whose shift lies just below the ground
@@ -292,10 +319,9 @@ def sparse_ground_state(
     sigma must lie below the spectrum of A: then (A - sigma)^(-1) is
     positive definite and its largest eigenvalue belongs to the lowest of
     A.  v0 is the Lanczos start vector; pass one that cannot be orthogonal
-    to the ground state (a positive vector for a positive ground state),
-    never None, since ARPACK's random start is not reproducible.  Returns
-    (lambda, x, ||Ax - lambda x||) with x of unit length, and raises
-    ConvergenceFailure when the residual exceeds budget.
+    to the ground state (a positive vector for a positive ground state).
+    Returns (lambda, x, ||Ax - lambda x||) with x of unit length, and
+    raises ConvergenceFailure when the residual exceeds budget.
 
     With fallback given, sigma is a guess just below the ground energy.
     It is certified on the factorization of A - sigma, which must have no
@@ -327,20 +353,8 @@ def _ground_state(
     lu = _factor(A, sigma, ordering)
     if near and lu.negative_pivots() != 0:
         raise ConvergenceFailure(f"the shift {sigma!r} is not below the spectrum")
-    try:
-        evals, evecs = eigsh(
-            A, k=1, sigma=sigma, which="LM", v0=v0,
-            ncv=NEAR_SHIFT_NCV if near else None, OPinv=_shift_invert(lu, A.shape),
-        )
-    except ArpackError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    lam, x = float(evals[0]), evecs[:, 0]
-    residual = float(np.linalg.norm(A @ x - lam * x))
-    if not residual <= budget:
-        raise ConvergenceFailure(
-            f"sparse ground state residual {residual!r} exceeds the budget {budget!r}"
-        )
-    return lam, x, residual
+    evals, evecs, residual = _lanczos(A, 1, v0, budget, lu, NEAR_SHIFT_NCV if near else None)
+    return float(evals[0]), evecs[:, 0], residual
 
 
 def count_below(
@@ -373,16 +387,8 @@ def sparse_top_eigenvalue(
     ConvergenceFailure when r exceeds budget or the count falls short.
     """
     n = A.shape[0]
-    try:
-        evals, evecs = eigsh(A, k=1, which="LA", v0=_start_vector(n))
-    except ArpackError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    theta, x = float(evals[0]), evecs[:, 0]
-    residual = float(np.linalg.norm(A @ x - theta * x))
-    if not residual <= budget:
-        raise ConvergenceFailure(
-            f"top eigenvalue residual {residual!r} exceeds the budget {budget!r}"
-        )
+    evals, _, residual = _lanczos(A, 1, _start_vector(n), budget)
+    theta = float(evals[0])
     if count_below(A, theta + residual + budget, ordering) != n:
         raise ConvergenceFailure(f"an eigenvalue lies above the Ritz value {theta!r}")
     return theta
@@ -414,27 +420,15 @@ def sparse_window(
         return np.empty(0), np.empty((n, 0))
     if k >= n:
         raise ConvergenceFailure(f"the window reaches {k} of {n} eigenvalues; eigsh needs fewer")
-    try:
-        evals, evecs = eigsh(
-            A, k=k, sigma=sigma, which="LM", v0=_start_vector(n),
-            OPinv=_shift_invert(_factor(A, sigma, ordering), A.shape),
-        )
-    except ArpackError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    order = np.argsort(evals)
-    evals, evecs = evals[order], evecs[:, order]
-    residual = float(np.max(np.linalg.norm(A @ evecs - evecs * evals, axis=0)))
+    evals, evecs, _ = _lanczos(A, k, _start_vector(n), budget, _factor(A, sigma, ordering))
     drift = float(np.max(np.abs(evecs.T @ evecs - np.eye(k))))
-    eps = np.finfo(float).eps
     if not (
         np.count_nonzero(evals < interval[0] - ENDPOINT_TOLERANCE) == lo
         and evals[-1] <= interval[1] + ENDPOINT_TOLERANCE
-        and drift <= n * eps
-        and residual <= budget
+        and drift <= n * np.finfo(float).eps
     ):
         raise ConvergenceFailure(
-            f"window of {k - lo} pairs not certified: residual {residual!r} "
-            f"(budget {budget!r}), orthogonality drift {drift!r}"
+            f"window of {k - lo} pairs not certified: orthogonality drift {drift!r}"
         )
     return evals[lo:], evecs[:, lo:]
 
@@ -490,10 +484,11 @@ class AnalysisContext:
     Below SPARSE_MIN_N vertices operator is sparse_operator densified once,
     and decomposition, its eigh, is H's one eigensolve: ground_pair and
     lambda_0 are its first pair, lambda_max its last eigenvalue, norm,
-    shifted_norm and threshold follow from the two, and window selects
-    from it.  lambda_omega is the eigvalsh of operator's block on
-    region_indices (region_operator), coupled_ground_energy(t) that of
-    operator with t added on the diagonal at penalty_indices (coupled(t)).
+    shifted_norm and threshold follow from the two, and window(interval)
+    cuts the pairs in the interval from it.  lambda_omega is the eigvalsh
+    of operator's block on region_indices (region_operator),
+    coupled_ground_energy(t) that of operator with t added on the diagonal
+    at penalty_indices (coupled(t)).
     Both index sets, which also cut the sparse operators, are found once.
 
     From SPARSE_MIN_N vertices on (matrix_free) no dense n x n matrix is
@@ -510,6 +505,8 @@ class AnalysisContext:
       - window(interval): sparse_window, certified by the inertia at both
         ends and the residuals; falls back to the eigh decomposition if
         SuperLU pivots off the diagonal or a check fails.
+    On both sides window returns the pairs in the interval alone: their
+    eigenvalues ascending and m-orthonormal eigenvectors as columns.
       - coupled_ground_energy(t): sparse_ground_state on H + t 1_D,
         certified by the residual within n eps (||H|| + t).  Its shift is
         the largest lambda_0(H + t' 1_D) solved so far with t' <= t
@@ -580,7 +577,9 @@ class AnalysisContext:
         return OperatorMatrix(_readonly(self.sparse_operator.toarray()), self.graph.m)
 
     @cached_property
-    def decomposition(self) -> SpectralData:
+    def decomposition(self) -> tuple[np.ndarray, np.ndarray]:
+        """eigdecompose(operator): H's eigenvalues and m-orthonormal
+        eigenvectors."""
         return eigdecompose(self.operator)
 
     @cached_property
@@ -596,8 +595,8 @@ class AnalysisContext:
         """lambda_0(H) and its eigenvector, of unit length in the
         m-weighted inner product."""
         if not self.matrix_free:
-            sd = self.decomposition
-            return float(sd.eigenvalues[0]), sd.vectors[:, 0]
+            evals, vectors = self.decomposition
+            return float(evals[0]), vectors[:, 0]
         lam, x, _ = self._ground_solve
         return lam, _readonly(x / np.sqrt(self.graph.m))
 
@@ -634,7 +633,7 @@ class AnalysisContext:
                 return sparse_top_eigenvalue(self.sparse_operator, self.budget, self.ordering)
             except ConvergenceFailure:
                 pass
-        return float(self.decomposition.eigenvalues[-1])
+        return float(self.decomposition[0][-1])
 
     @cached_property
     def norm(self) -> float:
@@ -670,12 +669,11 @@ class AnalysisContext:
         )
         return lam
 
-    def window(self, interval: tuple[float, float]) -> tuple[SpectralData, tuple[int, ...]]:
+    def window(self, interval: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
         """The eigenpairs of H with eigenvalues in the closed interval
-        (ENDPOINT_TOLERANCE of jitter at both ends): a SpectralData and
-        the positions of the window's pairs in it."""
+        (ENDPOINT_TOLERANCE of jitter at both ends): the eigenvalues
+        ascending and the m-orthonormal eigenvectors as columns."""
         if self.matrix_free:
-            g = self.graph
             try:
                 evals, x = sparse_window(
                     self.sparse_operator, self.lambda_0 - 1.0, interval, self.budget, self.ordering
@@ -683,14 +681,10 @@ class AnalysisContext:
             except ConvergenceFailure:
                 pass
             else:
-                sd = SpectralData(
-                    m=g.m,
-                    eigenvalues=_readonly(evals),
-                    vectors=_readonly(x / np.sqrt(g.m)[:, None]),
-                )
-                return sd, tuple(range(evals.size))
-        sd = self.decomposition
-        return sd, tuple(int(i) for i in window_indices(sd.eigenvalues, interval))
+                return _readonly(evals), _readonly(x / np.sqrt(self.graph.m)[:, None])
+        evals, vectors = self.decomposition
+        inside = window_indices(evals, interval)
+        return _readonly(evals[inside]), _readonly(vectors[:, inside])
 
     @cached_property
     def R(self) -> float:
@@ -1021,9 +1015,9 @@ def coupling_rate(ctx: AnalysisContext, t_list: Sequence[float]) -> list[BoundRe
 
 
 def compressed_penalty_matrix(
-    sd: SpectralData, g: WeightedGraph, d_set: Iterable[str], indices: Sequence[int]
+    phi: np.ndarray, g: WeightedGraph, d_set: Iterable[str]
 ) -> np.ndarray:
-    """Gram matrix of the penalty mass over selected eigenvectors.
+    """Gram matrix of the penalty mass over the eigenvectors phi (columns).
 
     Entry (i, j) is sum over x in D of phi_i(x) phi_j(x) m(x); its lowest
     eigenvalue is the exact uncertainty constant for the spanned subspace.
@@ -1031,13 +1025,17 @@ def compressed_penalty_matrix(
     idx = g.indices(d_set)
     mass = np.zeros(g.n)
     mass[idx] = g.m[idx]
-    phi = sd.vectors[:, list(indices)]
     gram = phi.T @ (phi * mass[:, None])
     return 0.5 * (gram + gram.T)
 
 
+# The geometric part of the uncertainty grid: this many couplings from the
+# threshold 2 ||H+1||^2 to 1e4 ||H+1||^2; t_opt makes one more.
+UNCERTAINTY_GRID_POINTS = 16
+
+
 def uncertainty_constant(
-    ctx: AnalysisContext, interval: tuple[float, float], grid_points: int = 16
+    ctx: AnalysisContext, interval: tuple[float, float]
 ) -> list[BoundReport]:
     """Lower bounds for the penalty mass of low-energy spectral subspaces.
 
@@ -1047,7 +1045,11 @@ def uncertainty_constant(
     (lam_omega - max I)^2 / (16 ||H+1||^2 (lam_omega+1)^2), the fully
     geometric variant with 1/(R vol[R]) in place of lam_omega and
     ||H+1||^4 in the denominator, and the best sampled coupling value
-    (lam_t - max I)/t over a geometric grid plus the analytic optimizer.
+    (lam_t - max I)/t over a geometric grid of UNCERTAINTY_GRID_POINTS
+    couplings plus the analytic optimizer t_opt.  Couplings that overflow
+    float64 are not sampled, and the row's note says how many of the 17
+    are finite; when none is (the threshold overflows) this raises
+    ValueError.
     The eigenpairs in the interval come from ctx.window, and ||H+1|| is
     ctx.shifted_norm.
     The geometric variant, and its comparison with the energy form, need
@@ -1064,10 +1066,10 @@ def uncertainty_constant(
     rises with t to the Dirichlet energy; within those budgets, and with
     monotone rounding, no skipped sample exceeds kappa_best, so the bound
     is that of the best of all samples.  Where e_t / t is not small (t up
-    to 1e33 on comb:26) the rule skips nothing, and a NaN ceiling (t = inf)
-    is solved.  In a report, after the coupling grid's 8 solves, this
-    skips all 16 new couplings on random:100 to random:800, lattice:2:20
-    and apex_ray:200, 13 on comb:12 and none on comb:26.
+    to 1e33 on comb:26) the rule skips nothing.  In a report, after the
+    coupling grid's 8 solves, this skips all 16 new couplings on random:100
+    to random:800, lattice:2:20 and apex_ray:200, 13 on comb:12 and none on
+    comb:26.
     """
     ctx.require_region()
     a, b = float(interval[0]), float(interval[1])
@@ -1080,7 +1082,7 @@ def uncertainty_constant(
         raise PreconditionInterval(
             f"max I = {max_i!r} reaches the Dirichlet ground energy {lam_omega!r}"
         )
-    sd, indices = ctx.window((a, b))
+    evals, phi = ctx.window((a, b))
     h1 = ctx.shifted_norm
 
     kappa_thm = (lam_omega - max_i) ** 2 / (
@@ -1096,7 +1098,7 @@ def uncertainty_constant(
             kappa_cor = (geo - max_i) ** 2 / (16.0 * h1 * h1) / (h1 * h1)
 
     rows: list[BoundReport] = []
-    if not indices:
+    if not evals.size:
         rows.append(
             make_report(
                 "uncertainty/energy_form", 0.0, kappa_thm, ">=",
@@ -1112,19 +1114,25 @@ def uncertainty_constant(
             )
         return rows
 
-    gram = compressed_penalty_matrix(sd, ctx.graph, ctx.centers, indices)
+    gram = compressed_penalty_matrix(phi, ctx.graph, ctx.centers)
     truth = float(np.linalg.eigvalsh(gram)[0])
 
-    t_grid = list(np.geomspace(ctx.threshold, 1.0e4 * h1 * h1, grid_points))
+    # Where 1e4 ||H+1||^2 overflows, geomspace's steps are inf (0 * inf at
+    # the first) and the couplings past the threshold are inf.
+    with np.errstate(invalid="ignore"):
+        grid = np.geomspace(ctx.threshold, 1.0e4 * h1 * h1, UNCERTAINTY_GRID_POINTS)
     t_opt = 8.0 * h1 * h1 * (lam_omega + 1.0) ** 2 / (lam_omega - max_i)
-    t_grid.append(t_opt)
+    t_grid = [t for t in [*grid, t_opt] if math.isfinite(t)]
+    if not t_grid:
+        raise ValueError(
+            f"the coupling threshold 2 ||H+1||^2 = {ctx.threshold!r} overflows "
+            "float64; no coupling of the uncertainty grid can be sampled"
+        )
     kappa_best = None
     for t in t_grid:
-        # No sample at t exceeds this ceiling.  Where t overflows it is
-        # inf / inf, a NaN, which compares false: that t is solved.
+        # No sample at t exceeds this ceiling.
         e_t = ctx.budget + ctx.coupled_budget(t)
-        with np.errstate(invalid="ignore"):
-            ceiling = (lam_omega + e_t - max_i) / t
+        ceiling = (lam_omega + e_t - max_i) / t
         if kappa_best is not None and ceiling < kappa_best:
             continue
         kappa = (ctx.coupled_ground_energy(t) - max_i) / t
@@ -1134,7 +1142,7 @@ def uncertainty_constant(
     rows.append(
         make_report(
             "uncertainty/energy_form", truth, kappa_thm, ">=",
-            note=f"projection rank {len(indices)}",
+            note=f"projection rank {evals.size}",
         )
     )
     if kappa_cor is not None:
@@ -1153,10 +1161,12 @@ def uncertainty_constant(
                 note="interval reaches the geometric bound; variant skipped",
             )
         )
+    total = UNCERTAINTY_GRID_POINTS + 1
+    sampled = str(total) if len(t_grid) == total else f"{len(t_grid)} finite of {total}"
     rows.append(
         make_report(
             "uncertainty/sampled_coupling", truth, kappa_best, ">=",
-            note=f"best of {len(t_grid)} sampled couplings",
+            note=f"best of {sampled} sampled couplings",
         )
     )
     rows.append(

@@ -89,8 +89,8 @@ def build_voronoi(g: WeightedGraph, d_set: Iterable[str]) -> VoronoiDecompositio
     for rank, p in enumerate(centers):
         heapq.heappush(heap, (0.0, rank, g.index[p], -1))
 
-    W = g.adjacency
-    indptr, indices, lengths = W.indptr.tolist(), W.indices.tolist(), (1.0 / W.data).tolist()
+    L = g.lengths
+    indptr, indices, lengths = L.indptr.tolist(), L.indices.tolist(), L.data.tolist()
     remaining = n
     while heap and remaining:
         d, rank, v, via = heapq.heappop(heap)
@@ -131,9 +131,9 @@ def verify_voronoi(vd: VoronoiDecomposition, md: MetricData) -> list[BoundReport
     # (V1): witness paths are geodesics from the center and stay in the cell.
     worst_rel = 0.0
     containment_violations = 0
-    # The weight of each witness edge (pred[i], i), 0 where there is none;
+    # The length of each witness edge (pred[i], i), 0 where there is none;
     # a center's entry is never read.
-    w_pred = np.asarray(g.adjacency[np.maximum(vd.pred, 0), np.arange(n)]).ravel()
+    l_pred = np.asarray(g.lengths[np.maximum(vd.pred, 0), np.arange(n)]).ravel()
     for i in range(n):
         path = vd._witness_indices(i)
         if path[0] != int(center_idx[label[i]]):
@@ -141,10 +141,10 @@ def verify_voronoi(vd: VoronoiDecomposition, md: MetricData) -> list[BoundReport
             continue
         length = 0.0
         for a, b in zip(path, path[1:]):
-            if label[a] != label[i] or w_pred[b] <= 0.0:
+            if label[a] != label[i] or l_pred[b] <= 0.0:
                 containment_violations += 1
                 break
-            length += 1.0 / w_pred[b]
+            length += l_pred[b]
         else:
             true_d = float(md.dist[path[0], i])
             worst_rel = max(worst_rel, abs(length - true_d) / max(true_d, 1.0))

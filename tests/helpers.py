@@ -1,10 +1,11 @@
 """Shared helpers: random test instances, the dense reference assembly of
-H, and dense spectral quantities that only tests compute (the package
-reads the spectrum's ends and the window's indices, never a norm of an
-arbitrary operator or a projection matrix)."""
+H, dense spectral quantities that only tests compute (the package reads
+the spectrum's ends and the window's pairs, never a norm of an arbitrary
+operator or a projection matrix), and the parser of a JSON report."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -12,13 +13,15 @@ import numpy as np
 
 from specbounds import (
     AnalysisContext,
+    BoundReport,
     OperatorMatrix,
-    SpectralData,
+    Report,
     WeightedGraph,
     eigenvalues_of,
     random_connected,
     window_indices,
 )
+from specbounds.spectral import UNCERTAINTY_GRID_POINTS
 
 
 def random_instance(
@@ -108,9 +111,10 @@ def record_coupled(monkeypatch) -> list[OperatorMatrix]:
 
 def uncertainty_grid(ctx: AnalysisContext, interval: tuple[float, float]) -> list[float]:
     """The 17 couplings uncertainty_constant samples, in its order: 16 from
-    the threshold to 1e4 ||H+1||^2, geometric, then the analytic t_opt."""
+    the threshold to 1e4 ||H+1||^2, geometric, then the analytic t_opt
+    (all finite, as they are on every graph the tests give it)."""
     h1, lam, max_i = ctx.shifted_norm, ctx.lambda_omega, float(interval[1])
-    ts = list(np.geomspace(ctx.threshold, 1.0e4 * h1 * h1, 16))
+    ts = list(np.geomspace(ctx.threshold, 1.0e4 * h1 * h1, UNCERTAINTY_GRID_POINTS))
     return ts + [8.0 * h1 * h1 * (lam + 1.0) ** 2 / (lam - max_i)]
 
 
@@ -129,8 +133,11 @@ class SpectralProjection:
     empty: bool
 
 
-def spectral_projection(sd: SpectralData, interval: tuple[float, float]) -> SpectralProjection:
-    """Projection onto eigenvectors with eigenvalues in a closed interval.
+def spectral_projection(
+    evals: np.ndarray, vectors: np.ndarray, m: np.ndarray, interval: tuple[float, float]
+) -> SpectralProjection:
+    """Projection onto the m-orthonormal eigenvectors (columns of vectors)
+    whose eigenvalues lie in a closed interval.
 
     Endpoint membership allows 1e-12 of solver jitter.  An interval that
     captures no eigenvalue yields the zero projection with empty=True.
@@ -138,10 +145,34 @@ def spectral_projection(sd: SpectralData, interval: tuple[float, float]) -> Spec
     a, b = float(interval[0]), float(interval[1])
     if a > b:
         raise ValueError("interval endpoints must satisfy a <= b")
-    sel = window_indices(sd.eigenvalues, (a, b))
-    phi = sd.vectors[:, sel]
+    sel = window_indices(evals, (a, b))
+    phi = vectors[:, sel]
     return SpectralProjection(
-        matrix=phi @ (phi * sd.m[:, None]).T,
+        matrix=phi @ (phi * m[:, None]).T,
         indices=tuple(int(i) for i in sel),
         empty=sel.size == 0,
+    )
+
+
+def parse_json(text: str) -> Report:
+    """The Report that render_json printed as text."""
+    doc = json.loads(text)
+    rows = tuple(
+        BoundReport(
+            name=r["name"],
+            true_value=float(r["true"]),
+            bound_value=float(r["bound"]),
+            relation=r["relation"],
+            slack=float(r["slack"]),
+            passed=bool(r["pass"]),
+            vacuous=bool(r["vacuous"]),
+            note=r["note"],
+        )
+        for r in doc["rows"]
+    )
+    return Report(
+        config=doc["config"],
+        rows=rows,
+        timings=doc.get("timings", {}),
+        version=doc.get("version", ""),
     )

@@ -19,7 +19,6 @@ from specbounds import (
     Report,
     dumps_graph,
     make_report,
-    parse_json,
     random_connected,
     render_csv,
     render_json,
@@ -27,7 +26,7 @@ from specbounds import (
 from specbounds import cli
 from specbounds.report import dumps_value
 
-from helpers import record_coupled, uncertainty_grid
+from helpers import parse_json, record_coupled, uncertainty_grid
 
 
 def test_report_relations_and_tolerance():
@@ -385,15 +384,12 @@ def test_cli_report_with_overflowing_fourth_power_of_norm(tmp_path, capsys):
                if name.startswith("coupling/rate_refined#"))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 @pytest.mark.filterwarnings("error")
 def test_cli_uncertainty_on_an_overflowing_coupling_grid(tmp_path, capsys):
     """||H+1|| = 2e153: the threshold 8e306 is finite, but the other 15
-    couplings of the uncertainty grid and t_opt are inf, with NaN samples.
-    The first sample seeds the best one and a NaN never replaces it, as
-    with max(); the NaN ceiling of each inf coupling compares false, so it
-    is solved rather than skipped.  This output is pinned, and the one
-    warning is np.geomspace's, where the grid overflows."""
+    couplings of the uncertainty grid and t_opt overflow to inf.  Only the
+    finite one is sampled, the note says so, and nothing warns (np.geomspace
+    warned where the grid overflows, and the inf couplings gave NaN samples)."""
     path = _overflow_path(tmp_path, (1e153, 1.0, 1.0))
     assert cli.main(["uncertainty", "--graph", str(path), "--centers", "a"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
@@ -404,10 +400,22 @@ def test_cli_uncertainty_on_an_overflowing_coupling_grid(tmp_path, capsys):
         ("uncertainty/geometry_form", 0.4999999999999999, 0.0, True, True,
          "interval reaches the geometric bound; variant skipped"),
         ("uncertainty/sampled_coupling", 0.4999999999999999, 2.387287570313158e-308, True, False,
-         "best of 17 sampled couplings"),
+         "best of 1 finite of 17 sampled couplings"),
         ("uncertainty/sampled_vs_energy", 2.387287570313158e-308, 2.98410946289146e-310, True,
          False, "sampled constant at the analytic optimizer dominates"),
     ]
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_uncertainty_with_an_overflowing_threshold_is_a_one_line_error(tmp_path, capsys):
+    """||H+1|| = 2e155: the threshold 2 ||H+1||^2 itself overflows, so no
+    coupling of the uncertainty grid is finite.  The command says so in one
+    line, where it stopped on a NaN sample with a traceback."""
+    path = _overflow_path(tmp_path, (1e155, 1.0, 1.0))
+    assert cli.main(["uncertainty", "--graph", str(path), "--centers", "a"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("specbounds: error: the coupling threshold 2 ||H+1||^2 = inf overflows")
 
 
 def test_cli_geometry_form_where_the_fourth_power_of_the_norm_overflows(tmp_path, capsys):
@@ -429,21 +437,31 @@ def test_cli_geometry_form_where_the_fourth_power_of_the_norm_overflows(tmp_path
         assert rows[name]["pass"] and not rows[name]["vacuous"]
 
 
+DISTANCE_COMMANDS = ("report", "metric", "voronoi", "bounds", "uncertainty", "transform")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "command", ["report", "metric", "voronoi", "bounds", "uncertainty", "transform"]
+    "command, weights, pair",
+    [pytest.param(c, (1e-308, 1e-308, 1e-308), "'a' to 'c'", id=c) for c in DISTANCE_COMMANDS]
+    + [
+        pytest.param(c, (1e-320, 1.0, 1.0), "'a' to 'b'", id=f"{c}-subnormal")
+        for c in DISTANCE_COMMANDS
+    ],
 )
-def test_cli_overflowing_distance_is_a_one_line_error(tmp_path, capsys, command):
-    """Edges of length 1e308: the distance over two of them is inf.  Every
-    command that reads distances refuses them in one line naming the first
-    such pair, with no warning on the way, where report, metric and
-    voronoi raised an uncaught NaN error and the others built rows on
-    R = inf."""
-    path = _overflow_path(tmp_path, (1e-308, 1e-308, 1e-308))
+def test_cli_overflowing_distance_is_a_one_line_error(tmp_path, capsys, command, weights, pair):
+    """Edges of length 1e308: the distance over two of them is inf.  A
+    subnormal weight 1e-320: its own length 1/b is inf.  Every command that
+    reads distances refuses them in one line naming the first such pair,
+    with no warning on the way.  On the first path report, metric and
+    voronoi once raised an uncaught NaN error and the others built rows on
+    R = inf; on the second, each place that computed 1/b warned of an
+    overflow."""
+    path = _overflow_path(tmp_path, weights)
     code = cli.main([command, "--graph", str(path), "--centers", "a"])
     out, err = capsys.readouterr()
     assert code == 1 and out == ""
-    assert err == "specbounds: error: the distance from 'a' to 'c' overflows float64\n"
+    assert err == f"specbounds: error: the distance from {pair} overflows float64\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -735,7 +753,7 @@ def test_report_above_crossover_runs_no_dense_eigensolve_or_solve(monkeypatch, c
 
 
 def test_uncertainty_forms_no_projection_matrix(capsys):
-    """uncertainty_constant reads only the window's indices: the package
+    """uncertainty_constant reads only the window's pairs: the package
     has no code that forms the n x n spectral projection (its reference
     implementation lives in tests/helpers.py)."""
     assert not hasattr(spectral, "spectral_projection")

@@ -215,12 +215,12 @@ def test_path_laplacian_closed_form():
 def test_eigdecompose_invariants():
     g = random_instance(31, n_lo=3, n_hi=30, m_weighted=True)
     op = reference_assemble(g)
-    sd = eigdecompose(op)
+    evals, vectors = eigdecompose(op)
     norm = operator_norm(op)
     for i in range(g.n):
-        residual = op.entries @ sd.vectors[:, i] - sd.eigenvalues[i] * sd.vectors[:, i]
+        residual = op.entries @ vectors[:, i] - evals[i] * vectors[:, i]
         assert np.sqrt(np.sum(residual**2 * g.m)) <= 1e-9 * (norm + 1.0)
-    gram = sd.vectors.T @ (sd.vectors * g.m[:, None])
+    gram = vectors.T @ (vectors * g.m[:, None])
     assert np.abs(gram - np.eye(g.n)).max() <= 1e-10
 
 
@@ -550,7 +550,7 @@ def test_dense_context_reads_both_ends_of_h_from_its_one_eigh(
     eigh that gives ground_pair and the window, so bounds solves H once."""
     assert g.n < spectral.SPARSE_MIN_N
     ctx = AnalysisContext(g, cli.parse_centers(g, centers))
-    evals = ctx.decomposition.eigenvalues
+    evals, _ = ctx.decomposition
     assert ctx.lambda_0 == ctx.ground_pair[0]
     assert ctx.lambda_max == evals[-1]
     assert ctx.shifted_norm == np.max(np.abs(evals + 1.0))
@@ -616,21 +616,22 @@ def test_matrix_free_context_matches_dense_oracle(ctx):
     assert abs(ctx.lambda_omega - eigenvalues_of(ctx.region_operator)[0]) <= tol
 
     interval = _oracle_interval(ctx)
-    sd, indices = ctx.window(interval)
-    # The sparse window holds just the window's pairs (no dense fallback).
-    assert sd.eigenvalues.size == len(indices) >= 1
+    evals, vectors = ctx.window(interval)
+    # The window came from the sparse solver (no dense fallback).
+    assert "decomposition" not in vars(ctx)
+    assert evals.size >= 1
     selected = spectral.window_indices(dense, interval)
-    assert np.all(np.abs(sd.eigenvalues - dense[selected]) <= tol)
+    assert np.all(np.abs(evals - dense[selected]) <= tol)
     # The eigenvectors are m-orthonormal.
-    gram = sd.vectors.T @ (sd.vectors * ctx.graph.m[:, None])
-    assert np.allclose(gram, np.eye(len(indices)), rtol=0.0, atol=1e-12)
+    gram = vectors.T @ (vectors * ctx.graph.m[:, None])
+    assert np.allclose(gram, np.eye(evals.size), rtol=0.0, atol=1e-12)
 
     # The exact uncertainty constant depends on the window's subspace only;
     # it moves by about tol / gap, the gap to the rest of the spectrum.
-    full = ctx.decomposition
-    chosen = spectral.window_indices(full.eigenvalues, interval)
+    full_evals, full_vectors = ctx.decomposition
+    chosen = spectral.window_indices(full_evals, interval)
     oracle = np.linalg.eigvalsh(
-        spectral.compressed_penalty_matrix(full, ctx.graph, ctx.centers, chosen)
+        spectral.compressed_penalty_matrix(full_vectors[:, chosen], ctx.graph, ctx.centers)
     )[0]
     outside = np.delete(dense, selected)
     gap = np.min(np.abs(outside[:, None] - dense[selected][None, :]))
@@ -851,32 +852,32 @@ def test_coupled_sparse_adds_t_on_the_penalty_diagonal_only():
 
 def test_projection_whole_spectrum_is_identity():
     g = random_instance(77, n_lo=3, n_hi=15, m_weighted=True)
-    sd = AnalysisContext(g).decomposition
-    proj = spectral_projection(sd, (float(sd.eigenvalues[0]), float(sd.eigenvalues[-1])))
+    evals, vectors = AnalysisContext(g).decomposition
+    proj = spectral_projection(evals, vectors, g.m, (float(evals[0]), float(evals[-1])))
     assert np.allclose(proj.matrix, np.eye(g.n), atol=1e-10)
 
 
 def test_projection_below_spectrum_is_zero():
     g = complete_graph(3)
-    sd = AnalysisContext(g).decomposition
-    proj = spectral_projection(sd, (-2.0, -1.0))
+    evals, vectors = AnalysisContext(g).decomposition
+    proj = spectral_projection(evals, vectors, g.m, (-2.0, -1.0))
     assert proj.empty
     assert np.all(proj.matrix == 0.0)
 
 
 def test_projection_k2_low_energy_is_rank_one_constants():
     g = complete_graph(2)
-    sd = AnalysisContext(g).decomposition
-    proj = spectral_projection(sd, (-0.1, 0.1))
+    evals, vectors = AnalysisContext(g).decomposition
+    proj = spectral_projection(evals, vectors, g.m, (-0.1, 0.1))
     assert len(proj.indices) == 1
     assert np.allclose(proj.matrix, np.full((2, 2), 0.5), atol=1e-12)
 
 
 def test_projection_idempotent_and_self_adjoint():
     g = random_instance(91, n_lo=4, n_hi=25, m_weighted=True)
-    sd = AnalysisContext(g).decomposition
-    mid = float(np.median(sd.eigenvalues))
-    proj = spectral_projection(sd, (0.0, mid))
+    evals, vectors = AnalysisContext(g).decomposition
+    mid = float(np.median(evals))
+    proj = spectral_projection(evals, vectors, g.m, (0.0, mid))
     P = proj.matrix
     assert np.abs(P @ P - P).max() <= 1e-10
     MP = g.m[:, None] * P
