@@ -2,8 +2,10 @@
 
 Edge weights play two roles at once: they scale the energy form, and their
 reciprocals are edge lengths.  Heavy edges are short, light edges are long.
-This script builds a few graphs, validates the standing assumptions, and
-queries distances, balls, and the two dual radii of a region.
+This script builds a few graphs (the constructor refuses any that breaks a
+standing assumption), reads their geometry constants (which also checks
+connectedness), and queries distances, balls, and the two dual radii of a
+region.
 """
 
 import numpy as np
@@ -16,7 +18,6 @@ from specbounds import (
     generate,
     geodesic,
     inradius,
-    validate,
 )
 
 print("=== A hand-built triangle with mixed weights ===")
@@ -25,7 +26,7 @@ g = WeightedGraph.from_edge_list(
     m={"a": 1.0, "b": 2.0, "c": 0.5},
     edges=[("a", "b", 4.0), ("b", "c", 1.0), ("a", "c", 0.2)],
 )
-constants = validate(g)
+constants = g.constants
 print(f"weighted degree bound delta = {constants.delta}")
 print(f"largest weight b_max = {constants.b_max}, largest measure m_max = {constants.m_max}")
 print(f"operator norm is at most 2*delta = {constants.operator_norm_bound}")
@@ -53,7 +54,7 @@ print(f"equal bit-for-bit: {covr == inr}")
 print("\n=== Random graphs keep every invariant ===")
 for seed in range(3):
     h = generate("random:25", seed=seed)
-    c = validate(h)
+    c = h.constants
     mdh = compute_metric(h)
     off = mdh.dist[~np.eye(h.n, dtype=bool)]
     print(

@@ -58,7 +58,6 @@ from .graph import (
     load_graph,
     loads_graph,
     save_graph,
-    validate,
 )
 from .metric import (
     BallVolumeTable,

@@ -150,7 +150,7 @@ def cheeger_chain(ctx: AnalysisContext) -> list[BoundReport]:
     if not ctx.centers or not omega:
         raise ValueError("need a nonempty penalty set and a nonempty region")
 
-    delta = float(ctx.constants.max_degree)
+    delta = float(g.constants.max_degree)
     lam = ctx.lambda_omega
     R, vol_r = ctx.R, ctx.vol_R
 

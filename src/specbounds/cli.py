@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("uncertainty", help="low-energy uncertainty constants")
     common(p, True)
     p.add_argument("--interval", default="auto", help="a:b or 'auto' (= 0:lam/2)")
-    p.add_argument("--t-grid", default="auto", help="start:stop:points or 'auto'")
 
     common(sub.add_parser("cheeger", help="isoperimetric bound chain"), True)
 
@@ -130,18 +129,47 @@ def join_negative_ranges(argv: list[str]) -> list[str]:
     return out
 
 
+T_GRID_FORM = "start:stop:points with finite numbers start and stop and a whole number of points"
+
+
+def _numbers(option: str, spec, form: str, count: int = 1) -> list[float]:
+    """The count colon-separated finite numbers of an option's value, or a
+    ValueError naming the option and its form."""
+    try:
+        values = [float(x) for x in str(spec).split(":")]
+    except ValueError:
+        values = []
+    if len(values) != count or not all(map(math.isfinite, values)):
+        raise ValueError(f"{option} {spec}: expected {form}")
+    return values
+
+
+def _check_numbers(args) -> None:
+    """Refuse a malformed or non-finite number option before any stage
+    runs; only the 'auto' forms wait for the graph."""
+    interval = getattr(args, "interval", None)
+    if interval is not None and (interval != "auto" or args.command == "spectrum"):
+        parse_interval(interval, None)
+    if getattr(args, "t_grid", None) not in (None, "auto"):
+        parse_t_grid(args.t_grid, math.nan)
+    for option in ("radius", "doubling_N"):
+        if getattr(args, option, None) is not None:
+            _numbers("--" + option.replace("_", "-"), getattr(args, option), "a finite number")
+
+
 def parse_centers(g: WeightedGraph, spec: str) -> tuple[str, ...]:
     """Resolve a centers spec against a graph's canonical vertex order."""
     spec = spec.strip()
-    if spec.startswith("every:"):
-        k = int(spec.split(":", 1)[1])
+    kind, colon, arg = spec.partition(":")
+    if colon and kind in ("every", "sublattice"):
+        try:
+            k = int(arg)
+        except ValueError:
+            raise InvalidSpec(f"--centers {spec}: expected {kind}:k with a whole number k") from None
         if k < 1:
-            raise InvalidSpec("every:k needs k >= 1")
-        return g.vertices[::k]
-    if spec.startswith("sublattice:"):
-        k = int(spec.split(":", 1)[1])
-        if k < 1:
-            raise InvalidSpec("sublattice:k needs k >= 1")
+            raise InvalidSpec(f"{kind}:k needs k >= 1")
+        if kind == "every":
+            return g.vertices[::k]
         chosen = []
         for v in g.vertices:
             try:
@@ -168,7 +196,8 @@ def parse_centers(g: WeightedGraph, spec: str) -> tuple[str, ...]:
 
 
 def parse_interval(spec: str, lam_omega: float | None) -> tuple[float, float]:
-    """a:b with a <= b, or 'auto' = 0:lam_omega/2 (spectrum passes None)."""
+    """a:b with finite a <= b, or 'auto' = 0:lam_omega/2 (spectrum passes
+    None)."""
     if spec == "auto":
         if lam_omega is None:
             raise ValueError("spectrum --interval takes a:b, not 'auto'")
@@ -178,8 +207,7 @@ def parse_interval(spec: str, lam_omega: float | None) -> tuple[float, float]:
                 f"lambda_Omega = {lam_omega!r} < 0; give an explicit --interval a:b"
             )
         return (0.0, 0.5 * lam_omega)
-    a, _, b = spec.partition(":")
-    lo, hi = float(a), float(b)
+    lo, hi = _numbers("--interval", spec, "a:b with finite numbers a and b", 2)
     if lo > hi:
         raise ValueError("interval endpoints must satisfy a <= b")
     return (lo, hi)
@@ -193,10 +221,12 @@ def parse_t_grid(spec: str, threshold: float) -> list[float]:
                 f"{threshold!r} overflows float64; give start:stop:points"
             )
         return [0.0] + list(np.geomspace(threshold, 100.0 * threshold, 8))
-    start, stop, points = spec.split(":")
-    if not (float(start) > 0.0 and float(stop) > 0.0):
+    start, stop, points = _numbers("--t-grid", spec, T_GRID_FORM, 3)
+    if not (points.is_integer() and points >= 0.0):
+        raise ValueError(f"--t-grid {spec}: expected {T_GRID_FORM}")
+    if not (start > 0.0 and stop > 0.0):
         raise ValueError(f"--t-grid {spec}: couplings start and stop must be positive")
-    return list(np.geomspace(float(start), float(stop), int(points)))
+    return list(np.geomspace(start, stop, int(points)))
 
 
 def load_input(args) -> WeightedGraph:
@@ -252,12 +282,12 @@ def _load(run: _Run) -> None:
     # The validate command checks the graph alone and ignores --centers.
     spec = None if run.args.command == "validate" else run.args.centers
     run.ctx = AnalysisContext(g, parse_centers(g, spec) if spec else ())
-    run.ctx.constants  # validate before any other stage reads the graph
+    g.constants  # refuse a disconnected graph before any other stage reads it
 
 
 def _constants(run: _Run) -> None:
     g = run.ctx.graph
-    run.extra["constants"] = {"n": g.n, "edges": len(g.edges), **asdict(run.ctx.constants)}
+    run.extra["constants"] = {"n": g.n, "edges": len(g.edges), **asdict(g.constants)}
 
 
 def _distances(run: _Run) -> None:
@@ -332,13 +362,11 @@ STAGES = {
         make_report(
             "operator/norm_vs_weighted_degree",
             run.ctx.norm,
-            run.ctx.constants.operator_norm_bound,
+            run.ctx.graph.constants.operator_norm_bound,
             "<=",
         )
     ],
-    "homogeneity": lambda run: check_homogeneity(
-        run.ctx.graph, run.ctx.metric, run.ctx.constants, seed=run.args.seed
-    ),
+    "homogeneity": lambda run: check_homogeneity(run.ctx.graph, run.ctx.metric, seed=run.args.seed),
     "covering": _covering,
     "voronoi": lambda run: verify_voronoi(run.voronoi, run.ctx.metric),
     "cells": _cells,
@@ -380,6 +408,7 @@ def run(args) -> tuple[Report, dict]:
 
     Each stage is timed on its own, so the timings never overlap.
     """
+    _check_numbers(args)
     state = _Run(args)
     rows: list = []
     timings: dict = {}

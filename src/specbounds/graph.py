@@ -1,11 +1,14 @@
 """Weighted graph data model.
 
-A graph is a finite vertex list with a positive measure ``m`` per vertex,
-symmetric nonnegative edge weights ``b`` with zero diagonal, and an optional
-real potential per vertex.  Edge weights are stored once per unordered pair,
-so symmetry holds by construction; the symmetric view is one sparse matrix,
-built on first use.  No n x n array is formed.  Instances are immutable and
-safe to share between threads.
+A graph is a finite vertex list with a positive finite measure ``m`` per
+vertex, symmetric positive finite edge weights ``b`` with zero diagonal,
+and an optional finite potential per vertex.  Edge weights are stored once
+per unordered pair, so symmetry holds by construction; the symmetric view
+is one sparse matrix, built on first use.  No n x n array is formed.  The
+constructor refuses any graph that breaks one of these hypotheses, so every
+WeightedGraph satisfies them; connectedness, the one hypothesis that needs
+a traversal, is checked when the geometry constants are first read.
+Instances are immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -40,16 +43,36 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@dataclass(frozen=True)
+class GeometryConstants:
+    """Uniform geometry constants of a connected graph.
+
+    delta: sup over x of (1/m(x)) sum_y b(x,y); makes the operator bounded.
+    max_degree: maximal neighbor count; equals delta on combinatorial graphs.
+    """
+
+    delta: float
+    m_max: float
+    b_max: float
+    operator_norm_bound: float
+    max_degree: int
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedGraph:
-    """Finite connected weighted graph.
+    """Finite weighted graph satisfying the standing hypotheses.
 
     Fields:
         vertices: ordered vertex identifiers (opaque strings), n >= 1.
-        m: vertex measures, shape (n,), all positive.
-        edges: tuple of (i, j, weight) with i < j and weight > 0, sorted
-            by (i, j).  One entry per unordered pair.
-        potential: optional per-vertex potential, shape (n,); absent means 0.
+        m: vertex measures, shape (n,), all finite and positive.
+        edges: tuple of (i, j, weight) with i < j and weight finite and
+            positive, sorted by (i, j).  One entry per unordered pair.
+        potential: optional per-vertex potential, shape (n,), finite;
+            absent means 0.
+    The constructor enforces each of these (sortedness aside), raising
+    the error for the hypothesis broken, with the offending vertex or
+    edge named by its ids.  Connectedness is checked by constants, on
+    first use.
     Every reader of the edges reads edges, edge_arrays, adjacency (the
     sparse weight matrix) or lengths (1/b on its pattern); each view is
     built once, on first use.
@@ -59,6 +82,37 @@ class WeightedGraph:
     m: np.ndarray
     edges: tuple[tuple[int, int, float], ...]
     potential: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        # A few reductions on the common path (min and max propagate NaN);
+        # a failure is classified only once one is found.
+        n, ids, m = len(self.vertices), self.vertices, self.m
+        if n == 0:
+            raise GraphFormatError("a graph needs at least one vertex")
+        if len(set(ids)) != n:
+            raise GraphFormatError("duplicate vertex identifiers")
+        if m.shape != (n,):
+            raise GraphFormatError("measure array shape mismatch")
+        if not (m.min() > 0.0 and m.max() < np.inf):
+            _check_finite(NonPositiveMeasure, "measure", ids, m)
+            raise NonPositiveMeasure("every vertex measure must be positive")
+        i, j, w = self.edge_arrays
+        pair = i * n + j
+        # Strictly increasing pairs (as from_edge_list stores them) cannot repeat.
+        if not (((0 <= i) & (i < j) & (j < n)).all() and (pair[1:] > pair[:-1]).all()):
+            _check_pairs(ids, i, j)
+        if not (w.min(initial=np.inf) > 0.0 and w.max(initial=0.0) < np.inf):
+            k = int(np.flatnonzero(~((w > 0.0) & (w < np.inf)))[0])
+            u, v = ids[i[k]], ids[j[k]]
+            if not math.isfinite(w[k]):
+                raise NegativeEdgeWeight(f"weight on edge {u!r}-{v!r} is not finite: {float(w[k])!r}")
+            if w[k] < 0.0:
+                raise NegativeEdgeWeight(f"negative weight on {u!r}-{v!r}")
+            raise NegativeEdgeWeight(f"explicit zero weight on {u!r}-{v!r}")
+        if self.potential is not None:
+            if self.potential.shape != (n,):
+                raise GraphFormatError("potential array shape mismatch")
+            _check_finite(NonFinitePotential, "potential", ids, self.potential)
 
     @property
     def n(self) -> int:
@@ -132,12 +186,26 @@ class WeightedGraph:
             block[at] = 0.0
         return _readonly(degree)
 
-    def b(self, u: str, v: str) -> float:
-        """Symmetric edge weight between two vertex ids (0 when no edge)."""
-        return float(self.adjacency[self.index[u], self.index[v]])
-
-    def m_of(self, u: str) -> float:
-        return float(self.m[self.index[u]])
+    @cached_property
+    def constants(self) -> GeometryConstants:
+        """The geometry constants, computed on first use.  Raises
+        DisconnectedGraph naming the first vertex that a breadth-first
+        traversal from the first vertex does not reach."""
+        reached = np.zeros(self.n, dtype=bool)
+        reached[breadth_first_order(self.adjacency, 0, return_predecessors=False)] = True
+        if not reached.all():
+            missing = self.vertices[int(np.flatnonzero(~reached)[0])]
+            raise DisconnectedGraph(
+                f"vertex {missing!r} is not reachable from {self.vertices[0]!r}"
+            )
+        delta = float(np.max(self.weighted_degree / self.m))
+        return GeometryConstants(
+            delta=delta,
+            m_max=float(np.max(self.m)),
+            b_max=float(self.edge_arrays[2].max(initial=0.0)),
+            operator_norm_bound=2.0 * delta,
+            max_degree=int(np.diff(self.adjacency.indptr).max()),
+        )
 
     def vol(self, subset: Iterable[str]) -> float:
         """Measure of a vertex subset."""
@@ -165,14 +233,11 @@ class WeightedGraph:
     ) -> "WeightedGraph":
         """Build a graph from vertex ids and an edge list.
 
-        Rejects unknown ids, self-loops, nonpositive weights, conflicting
-        duplicate edges, and nonpositive measures.
+        Rejects unknown ids, duplicate or conflicting edges, and measures
+        or potentials of the wrong form or length here; the constructor
+        refuses everything else that breaks a hypothesis.
         """
         vertices = tuple(vertices)
-        if not vertices:
-            raise GraphFormatError("a graph needs at least one vertex")
-        if len(set(vertices)) != len(vertices):
-            raise GraphFormatError("duplicate vertex identifiers")
         index = {v: i for i, v in enumerate(vertices)}
 
         if isinstance(m, Mapping):
@@ -186,23 +251,12 @@ class WeightedGraph:
             mv = np.array([float(x) for x in m])
             if mv.shape != (len(vertices),):
                 raise GraphFormatError("measure list length mismatch")
-        _check_finite(NonPositiveMeasure, "measure", vertices, mv)
-        if np.any(mv <= 0.0):
-            raise NonPositiveMeasure("every vertex measure must be positive")
 
         pair_weights: dict[tuple[int, int], float] = {}
         for u, v, w in edges:
             if u not in index or v not in index:
                 raise GraphFormatError(f"edge references unknown vertex: {u!r}-{v!r}")
             i, j = index[u], index[v]
-            if i == j:
-                raise NonzeroDiagonal(f"self-loop at {u!r}")
-            if not math.isfinite(w):
-                raise NegativeEdgeWeight(f"weight on edge {u!r}-{v!r} is not finite: {float(w)!r}")
-            if w < 0.0:
-                raise NegativeEdgeWeight(f"negative weight on {u!r}-{v!r}")
-            if w == 0.0:
-                raise NegativeEdgeWeight(f"explicit zero weight on {u!r}-{v!r}")
             key = (i, j) if i < j else (j, i)
             if key in pair_weights:
                 if pair_weights[key] != float(w):
@@ -220,7 +274,6 @@ class WeightedGraph:
                 pv = np.array([float(x) for x in potential])
                 if pv.shape != (len(vertices),):
                     raise GraphFormatError("potential list length mismatch")
-            _check_finite(NonFinitePotential, "potential", vertices, pv)
             pv = _readonly(pv)
 
         edge_tuple = tuple(
@@ -239,77 +292,23 @@ def _check_finite(
         raise error(f"{what} at vertex {vertices[k]!r} is not finite: {float(values[k])!r}")
 
 
-@dataclass(frozen=True)
-class GeometryConstants:
-    """Uniform geometry constants of a validated graph.
-
-    delta: sup over x of (1/m(x)) sum_y b(x,y); makes the operator bounded.
-    max_degree: maximal neighbor count; equals delta on combinatorial graphs.
-    """
-
-    delta: float
-    m_max: float
-    b_max: float
-    operator_norm_bound: float
-    max_degree: int
-
-
-def validate(g: WeightedGraph) -> GeometryConstants:
-    """Check every structural invariant and return the geometry constants.
-
-    Raises the specific error for the first violated invariant; connectivity
-    is checked by breadth-first traversal over positive-weight edges.
-    """
-    if g.n < 1:
-        raise GraphFormatError("a graph needs at least one vertex")
-    if len(set(g.vertices)) != g.n:
-        raise GraphFormatError("duplicate vertex identifiers")
-    if g.m.shape != (g.n,):
-        raise GraphFormatError("measure array shape mismatch")
-    _check_finite(NonPositiveMeasure, "measure", g.vertices, g.m)
-    if np.any(g.m <= 0.0):
-        raise NonPositiveMeasure("every vertex measure must be positive")
-
-    seen: set[tuple[int, int]] = set()
-    for i, j, w in g.edges:
-        if not (0 <= i < g.n and 0 <= j < g.n):
+def _check_pairs(vertices: Sequence[str], i: np.ndarray, j: np.ndarray) -> None:
+    """Raise the error for the first stored pair that is out of range, a
+    self-loop or out of order, or for the first pair stored twice."""
+    n = len(vertices)
+    bad = np.flatnonzero(~((0 <= i) & (i < j) & (j < n)))
+    if bad.size:
+        a, b = int(i[bad[0]]), int(j[bad[0]])
+        if not (0 <= a < n and 0 <= b < n):
             raise GraphFormatError("edge index out of range")
-        if i == j:
-            raise NonzeroDiagonal(f"self-loop at {g.vertices[i]!r}")
-        if i > j:
-            raise NonSymmetricWeights("edges must be stored with i < j")
-        if not math.isfinite(w):
-            raise NegativeEdgeWeight(
-                f"weight on edge {g.vertices[i]!r}-{g.vertices[j]!r} is not finite: {float(w)!r}"
-            )
-        if w < 0.0:
-            raise NegativeEdgeWeight(f"negative weight on pair ({i}, {j})")
-        if w == 0.0:
-            raise NegativeEdgeWeight(f"stored zero weight on pair ({i}, {j})")
-        if (i, j) in seen:
-            raise NonSymmetricWeights(f"duplicate stored pair ({i}, {j})")
-        seen.add((i, j))
-
-    if g.potential is not None:
-        if g.potential.shape != (g.n,):
-            raise GraphFormatError("potential array shape mismatch")
-        _check_finite(NonFinitePotential, "potential", g.vertices, g.potential)
-
-    # Connectivity.
-    reached = np.zeros(g.n, dtype=bool)
-    reached[breadth_first_order(g.adjacency, 0, return_predecessors=False)] = True
-    if not reached.all():
-        missing = g.vertices[int(np.flatnonzero(~reached)[0])]
-        raise DisconnectedGraph(f"vertex {missing!r} is not reachable from {g.vertices[0]!r}")
-
-    delta = float(np.max(g.weighted_degree / g.m))
-    return GeometryConstants(
-        delta=delta,
-        m_max=float(np.max(g.m)),
-        b_max=float(g.edge_arrays[2].max(initial=0.0)),
-        operator_norm_bound=2.0 * delta,
-        max_degree=int(np.diff(g.adjacency.indptr).max()),
-    )
+        if a == b:
+            raise NonzeroDiagonal(f"self-loop at {vertices[a]!r}")
+        raise NonSymmetricWeights("edges must be stored with i < j")
+    pair = np.sort(i * n + j)
+    repeated = np.flatnonzero(pair[1:] == pair[:-1])
+    if repeated.size:
+        a, b = divmod(int(pair[repeated[0]]), n)
+        raise NonSymmetricWeights(f"duplicate stored pair {vertices[a]!r}-{vertices[b]!r}")
 
 
 def is_combinatorial(g: WeightedGraph) -> bool:

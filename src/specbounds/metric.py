@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .errors import EmptySet, FullSet, InvalidSpec
 from .generators import DEFAULT_SEED
-from .graph import GeometryConstants, WeightedGraph, _readonly, validate
+from .graph import WeightedGraph, _readonly
 from .report import BoundReport, make_report
 
 
@@ -152,7 +152,6 @@ class BallVolumeTable:
 def check_homogeneity(
     g: WeightedGraph,
     md: MetricData,
-    constants: GeometryConstants | None = None,
     max_centers: int = 24,
     seed: int = DEFAULT_SEED,
 ) -> list[BoundReport]:
@@ -169,7 +168,7 @@ def check_homogeneity(
     bound - count in centre-major order, the sample a loop over centres,
     then radii, keeping each strictly smaller margin would report.
     """
-    c = constants if constants is not None else validate(g)
+    c = g.constants
     rows: list[BoundReport] = []
 
     if g.n == 1 or c.b_max == 0.0:

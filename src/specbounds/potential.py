@@ -34,7 +34,6 @@ class GroundState:
     c = sqrt(max phi / min phi) and 1/c <= phi <= c.
     """
 
-    graph: WeightedGraph
     phi: np.ndarray
     lambda_v: float
     c: float
@@ -52,12 +51,7 @@ def ground_state(ctx: AnalysisContext) -> GroundState:
     """
     g = ctx.graph
     if g.potential is None or not np.any(g.potential):
-        return GroundState(
-            graph=g,
-            phi=_readonly(np.ones(g.n)),
-            lambda_v=0.0,
-            c=1.0,
-        )
+        return GroundState(phi=_readonly(np.ones(g.n)), lambda_v=0.0, c=1.0)
 
     lam, phi = ctx.ground_pair
     phi = np.array(phi)
@@ -69,7 +63,7 @@ def ground_state(ctx: AnalysisContext) -> GroundState:
     scale = np.sqrt(phi.max() * phi.min())
     phi = phi / scale
     c = float(np.sqrt(phi.max() / phi.min()))
-    return GroundState(graph=g, phi=_readonly(phi), lambda_v=lam, c=c)
+    return GroundState(phi=_readonly(phi), lambda_v=lam, c=c)
 
 
 def ground_state_transform(g: WeightedGraph, gs: GroundState) -> WeightedGraph:
@@ -77,14 +71,13 @@ def ground_state_transform(g: WeightedGraph, gs: GroundState) -> WeightedGraph:
 
     The potential is consumed by the transform and dropped.  With the
     constant ground state the transform is the identity on weights and
-    measures.
+    measures.  The constructor refuses a weight or measure that
+    overflows or underflows to zero, naming the edge or vertex.
     """
     phi = gs.phi
-    edges = [
-        (g.vertices[i], g.vertices[j], (phi[i] * phi[j]) * w) for i, j, w in g.edges
-    ]
-    m = list((phi * phi) * g.m)
-    return WeightedGraph.from_edge_list(g.vertices, m, edges)
+    i, j, w = g.edge_arrays
+    edges = tuple(zip(i.tolist(), j.tolist(), ((phi[i] * phi[j]) * w).tolist()))
+    return WeightedGraph(g.vertices, _readonly((phi * phi) * g.m), edges)
 
 
 def ground_state_transform_check(

@@ -109,7 +109,7 @@ from .errors import (
     EmptyOmega,
     PreconditionInterval,
 )
-from .graph import GeometryConstants, WeightedGraph, _readonly, validate
+from .graph import WeightedGraph, _readonly
 from .metric import BallVolumeTable, MetricData, compute_metric, inradius
 from .report import BoundReport, make_report
 
@@ -526,13 +526,9 @@ class AnalysisContext:
     centers: tuple[str, ...] = ()
 
     @cached_property
-    def constants(self) -> GeometryConstants:
-        return validate(self.graph)
-
-    @cached_property
     def metric(self) -> MetricData:
         """All-pairs distances; DistanceOverflow names the first inf one."""
-        self.constants  # a disconnected graph is refused as such
+        self.graph.constants  # a disconnected graph is refused as such
         md = compute_metric(self.graph)
         if math.isinf(md.dist.max()):
             x, y = (self.graph.vertices[i] for i in np.argwhere(np.isinf(md.dist))[0])

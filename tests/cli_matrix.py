@@ -83,7 +83,7 @@ OPTIONS = {
     "voronoi": [[]],
     "spectrum": [[], ["--interval", "0:0.5"], ["--interval", "3:1"], ["--interval", "auto"]],
     "bounds": [[], ["--t-grid", "auto"], ["--t-grid", "1:100:3"]],
-    "uncertainty": [[], ["--interval", "-4:-3"], ["--interval", "3:1"], ["--t-grid", "auto"]],
+    "uncertainty": [[], ["--interval", "-4:-3"], ["--interval", "3:1"]],
     "cheeger": [[]],
     "transform": [[], ["--doubling-N", "2"]],
     "report": [[], ["--doubling-N", "3"], ["--interval", "-4:-3"], ["--t-grid", "auto"]],

@@ -70,6 +70,12 @@ def dense_weights(g: WeightedGraph) -> np.ndarray:
     return W
 
 
+def weight(g: WeightedGraph, u: str, v: str) -> float:
+    """The weight b(u, v) between two vertex ids (0 when no edge), read off
+    the graph's adjacency."""
+    return float(g.adjacency[g.index[u], g.index[v]])
+
+
 def reference_assemble(
     g: WeightedGraph,
     omega: Iterable[str] | None = None,

@@ -27,16 +27,15 @@ from specbounds import (
     normalized,
     path_graph,
     random_connected,
-    validate,
 )
 from specbounds.graph import DEGREE_BLOCK
 from specbounds.voronoi import build_voronoi
 
-from helpers import dense_weights
+from helpers import dense_weights, weight
 
 
 def test_validate_k2_constants():
-    c = validate(complete_graph(2))
+    c = complete_graph(2).constants
     assert c.delta == 1.0
     assert c.b_max == 1.0
     assert c.m_max == 1.0
@@ -44,7 +43,7 @@ def test_validate_k2_constants():
 
 
 def test_validate_path_delta_from_middle_vertex():
-    c = validate(path_graph(3))
+    c = path_graph(3).constants
     assert c.delta == 2.0
     assert c.b_max == 1.0
     assert c.max_degree == 2
@@ -85,10 +84,9 @@ def test_non_finite_potential_rejected(value):
         WeightedGraph.from_edge_list(
             ("a", "b"), 1.0, [("a", "b", 1.0)], potential={"b": value}
         )
-    # Built directly, bypassing from_edge_list: validate catches it.
-    g = WeightedGraph(("a", "b"), np.ones(2), ((0, 1, 1.0),), np.array([0.0, value]))
+    # Built directly, bypassing from_edge_list: the constructor refuses it.
     with pytest.raises(NonFinitePotential, match="vertex 'b'"):
-        validate(g)
+        WeightedGraph(("a", "b"), np.ones(2), ((0, 1, 1.0),), np.array([0.0, value]))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -96,9 +94,8 @@ def test_non_finite_weight_rejected_with_its_own_message(value):
     message = f"weight on edge 'a'-'b' is not finite: {value!r}"
     with pytest.raises(NegativeEdgeWeight, match=message):
         WeightedGraph.from_edge_list(("a", "b"), 1.0, [("a", "b", value)])
-    g = WeightedGraph(("a", "b"), np.ones(2), ((0, 1, value),))
     with pytest.raises(NegativeEdgeWeight, match=message):
-        validate(g)
+        WeightedGraph(("a", "b"), np.ones(2), ((0, 1, value),))
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -106,9 +103,39 @@ def test_non_finite_measure_rejected_with_its_own_message(value):
     message = f"measure at vertex 'b' is not finite: {value!r}"
     with pytest.raises(NonPositiveMeasure, match=message):
         WeightedGraph.from_edge_list(("a", "b"), {"a": 1.0, "b": value}, [("a", "b", 1.0)])
-    g = WeightedGraph(("a", "b"), np.array([1.0, value]), ((0, 1, 1.0),))
     with pytest.raises(NonPositiveMeasure, match=message):
-        validate(g)
+        WeightedGraph(("a", "b"), np.array([1.0, value]), ((0, 1, 1.0),))
+
+
+@pytest.mark.parametrize(
+    "vertices, m, edges, potential, error, message",
+    [
+        ((), [], (), None, GraphFormatError, "a graph needs at least one vertex"),
+        (("a", "a"), [1, 1], (), None, GraphFormatError, "duplicate vertex identifiers"),
+        (("a", "b"), [1], (), None, GraphFormatError, "measure array shape mismatch"),
+        (("a", "b"), [1, 0], (), None, NonPositiveMeasure, "every vertex measure must be positive"),
+        (("a", "b"), [1, 1], ((0, 2, 1.0),), None, GraphFormatError, "edge index out of range"),
+        (("a", "b"), [1, 1], ((-1, 1, 1.0),), None, GraphFormatError, "edge index out of range"),
+        (("a", "b"), [1, 1], ((1, 1, 1.0),), None, NonzeroDiagonal, "self-loop at 'b'"),
+        (("a", "b"), [1, 1], ((1, 0, 1.0),), None, NonSymmetricWeights, "edges must be stored with i < j"),
+        (("a", "b", "c"), [1, 1, 1], ((0, 1, 1.0), (1, 2, 1.0), (0, 1, 1.0)), None,
+         NonSymmetricWeights, "duplicate stored pair 'a'-'b'"),
+        (("a", "b"), [1, 1], ((0, 1, 1.0), (0, 1, 1.0)), None,
+         NonSymmetricWeights, "duplicate stored pair 'a'-'b'"),
+        (("a", "b"), [1, 1], ((0, 1, -1.0),), None, NegativeEdgeWeight, "negative weight on 'a'-'b'"),
+        (("a", "b"), [1, 1], ((0, 1, 0.0),), None, NegativeEdgeWeight, "explicit zero weight on 'a'-'b'"),
+        (("a", "b"), [1, 1], ((0, 1, 1.0),), [0.0], GraphFormatError, "potential array shape mismatch"),
+    ],
+)
+def test_constructor_refuses_each_broken_hypothesis(vertices, m, edges, potential, error, message):
+    pot = None if potential is None else np.array(potential)
+    with pytest.raises(error, match=f"^{message}$"):
+        WeightedGraph(vertices, np.array(m, dtype=float), edges, pot)
+
+
+def test_constructor_accepts_edges_out_of_sorted_order():
+    g = WeightedGraph(("a", "b", "c"), np.ones(3), ((1, 2, 2.0), (0, 1, 1.0)))
+    assert g.constants.delta == 3.0
 
 
 def test_disconnected_graph_rejected():
@@ -116,7 +143,7 @@ def test_disconnected_graph_rejected():
         ("a", "b", "c", "d"), 1.0, [("a", "b", 1.0), ("c", "d", 1.0)]
     )
     with pytest.raises(DisconnectedGraph, match="^vertex 'c' is not reachable from 'a'$"):
-        validate(g)
+        g.constants
 
 
 @pytest.mark.parametrize("m_range", [None, (0.5, 2.0)], ids=["unit", "measure"])
@@ -136,16 +163,16 @@ def test_adjacency_and_weighted_degree_match_the_dense_weights(n, m_range):
     assert not any(a.flags.writeable for a in (A.data, A.indices, A.indptr))
     assert np.array_equal(A.toarray(), W)
     assert np.array_equal(g.weighted_degree, W.sum(axis=1))
-    assert validate(g).max_degree == int(np.count_nonzero(W, axis=1).max())
+    assert g.constants.max_degree == int(np.count_nonzero(W, axis=1).max())
 
 
 def test_validate_and_voronoi_form_no_dense_matrix():
-    """validate and build_voronoi on n = 3721 stay far below one n x n
+    """The constants and build_voronoi on n = 3721 stay far below one n x n
     float64 array (110 MB): the graph layer keeps only its edges."""
     g = generate("lattice:2:60")
     tracemalloc.start()
     try:
-        validate(g)
+        g.constants
         build_voronoi(g, g.vertices[::9])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -155,7 +182,7 @@ def test_validate_and_voronoi_form_no_dense_matrix():
 
 def test_single_vertex_is_valid():
     g = WeightedGraph.from_edge_list(("a",), 2.0, [])
-    c = validate(g)
+    c = g.constants
     assert c.delta == 0.0
     assert c.b_max == 0.0
     assert c.m_max == 2.0
@@ -179,7 +206,7 @@ FAMILIES = [
 @pytest.mark.parametrize("spec", FAMILIES)
 def test_generated_families_validate(spec):
     g = generate(spec)
-    c = validate(g)
+    c = g.constants
     # Exact inequality: every family here has either unit measure or the
     # normalized measure, both of which make the product exact.
     assert c.b_max <= c.delta * c.m_max
@@ -187,7 +214,7 @@ def test_generated_families_validate(spec):
 
 @pytest.mark.parametrize("spec", ["normalized:k2", "normalized:cycle:8", "normalized:path:5"])
 def test_normalized_families_have_unit_delta(spec):
-    assert validate(generate(spec)).delta == 1.0
+    assert generate(spec).constants.delta == 1.0
 
 
 def test_normalized_k2_measures():
@@ -205,19 +232,19 @@ def test_lattice_one_dimensional_is_a_path():
 def test_comb_truncation_weights():
     g = geometric_comb(3)
     assert g.n == 6
-    assert g.b("1,1", "2,1") == 2.0
-    assert g.b("2,1", "3,1") == 8.0
-    assert g.b("1,1", "1,0") == 1.0
-    assert g.b("2,1", "2,0") == 4.0
-    assert g.b("3,1", "3,0") == 16.0
+    assert weight(g, "1,1", "2,1") == 2.0
+    assert weight(g, "2,1", "3,1") == 8.0
+    assert weight(g, "1,1", "1,0") == 1.0
+    assert weight(g, "2,1", "2,0") == 4.0
+    assert weight(g, "3,1", "3,0") == 16.0
 
 
 def test_apex_ray_weights():
     g = apex_ray(4)
     assert g.n == 5
-    assert g.b("1,0", "2,0") == 2.0
+    assert weight(g, "1,0", "2,0") == 2.0
     for n in range(1, 5):
-        assert g.b(f"{n},0", "1,1") == 1.0 / (1.0 + 1.0 / n)
+        assert weight(g, f"{n},0", "1,1") == 1.0 / (1.0 + 1.0 / n)
 
 
 def test_random_generation_is_reproducible():

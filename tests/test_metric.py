@@ -25,16 +25,15 @@ from specbounds import (
     make_report,
     path_graph,
     rows_pass,
-    validate,
 )
-from helpers import random_instance, random_proper_subset
+from helpers import random_instance, random_proper_subset, weight
 
 
 def path_length(g: WeightedGraph, path) -> float:
     """Sum of 1/b over consecutive edges of an explicit vertex path."""
     total = 0.0
     for u, v in zip(path, path[1:]):
-        w = g.b(u, v)
+        w = weight(g, u, v)
         assert w > 0.0, f"path uses missing edge {u!r}-{v!r}"
         total += 1.0 / w
     return total
@@ -130,7 +129,7 @@ def test_triangle_inequality(seed):
 @given(st.integers(0, 10**6))
 def test_metric_structure(seed):
     g = random_instance(seed, n_lo=2, n_hi=35)
-    c = validate(g)
+    c = g.constants
     dist = compute_metric(g).dist
     assert np.allclose(dist, dist.T, rtol=1e-12, atol=0.0)
     assert np.all(np.diag(dist) == 0.0)
@@ -180,9 +179,9 @@ def test_ball_volume_basics():
     g = random_instance(42, n_lo=5, n_hi=20, m_weighted=True)
     md = compute_metric(g)
     volumes = BallVolumeTable(md)
-    c = validate(g)
+    c = g.constants
     for v in g.vertices[:5]:
-        assert vol_of_ball(md, v, 0.0) == g.m_of(v)
+        assert vol_of_ball(md, v, 0.0) == g.m[g.index[v]]
     radii = np.quantile(md.dist[md.dist > 0], [0.2, 0.5, 0.9])
     for x in g.vertices[:3]:
         vols = [vol_of_ball(md, x, r) for r in radii]
@@ -214,7 +213,7 @@ def test_homogeneity_lattice_count():
 
 def test_tiny_radius_ball_is_a_singleton():
     g = random_instance(3, n_lo=2, n_hi=20)
-    c = validate(g)
+    c = g.constants
     md = compute_metric(g)
     r = 0.5 / c.b_max
     for v in g.vertices:
@@ -249,7 +248,7 @@ def _loop_ball_count(g, md, max_centers=24, seed=DEFAULT_SEED):
     """Reference for check_homogeneity's ball_count row: one ball at a
     time, centre-major, keeping the first strictly smaller margin.  Also
     returns every margin."""
-    c = validate(g)
+    c = g.constants
     rng = np.random.default_rng(seed)
     if g.n <= max_centers:
         centers = np.arange(g.n)

@@ -227,6 +227,56 @@ def test_cli_unknown_ball_center_exits_one(capsys, fmt, spec, center):
     assert err == f"specbounds: error: unknown ball center id: {center!r}\n"
 
 
+INTERVAL_FORM = "a:b with finite numbers a and b"
+T_GRID_FORM = "start:stop:points with finite numbers start and stop and a whole number of points"
+BAD_NUMBERS = [
+    (["spectrum", "--interval", "0:nan"], f"--interval 0:nan: expected {INTERVAL_FORM}"),
+    (["uncertainty", "--interval", "0:nan"], f"--interval 0:nan: expected {INTERVAL_FORM}"),
+    (["report", "--interval", "0:nan"], f"--interval 0:nan: expected {INTERVAL_FORM}"),
+    (["uncertainty", "--interval", "nan:0.1"], f"--interval nan:0.1: expected {INTERVAL_FORM}"),
+    (["spectrum", "--interval", "0.1"], f"--interval 0.1: expected {INTERVAL_FORM}"),
+    (["report", "--interval", "0:1:2"], f"--interval 0:1:2: expected {INTERVAL_FORM}"),
+    (["transform", "--doubling-N", "nan"], "--doubling-N nan: expected a finite number"),
+    (["report", "--doubling-N", "inf"], "--doubling-N inf: expected a finite number"),
+    (["bounds", "--t-grid", "1:inf:3"], f"--t-grid 1:inf:3: expected {T_GRID_FORM}"),
+    (["report", "--t-grid", "1:2"], f"--t-grid 1:2: expected {T_GRID_FORM}"),
+    (["bounds", "--t-grid", "1:100:2.5"], f"--t-grid 1:100:2.5: expected {T_GRID_FORM}"),
+    (["bounds", "--t-grid", "1:100:-1"], f"--t-grid 1:100:-1: expected {T_GRID_FORM}"),
+    (["metric", "--radius", "nan", "--ball-center", "v0"], "--radius nan: expected a finite number"),
+    (["metric", "--radius", "abc", "--ball-center", "v0"], "--radius abc: expected a finite number"),
+    (["report", "--centers", "every:x"], "--centers every:x: expected every:k with a whole number k"),
+    (["cheeger", "--centers", "sublattice:y"],
+     "--centers sublattice:y: expected sublattice:k with a whole number k"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS])
+def test_cli_bad_number_is_a_one_line_error(monkeypatch, capsys, argv, message):
+    """A malformed or non-finite number option exits 1 with one line that
+    names the option and its form.  Every option but --centers (which
+    needs the graph) is refused before any stage runs: loading the graph
+    would fail the test here."""
+    command, options = argv[0], argv[1:]
+    if "--centers" not in options:
+        options = options + ["--centers", "every:3"]
+
+        def no_stage(args):
+            raise AssertionError("a stage ran before the options were checked")
+
+        monkeypatch.setattr(cli, "load_input", no_stage)
+    assert cli.main([command, "--generate", "path:6", *options]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"specbounds: error: {message}\n"
+
+
+def test_uncertainty_t_grid_option_is_unknown(capsys):
+    argv = ["uncertainty", "--generate", "path:6", "--centers", "every:3"]
+    assert cli.main(argv) == 0
+    assert "t_grid" not in json.loads(capsys.readouterr().out)["config"]
+    assert cli.main(argv + ["--t-grid", "garbage"]) == 1
+    assert "unrecognized arguments: --t-grid garbage" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["spectrum", "uncertainty", "report"])
 def test_cli_interval_with_a_above_b_exits_one(capsys, command):
     argv = [command, "--generate", "path:6", "--centers", "every:3", "--interval", "3:1"]
@@ -538,15 +588,16 @@ def _count_calls(monkeypatch, calls, targets, coupled):
 
 def test_report_computes_each_shared_quantity_once(monkeypatch, capsys):
     """One report densifies H once (the restriction and the coupled
-    operators are cut from that array), validates once, and solves H once
-    (eigh): besides the coupled operators, eigvalsh runs only on the
-    restriction."""
+    operators are cut from that array), computes the geometry constants
+    once (the transformed graph of the transform identity computes none),
+    and solves H once (eigh): besides the coupled operators, eigvalsh runs
+    only on the restriction."""
     calls = Counter()
     coupled = record_coupled(monkeypatch)
     _count_calls(
         monkeypatch,
         calls,
-        [(spectral, "eigenvalues_of"), (spectral, "eigdecompose"), (graph, "validate")],
+        [(spectral, "eigenvalues_of"), (spectral, "eigdecompose"), (graph, "GeometryConstants")],
         coupled,
     )
     toarray = sparse.csc_matrix.toarray
@@ -559,7 +610,7 @@ def test_report_computes_each_shared_quantity_once(monkeypatch, capsys):
 
     assert cli.main(["report", "--generate", "random:40", "--centers", "every:4"]) == 0
     capsys.readouterr()
-    assert calls["validate"] == 1
+    assert calls["GeometryConstants"] == 1
     assert calls["eigdecompose"] == 1
     assert calls["toarray"] == 1
     # One coupled copy more than the eigensolves: the resolvent row's.

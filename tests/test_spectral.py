@@ -31,7 +31,6 @@ from specbounds import (
     rows_pass,
     sparse_ground_state,
     uncertainty_constant,
-    validate,
 )
 from specbounds import cli, generate, random_connected, spectral
 from cli_matrix import FILES as CLI_MATRIX_FILES
@@ -181,13 +180,13 @@ def test_constants_are_harmonic():
 def test_norm_dominated_by_weighted_degree_bound():
     for seed in range(6):
         g = random_instance(seed, n_lo=2, n_hi=40, m_weighted=True)
-        c = validate(g)
+        c = g.constants
         assert operator_norm(AnalysisContext(g).operator) <= c.operator_norm_bound + 1e-9
 
 
 def test_norm_bound_with_potential_and_coupling():
     g = random_instance(19, n_lo=4, n_hi=20, m_weighted=True, potential_range=(0.0, 2.0))
-    c = validate(g)
+    c = g.constants
     t = 5.0
     op = AnalysisContext(g, (g.vertices[0], g.vertices[1])).coupled(t)
     cap = c.operator_norm_bound + float(np.max(np.abs(g.V / g.m))) + t

@@ -18,7 +18,7 @@ from specbounds import (
     rows_pass,
     verify_voronoi,
 )
-from helpers import random_instance, random_proper_subset
+from helpers import random_instance, random_proper_subset, weight
 
 
 def test_every_vertex_as_center_gives_singletons():
@@ -137,7 +137,7 @@ def test_cells_contain_geodesics_not_just_connectivity():
         path = vd.witness(v)
         total = 0.0
         for a, b in zip(path, path[1:]):
-            w = g.b(a, b)
+            w = weight(g, a, b)
             assert w > 0.0
             total += 1.0 / w
         assert total == pytest.approx(md.dist[gi[path[0]], gi[v]], rel=1e-12, abs=1e-15)
