@@ -60,7 +60,6 @@ from .graph import (
     save_graph,
 )
 from .metric import (
-    BallVolumeTable,
     MetricData,
     ball,
     check_homogeneity,

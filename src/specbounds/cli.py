@@ -145,8 +145,8 @@ def _numbers(option: str, spec, form: str, count: int = 1) -> list[float]:
 
 
 def _check_numbers(args) -> None:
-    """Refuse a malformed or non-finite number option before any stage
-    runs; only the 'auto' forms wait for the graph."""
+    """Refuse a malformed or non-finite number option, or half a ball
+    query, before any stage runs; only the 'auto' forms wait for the graph."""
     interval = getattr(args, "interval", None)
     if interval is not None and (interval != "auto" or args.command == "spectrum"):
         parse_interval(interval, None)
@@ -155,6 +155,8 @@ def _check_numbers(args) -> None:
     for option in ("radius", "doubling_N"):
         if getattr(args, option, None) is not None:
             _numbers("--" + option.replace("_", "-"), getattr(args, option), "a finite number")
+    if (getattr(args, "radius", None) is None) != (getattr(args, "ball_center", None) is None):
+        raise ValueError("--radius and --ball-center ask for one ball: give both or neither")
 
 
 def parse_centers(g: WeightedGraph, spec: str) -> tuple[str, ...]:
@@ -298,7 +300,7 @@ def _distances(run: _Run) -> None:
     if ctx.centers:
         run.extra["covering_radius"] = covering_radius(md, ctx.centers)
         run.extra["inradius_of_complement"] = ctx.R if ctx.omega else None
-    if args.radius is not None and args.ball_center is not None:
+    if args.radius is not None:  # with --ball-center, checked up front
         run.extra["ball"] = list(ball(md, args.ball_center, float(args.radius), closed=True))
 
 

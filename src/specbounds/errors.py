@@ -30,7 +30,9 @@ class NonzeroDiagonal(GraphError):
 
 
 class GraphFormatError(GraphError):
-    """A graph file violates the JSON schema (duplicates, self-loops, bad weights)."""
+    """A graph's input is malformed: not valid JSON, a missing field, a
+    duplicate vertex or edge, or an unknown vertex id.  Self-loops raise
+    NonzeroDiagonal and bad weights NegativeEdgeWeight."""
 
 
 class InvalidSpec(GraphError):

@@ -323,8 +323,10 @@ def is_combinatorial(g: WeightedGraph) -> bool:
 # { "vertices": [ {"id": "a", "m": 1.0, "v": 0.0}, ... ],
 #   "edges":    [ {"u": "a", "w": "b", "b": 1.0}, ... ] }
 #
-# "v" is optional and defaults to 0.  Duplicate edges, self-loops and
-# nonpositive weights are rejected on load.
+# "v" is optional and defaults to 0.  The file is read into
+# WeightedGraph.from_edge_list, which rejects what breaks a hypothesis:
+# duplicate edges (GraphFormatError), self-loops (NonzeroDiagonal) and
+# zero, negative or non-finite weights (NegativeEdgeWeight).
 
 
 def dumps_graph(g: WeightedGraph) -> str:
@@ -370,12 +372,7 @@ def loads_graph(text: str) -> WeightedGraph:
         for entry in data["edges"]:
             if not isinstance(entry, dict) or not {"u", "w", "b"} <= set(entry):
                 raise GraphFormatError("edge entries need 'u', 'w' and 'b'")
-            weight = float(entry["b"])
-            if weight <= 0.0:
-                raise GraphFormatError(
-                    f"edge {entry['u']!r}-{entry['w']!r} has nonpositive weight"
-                )
-            edges.append((str(entry["u"]), str(entry["w"]), weight))
+            edges.append((str(entry["u"]), str(entry["w"]), float(entry["b"])))
     except (TypeError, ValueError) as exc:
         raise GraphFormatError(f"malformed graph entry: {exc}") from exc
 

@@ -4,7 +4,9 @@ The distance between two vertices is the infimum of path lengths, where an
 edge of weight b contributes length 1/b.  All-pairs distances come from one
 single-source shortest-path run per vertex over the graph's sparse edge
 lengths (WeightedGraph.lengths); the predecessor structure of each run is
-kept so a geodesic can be read back for any pair.
+kept so a geodesic can be read back for any pair.  MetricData owns the
+distance table and answers every query read off it, the ball-volume
+brackets vol[s] included.
 """
 
 from __future__ import annotations
@@ -21,14 +23,22 @@ from .generators import DEFAULT_SEED
 from .graph import WeightedGraph, _readonly
 from .report import BoundReport, make_report
 
+# The homogeneity ball_count row samples at most this many centres.
+MAX_CENTERS = 24
+
 
 @dataclass(frozen=True, eq=False)
 class MetricData:
     """All-pairs distances plus one geodesic tree per source vertex.
 
     dist[i, j] is the length of a shortest path from vertex i to vertex j.
-    pred[i, j] is the predecessor of j on such a path from source i
-    (-1 at the source itself).
+    pred[i, j] is the predecessor of j on such a path from source i, as
+    scipy returns it: int32, and negative (-9999) where there is none, at
+    the source itself and at every vertex it cannot reach.
+
+    vol_bracket(s) is vol[s], the supremum of closed-ball volumes of radius
+    s over all centers; vol_bracket_within and vol_bracket_centers are its
+    two refinements.
     """
 
     graph: WeightedGraph
@@ -46,12 +56,34 @@ class MetricData:
         Sorted once, it is partitioned much faster by each np.quantile."""
         return _readonly(np.sort(self.dist[self.dist > 0.0]))
 
+    @cached_property
+    def _brackets(self) -> dict[float, float]:
+        return {}
+
+    def vol_bracket(self, s: float) -> float:
+        """vol[s], evaluated once per distinct s (a report reuses vol[R])."""
+        if s not in self._brackets:
+            self._brackets[s] = float(((self.dist <= s) @ self.graph.m).max())
+        return self._brackets[s]
+
+    def vol_bracket_within(self, s: float, subset: Iterable[str]) -> float:
+        """sup over x of m(B_s(x) intersected with the given subset)."""
+        mask = np.zeros(self.graph.n)
+        mask[self.graph.indices(subset)] = 1.0
+        restricted = self.graph.m * mask
+        return float(((self.dist <= s) @ restricted).max())
+
+    def vol_bracket_centers(self, s: float, centers: Iterable[str]) -> float:
+        """sup over the given centers only of m(B_s(p))."""
+        idx = self.graph.indices(centers)
+        if idx.size == 0:
+            raise EmptySet("no centers supplied")
+        return float(((self.dist[idx, :] <= s) @ self.graph.m).max())
+
 
 def compute_metric(g: WeightedGraph) -> MetricData:
     """All-pairs shortest paths under edge length 1/b, with witnesses."""
     dist, pred = _dijkstra(g.lengths, directed=True, return_predecessors=True)
-    pred = pred.astype(np.int64)
-    pred[pred < 0] = -1
     return MetricData(g, _readonly(dist), _readonly(pred))
 
 
@@ -114,45 +146,9 @@ def covering_radius(md: MetricData, d_set: Iterable[str]) -> float:
     return float(colmin.max())
 
 
-@dataclass(frozen=True, eq=False)
-class BallVolumeTable:
-    """Ball-volume queries over a fixed metric.
-
-    vol_bracket(s) is the supremum of closed-ball volumes of radius s over
-    all centers.
-    """
-
-    md: MetricData
-
-    @cached_property
-    def _brackets(self) -> dict[float, float]:
-        return {}
-
-    def vol_bracket(self, s: float) -> float:
-        """vol[s], evaluated once per distinct s (a report reuses vol[R])."""
-        if s not in self._brackets:
-            self._brackets[s] = float(((self.md.dist <= s) @ self.md.graph.m).max())
-        return self._brackets[s]
-
-    def vol_bracket_within(self, s: float, subset: Iterable[str]) -> float:
-        """sup over x of m(B_s(x) intersected with the given subset)."""
-        mask = np.zeros(self.md.graph.n)
-        mask[self.md.graph.indices(subset)] = 1.0
-        restricted = self.md.graph.m * mask
-        return float(((self.md.dist <= s) @ restricted).max())
-
-    def vol_bracket_centers(self, s: float, centers: Iterable[str]) -> float:
-        """sup over the given centers only of m(B_s(p))."""
-        idx = self.md.graph.indices(centers)
-        if idx.size == 0:
-            raise EmptySet("no centers supplied")
-        return float(((self.md.dist[idx, :] <= s) @ self.md.graph.m).max())
-
-
 def check_homogeneity(
     g: WeightedGraph,
     md: MetricData,
-    max_centers: int = 24,
     seed: int = DEFAULT_SEED,
 ) -> list[BoundReport]:
     """Verify the two uniform-geometry estimates on sampled balls.
@@ -162,7 +158,7 @@ def check_homogeneity(
     (r * delta * m_max)^(r * b_max) + 1.  A violated row signals an
     implementation bug, not a property of the graph.
 
-    Row 2 samples up to max_centers centres at 0.5 / b_max and at the
+    Row 2 samples up to MAX_CENTERS centres at 0.5 / b_max and at the
     quartiles and maximum of the distances.  Every (centre, radius) ball is
     counted in one array pass; the row reports the first smallest margin
     bound - count in centre-major order, the sample a loop over centres,
@@ -192,10 +188,10 @@ def check_homogeneity(
         )
 
     rng = np.random.default_rng(seed)
-    if g.n <= max_centers:
+    if g.n <= MAX_CENTERS:
         centers = np.arange(g.n)
     else:
-        centers = rng.choice(g.n, size=max_centers, replace=False)
+        centers = rng.choice(g.n, size=MAX_CENTERS, replace=False)
         centers.sort()
 
     finite = md.positive_distances

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConvergenceFailure, DoublingUnverified
 from .generators import DEFAULT_SEED
 from .graph import WeightedGraph, _readonly
-from .metric import BallVolumeTable
+from .metric import MetricData
 from .report import BoundReport, make_report
 from .spectral import AnalysisContext, dirichlet_energy
 
@@ -127,7 +127,7 @@ def ground_state_transform_check(
 
 
 def verify_doubling(
-    volumes: BallVolumeTable,
+    md: MetricData,
     exponent: float,
     scales: Iterable[float],
     factors: Iterable[float] = (1.5, 2.0, 3.0),
@@ -136,11 +136,11 @@ def verify_doubling(
     for s in scales:
         if s <= 0.0:
             continue
-        base = volumes.vol_bracket(s)
+        base = md.vol_bracket(s)
         for a in factors:
             if a < 1.0:
                 continue
-            if volumes.vol_bracket(a * s) > a**exponent * base * (1.0 + 1e-12):
+            if md.vol_bracket(a * s) > a**exponent * base * (1.0 + 1e-12):
                 raise DoublingUnverified(
                     f"vol[{a * s!r}] exceeds {a!r}^{exponent!r} * vol[{s!r}]"
                 )
@@ -159,10 +159,10 @@ def potential_dirichlet_bound(
     lambda_V + 1 / (c^(4+2N) * R * vol[R]) is then emitted as well.
     """
     ctx.require_region()
-    truth, R, volumes = ctx.lambda_omega, ctx.R, ctx.volumes
+    truth, R, md = ctx.lambda_omega, ctx.R, ctx.metric
     c2 = gs.c * gs.c
     c4 = c2 * c2
-    vol_c2r = volumes.vol_bracket(c2 * R)
+    vol_c2r = md.vol_bracket(c2 * R)
     bound = gs.lambda_v + 1.0 / (c4 * R * vol_c2r)
     rows = [
         make_report(
@@ -172,13 +172,13 @@ def potential_dirichlet_bound(
     ]
     if doubling_exponent is not None:
         n_exp = float(doubling_exponent)
-        finite = ctx.metric.positive_distances
+        finite = md.positive_distances
         scales = [R] + (
             [float(q) for q in np.quantile(finite, (0.25, 0.5, 0.75))] if finite.size else []
         )
         # The grid must include the pair the variant actually uses: s = R, a = c^2.
         factors = sorted({1.5, 2.0, 3.0, c2})
-        verify_doubling(volumes, n_exp, scales, factors)
+        verify_doubling(md, n_exp, scales, factors)
         rows.append(
             make_report(
                 "potential/dirichlet_lower_doubling",

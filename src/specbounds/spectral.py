@@ -110,7 +110,7 @@ from .errors import (
     PreconditionInterval,
 )
 from .graph import WeightedGraph, _readonly
-from .metric import BallVolumeTable, MetricData, compute_metric, inradius
+from .metric import MetricData, compute_metric, inradius
 from .report import BoundReport, make_report
 
 
@@ -693,13 +693,9 @@ class AnalysisContext:
         return float(self.graph.V.min())
 
     @cached_property
-    def volumes(self) -> BallVolumeTable:
-        return BallVolumeTable(self.metric)
-
-    @cached_property
     def vol_R(self) -> float:
         """vol[R], the largest closed-ball volume of radius R."""
-        return self.volumes.vol_bracket(self.R)
+        return self.metric.vol_bracket(self.R)
 
     def coupled(self, t: float) -> OperatorMatrix:
         """H + t 1_D on the whole graph: operator with t added on D's diagonal."""
@@ -843,8 +839,8 @@ def dirichlet_lower_bound(ctx: AnalysisContext) -> list[BoundReport]:
     when some V(x) < 0.
     """
     lam, R = ctx.lambda_omega, ctx.R
-    vol_in = ctx.volumes.vol_bracket_within(R, ctx.omega)
-    vol_centers = ctx.volumes.vol_bracket_centers(R, ctx.centers)
+    vol_in = ctx.metric.vol_bracket_within(R, ctx.omega)
+    vol_centers = ctx.metric.vol_bracket_centers(R, ctx.centers)
     return [
         _geometric_row(ctx, "dirichlet/lower_ball_volume", lam, 1.0 / (R * ctx.vol_R)),
         _geometric_row(

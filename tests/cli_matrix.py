@@ -24,6 +24,14 @@ largest absolute and relative change of its true, bound and slack values,
 plus the number of cases whose output outside the rows changed; it exits 0.
 Either way it first prints, per input, how many of its cases changed.
 
+    PYTHONPATH=src python tests/cli_matrix.py --against REF
+
+does both in one command: it extracts the src/ tree of the git revision
+REF with git archive into a temporary directory (no worktree, nothing
+written in the checkout), runs this harness on that src and on the
+working tree's src in two subprocesses, prints the --compare report of
+REF against the working tree and exits with its code.
+
 The graph files among the inputs are written to a temporary directory,
 which is the working directory during the run, so the paths echoed in each
 report's config are the same in every checkout.  pytest does not collect
@@ -40,7 +48,9 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -207,9 +217,42 @@ def compare(dir_a: Path, dir_b: Path) -> int:
     return 0
 
 
+def against(ref: str) -> int:
+    """Write the cases of ref's src and of the working tree's src, each
+    in its own subprocess, and compare them."""
+    harness = Path(__file__).resolve()
+    root = harness.parent.parent
+    archive = subprocess.run(
+        ["git", "-C", str(root), "archive", "--format=tar", ref, "src"], capture_output=True
+    )
+    if archive.returncode:
+        print(f"git archive {ref} src failed: {archive.stderr.decode().strip()}", file=sys.stderr)
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp / "ref", filter="data")
+        sides = {"ref": tmp / "ref" / "src", "work": root / "src"}
+        runs = [
+            subprocess.Popen(
+                [sys.executable, str(harness), str(tmp / f"out-{side}")],
+                env=dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1"),
+                stdout=subprocess.DEVNULL,
+            )
+            for side, src in sides.items()
+        ]
+        if any([run.wait() for run in runs]):  # wait for both
+            print("a harness run failed", file=sys.stderr)
+            return 1
+        print(f"{ref} against the working tree")
+        return compare(tmp / "out-ref", tmp / "out-work")
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--compare":
         return compare(Path(argv[1]), Path(argv[2]))
+    if len(argv) == 2 and argv[0] == "--against":
+        return against(argv[1])
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 1

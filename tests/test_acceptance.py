@@ -13,7 +13,6 @@ import pytest
 
 from specbounds import (
     AnalysisContext,
-    BallVolumeTable,
     build_voronoi,
     check_homogeneity,
     cheeger_chain,

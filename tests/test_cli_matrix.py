@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cli_matrix import case_name, compare, run_case
+from cli_matrix import against, case_name, compare, run_case
 
 CASES = [
     ("bounds", "json"),
@@ -84,3 +84,8 @@ def test_a_moved_value_is_reported_but_passes(parent, tmp_path, capsys):
     assert compare(parent, tmp_path / "b") == 0
     out = capsys.readouterr().out
     assert "0 with a different exit code" in out
+
+
+def test_against_an_unknown_revision_fails_before_any_run(capsys):
+    assert against("no-such-revision") == 1
+    assert capsys.readouterr().err.startswith("git archive no-such-revision src failed: ")

@@ -300,12 +300,16 @@ def test_json_rejects_self_loops_and_nonpositive_weights():
     loop = '{"vertices": [{"id": "a", "m": 1.0}], "edges": [{"u": "a", "w": "a", "b": 1.0}]}'
     with pytest.raises(NonzeroDiagonal):
         loads_graph(loop)
-    zero = """
+    edge = """
     {"vertices": [{"id": "a", "m": 1.0}, {"id": "b", "m": 1.0}],
-     "edges": [{"u": "a", "w": "b", "b": 0.0}]}
+     "edges": [{"u": "a", "w": "b", "b": %s}]}
     """
-    with pytest.raises(GraphFormatError):
-        loads_graph(zero)
+    # The constructor names the defect, as it does for the same edge list.
+    for weight, message in (("0.0", "explicit zero weight on 'a'-'b'"),
+                            ("-1", "negative weight on 'a'-'b'")):
+        with pytest.raises(NegativeEdgeWeight) as info:
+            loads_graph(edge % weight)
+        assert str(info.value) == message
 
 
 def test_json_rejects_garbage():

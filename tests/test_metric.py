@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from specbounds import (
     DEFAULT_SEED,
-    BallVolumeTable,
     EmptySet,
     FullSet,
     WeightedGraph,
@@ -26,6 +25,7 @@ from specbounds import (
     path_graph,
     rows_pass,
 )
+from specbounds.metric import MAX_CENTERS
 from helpers import random_instance, random_proper_subset, weight
 
 
@@ -152,6 +152,19 @@ def test_geodesic_reconstruction(seed):
         assert abs(path_length(g, path) - want) <= 1e-12 * max(want, 1.0)
 
 
+def test_geodesic_between_components_is_refused():
+    """The predecessor is negative where there is none: at the source and
+    at every vertex it cannot reach.  geodesic refuses such a pair."""
+    g = WeightedGraph.from_edge_list(
+        ("a", "b", "c", "d"), 1.0, [("a", "b", 1.0), ("c", "d", 1.0)]
+    )
+    md = compute_metric(g)
+    assert geodesic(md, "a", "b") == ("a", "b")
+    assert geodesic(md, "c", "c") == ("c",)
+    with pytest.raises(ValueError, match="^no path recorded from 'a' to 'd'$"):
+        geodesic(md, "a", "d")
+
+
 def _floyd_warshall(g):
     n = g.n
     dist = np.full((n, n), np.inf)
@@ -178,7 +191,6 @@ def test_distances_match_floyd_warshall_oracle(seed):
 def test_ball_volume_basics():
     g = random_instance(42, n_lo=5, n_hi=20, m_weighted=True)
     md = compute_metric(g)
-    volumes = BallVolumeTable(md)
     c = g.constants
     for v in g.vertices[:5]:
         assert vol_of_ball(md, v, 0.0) == g.m[g.index[v]]
@@ -186,7 +198,7 @@ def test_ball_volume_basics():
     for x in g.vertices[:3]:
         vols = [vol_of_ball(md, x, r) for r in radii]
         assert vols == sorted(vols)
-    brackets = [volumes.vol_bracket(r) for r in radii]
+    brackets = [md.vol_bracket(r) for r in radii]
     assert brackets == sorted(brackets)
     assert all(b >= c.m_max for b in brackets)
 
@@ -244,16 +256,16 @@ def test_homogeneity_radii_match_one_quantile_call_per_radius(monkeypatch):
     assert calls == [(0.25, 0.5, 0.75, 1.0)]
 
 
-def _loop_ball_count(g, md, max_centers=24, seed=DEFAULT_SEED):
+def _loop_ball_count(g, md, seed=DEFAULT_SEED):
     """Reference for check_homogeneity's ball_count row: one ball at a
     time, centre-major, keeping the first strictly smaller margin.  Also
     returns every margin."""
     c = g.constants
     rng = np.random.default_rng(seed)
-    if g.n <= max_centers:
+    if g.n <= MAX_CENTERS:
         centers = np.arange(g.n)
     else:
-        centers = rng.choice(g.n, size=max_centers, replace=False)
+        centers = rng.choice(g.n, size=MAX_CENTERS, replace=False)
         centers.sort()
     finite = md.positive_distances
     radii = [0.5 / c.b_max]

@@ -291,9 +291,9 @@ def test_doubling_scales_match_one_quantile_call_per_scale(monkeypatch):
         calls.append(q)
         return quantile(a, q)
 
-    def recording_verify(volumes, exponent, scales, factors):
+    def recording_verify(md, exponent, scales, factors):
         scales_seen.append(list(scales))
-        verify(volumes, exponent, scales, factors)
+        verify(md, exponent, scales, factors)
 
     monkeypatch.setattr(np, "quantile", recording_quantile)
     monkeypatch.setattr(potential, "verify_doubling", recording_verify)

@@ -229,6 +229,7 @@ def test_cli_unknown_ball_center_exits_one(capsys, fmt, spec, center):
 
 INTERVAL_FORM = "a:b with finite numbers a and b"
 T_GRID_FORM = "start:stop:points with finite numbers start and stop and a whole number of points"
+HALF_A_BALL = "--radius and --ball-center ask for one ball: give both or neither"
 BAD_NUMBERS = [
     (["spectrum", "--interval", "0:nan"], f"--interval 0:nan: expected {INTERVAL_FORM}"),
     (["uncertainty", "--interval", "0:nan"], f"--interval 0:nan: expected {INTERVAL_FORM}"),
@@ -247,13 +248,16 @@ BAD_NUMBERS = [
     (["report", "--centers", "every:x"], "--centers every:x: expected every:k with a whole number k"),
     (["cheeger", "--centers", "sublattice:y"],
      "--centers sublattice:y: expected sublattice:k with a whole number k"),
+    (["metric", "--radius", "1.0"], HALF_A_BALL),
+    (["metric", "--ball-center", "v0"], HALF_A_BALL),
 ]
 
 
 @pytest.mark.parametrize("argv, message", BAD_NUMBERS, ids=[" ".join(a) for a, _ in BAD_NUMBERS])
 def test_cli_bad_number_is_a_one_line_error(monkeypatch, capsys, argv, message):
     """A malformed or non-finite number option exits 1 with one line that
-    names the option and its form.  Every option but --centers (which
+    names the option and its form, and half a ball query with one line
+    that names both its options.  Every option but --centers (which
     needs the graph) is refused before any stage runs: loading the graph
     would fail the test here."""
     command, options = argv[0], argv[1:]
@@ -528,7 +532,7 @@ def test_vol_bracket_is_evaluated_once_per_radius(monkeypatch, capsys, argv):
     asks for vol[R] again, and for each scale at factor 1.0.  Each distinct
     radius is evaluated once per context."""
     asked, evaluated = [], []
-    vol_bracket = metric.BallVolumeTable.vol_bracket
+    vol_bracket = metric.MetricData.vol_bracket
 
     def asking(self, s):
         asked.append(s)
@@ -540,9 +544,9 @@ def test_vol_bracket_is_evaluated_once_per_radius(monkeypatch, capsys, argv):
             super().__setitem__(s, value)
 
     brackets = cached_property(lambda self: Evaluations())
-    brackets.__set_name__(metric.BallVolumeTable, "_brackets")
-    monkeypatch.setattr(metric.BallVolumeTable, "_brackets", brackets)
-    monkeypatch.setattr(metric.BallVolumeTable, "vol_bracket", asking)
+    brackets.__set_name__(metric.MetricData, "_brackets")
+    monkeypatch.setattr(metric.MetricData, "_brackets", brackets)
+    monkeypatch.setattr(metric.MetricData, "vol_bracket", asking)
     code = cli.main([*argv, "--generate", "random:40", "--centers", "every:4"])
     assert code == 0
     capsys.readouterr()

@@ -104,6 +104,9 @@ def test_axioms_on_random_graphs(seed):
     # Nearest-center membership holds exactly, not just within tolerance.
     nearest_row = next(r for r in rows if r.name == "voronoi/nearest_center")
     assert nearest_row.true_value == 0.0
+    # The containment bound is the covering radius of the centers, bit for bit.
+    ball_row = next(r for r in rows if r.name == "voronoi/cell_in_covering_ball")
+    assert ball_row.bound_value == covering_radius(md, d_set)
 
 
 @pytest.mark.parametrize(
