@@ -146,9 +146,8 @@ def cheeger_chain(ctx: AnalysisContext) -> list[BoundReport]:
     """
     g = ctx.graph
     _require_combinatorial(g)
+    ctx.require_region()
     omega = ctx.omega
-    if not ctx.centers or not omega:
-        raise ValueError("need a nonempty penalty set and a nonempty region")
 
     delta = float(g.constants.max_degree)
     lam = ctx.lambda_omega

@@ -296,7 +296,7 @@ def _distances(run: _Run) -> None:
     ctx, args = run.ctx, run.args
     md = ctx.metric
     run.extra["vertices"] = list(ctx.graph.vertices)
-    run.extra["distances"] = [[float(x) for x in row] for row in md.dist]
+    run.extra["distances"] = md.dist.tolist()
     if ctx.centers:
         run.extra["covering_radius"] = covering_radius(md, ctx.centers)
         run.extra["inradius_of_complement"] = ctx.R if ctx.omega else None
@@ -308,16 +308,12 @@ def _eigenvalues(run: _Run) -> None:
     ctx, args = run.ctx, run.args
     interval = None if args.interval is None else parse_interval(args.interval, None)
     evals = eigenvalues_of(ctx.operator)
-    run.extra["eigenvalues"] = [float(x) for x in evals]
+    run.extra["eigenvalues"] = evals.tolist()
     if ctx.centers and ctx.omega:
-        run.extra["restricted_eigenvalues"] = [
-            float(x) for x in eigenvalues_of(ctx.region_operator)
-        ]
+        run.extra["restricted_eigenvalues"] = eigenvalues_of(ctx.region_operator).tolist()
     if interval is not None:
         run.extra["interval"] = list(interval)
-        run.extra["eigenvalues_in_interval"] = [
-            float(x) for x in evals[window_indices(evals, interval)]
-        ]
+        run.extra["eigenvalues_in_interval"] = evals[window_indices(evals, interval)].tolist()
 
 
 def _covering(run: _Run) -> list:

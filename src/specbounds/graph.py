@@ -132,11 +132,11 @@ class WeightedGraph:
     @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The edges as (i, j, weight) arrays, in stored order."""
-        table = np.array(self.edges, dtype=float).reshape(-1, 3)
+        i, j, w = zip(*self.edges) if self.edges else ((), (), ())
         return (
-            _readonly(table[:, 0].astype(np.intp)),
-            _readonly(table[:, 1].astype(np.intp)),
-            _readonly(table[:, 2].copy()),
+            _readonly(np.array(i, dtype=np.intp)),
+            _readonly(np.array(j, dtype=np.intp)),
+            _readonly(np.array(w, dtype=float)),
         )
 
     @cached_property

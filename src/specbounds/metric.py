@@ -6,7 +6,7 @@ single-source shortest-path run per vertex over the graph's sparse edge
 lengths (WeightedGraph.lengths); the predecessor structure of each run is
 kept so a geodesic can be read back for any pair.  MetricData owns the
 distance table and answers every query read off it, the ball-volume
-brackets vol[s] included.
+brackets vol[s] and the sampled radii (quartiles) included.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ class MetricData:
 
     vol_bracket(s) is vol[s], the supremum of closed-ball volumes of radius
     s over all centers; vol_bracket_within and vol_bracket_centers are its
-    two refinements.
+    two refinements.  quartiles holds the one sample of the distance
+    distribution that the homogeneity radii and the doubling scales read.
     """
 
     graph: WeightedGraph
@@ -50,11 +51,17 @@ class MetricData:
         return float(self.dist[gi[x], gi[y]])
 
     @cached_property
-    def positive_distances(self) -> np.ndarray:
-        """Every positive entry of dist, sorted ascending: the sample whose
-        quantiles the homogeneity radii and the doubling scales read.
-        Sorted once, it is partitioned much faster by each np.quantile."""
-        return _readonly(np.sort(self.dist[self.dist > 0.0]))
+    def quartiles(self) -> tuple[float, ...]:
+        """The 0.25, 0.5, 0.75 and 1.0 quantiles of the positive distances,
+        () on a single vertex: the sampled radii of the homogeneity rows and
+        the doubling scales.  The masked sample is a fresh copy, sorted in
+        place (np.quantile partitions a sorted array much faster) and
+        dropped; only the four floats are kept."""
+        sample = self.dist[self.dist > 0.0]
+        if not sample.size:
+            return ()
+        sample.sort()
+        return tuple(float(q) for q in np.quantile(sample, (0.25, 0.5, 0.75, 1.0)))
 
     @cached_property
     def _brackets(self) -> dict[float, float]:
@@ -158,34 +165,35 @@ def check_homogeneity(
     (r * delta * m_max)^(r * b_max) + 1.  A violated row signals an
     implementation bug, not a property of the graph.
 
-    Row 2 samples up to MAX_CENTERS centres at 0.5 / b_max and at the
-    quartiles and maximum of the distances.  Every (centre, radius) ball is
-    counted in one array pass; the row reports the first smallest margin
-    bound - count in centre-major order, the sample a loop over centres,
-    then radii, keeping each strictly smaller margin would report.
+    Row 2 samples up to MAX_CENTERS centres at 0.5 / b_max and at
+    md.quartiles (the quartiles and maximum of the positive distances).
+    Every (centre, radius) ball is counted in one array pass; the row
+    reports the first smallest margin bound - count in centre-major order,
+    the sample a loop over centres, then radii, keeping each strictly
+    smaller margin would report.  A single vertex has neither pairs nor
+    radii, so both its rows are vacuous.
     """
     c = g.constants
-    rows: list[BoundReport] = []
-
-    if g.n == 1 or c.b_max == 0.0:
-        rows.append(
+    if g.n == 1:
+        return [
             make_report(
                 "homogeneity/min_distance", 0.0, 0.0, ">=",
                 vacuous=True, note="single vertex; no pairs",
-            )
-        )
-    else:
-        # The shortest edge is the closest pair: Dijkstra gives a one-edge
-        # path the length 0.0 + 1/w, and a longer path is no shorter than
-        # its own shortest edge.
-        rows.append(
+            ),
             make_report(
-                "homogeneity/min_distance",
-                float(g.lengths.data.min()),
-                1.0 / c.b_max,
-                ">=",
-            )
+                "homogeneity/ball_count", 1.0, 2.0, "<=",
+                vacuous=True, note="no radii sampled",
+            ),
+        ]
+    # On n >= 2 vertices (connected, as g.constants checked) b_max > 0 and
+    # there are positive distances.  The shortest edge is the closest pair:
+    # Dijkstra gives a one-edge path the length 0.0 + 1/w, and a longer path
+    # is no shorter than its own shortest edge.
+    rows = [
+        make_report(
+            "homogeneity/min_distance", float(g.lengths.data.min()), 1.0 / c.b_max, ">=",
         )
+    ]
 
     rng = np.random.default_rng(seed)
     if g.n <= MAX_CENTERS:
@@ -193,22 +201,7 @@ def check_homogeneity(
     else:
         centers = rng.choice(g.n, size=MAX_CENTERS, replace=False)
         centers.sort()
-
-    finite = md.positive_distances
-    radii: list[float] = []
-    if c.b_max > 0.0:
-        radii.append(0.5 / c.b_max)
-    if finite.size:
-        radii.extend(float(q) for q in np.quantile(finite, (0.25, 0.5, 0.75, 1.0)))
-
-    if not radii:
-        rows.append(
-            make_report(
-                "homogeneity/ball_count", 1.0, 2.0, "<=",
-                vacuous=True, note="no radii sampled",
-            )
-        )
-        return rows
+    radii = [0.5 / c.b_max, *md.quartiles]
 
     # The bound depends on r alone: one scalar power per radius (numpy's
     # vectorised power may round differently from the scalar one).

@@ -172,10 +172,7 @@ def potential_dirichlet_bound(
     ]
     if doubling_exponent is not None:
         n_exp = float(doubling_exponent)
-        finite = md.positive_distances
-        scales = [R] + (
-            [float(q) for q in np.quantile(finite, (0.25, 0.5, 0.75))] if finite.size else []
-        )
+        scales = [R, *md.quartiles[:3]]
         # The grid must include the pair the variant actually uses: s = R, a = c^2.
         factors = sorted({1.5, 2.0, 3.0, c2})
         verify_doubling(md, n_exp, scales, factors)

@@ -9,6 +9,8 @@ import pytest
 from specbounds import (
     AnalysisContext,
     CapacityOverflow,
+    EmptyCenters,
+    EmptyOmega,
     IsoperimetricData,
     NotCombinatorial,
     WeightedGraph,
@@ -286,10 +288,29 @@ def test_voronoi_bound_on_path():
 
 def test_chain_refuses_centers_covering_the_graph(capsys):
     g = path_graph(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(EmptyOmega, match="^penalty set covers the graph; no region remains$"):
         cheeger_chain(AnalysisContext(g, g.vertices))
     assert cli.main(["cheeger", "--generate", "path:4", "--centers", "every:1"]) == 1
     assert "no region remains" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "centers, error, message",
+    [
+        ((), EmptyCenters, "penalty set must be nonempty"),
+        (None, EmptyOmega, "penalty set covers the graph; no region remains"),
+    ],
+    ids=["no-centers", "all-centers"],
+)
+def test_chain_checks_the_region_as_require_region_does(centers, error, message):
+    """cheeger_chain refuses an empty D or an empty region with the
+    context's own precondition, as every other bound function does."""
+    g = path_graph(5)
+    ctx = AnalysisContext(g, g.vertices if centers is None else centers)
+    with pytest.raises(error, match=f"^{message}$"):
+        ctx.require_region()
+    with pytest.raises(error, match=f"^{message}$"):
+        cheeger_chain(ctx)
 
 
 def test_voronoi_bound_on_line_with_every_fourth_center():

@@ -263,6 +263,15 @@ def test_generate_same_spec_same_seed_bit_identical():
     assert a.edges == b.edges and np.array_equal(a.m, b.m)
 
 
+def test_random_spec_with_a_weight_range_is_random_connected():
+    g = generate("random:50:0.5:2")
+    h = random_connected(50, weight_range=(0.5, 2.0))
+    assert g.vertices == h.vertices and g.edges == h.edges
+    assert np.array_equal(g.m, h.m)
+    with pytest.raises(InvalidSpec, match="^random weight range must satisfy 0 < lo <= hi$"):
+        generate("random:50:2:1")
+
+
 @pytest.mark.parametrize(
     "spec",
     ["lattice:2:0", "lattice:0:4", "comb:1", "apex_ray:1", "path:0", "nope:3", "random:2:5:1"],

@@ -25,7 +25,7 @@ from specbounds import (
     path_graph,
     rows_pass,
 )
-from specbounds.metric import MAX_CENTERS
+from specbounds.metric import MAX_CENTERS, MetricData
 from helpers import random_instance, random_proper_subset, weight
 
 
@@ -213,6 +213,18 @@ def test_homogeneity_k2_equality_case():
     assert rows_pass(rows)
 
 
+def test_homogeneity_on_a_single_vertex_is_vacuous():
+    g = path_graph(1)
+    rows = check_homogeneity(g, compute_metric(g))
+    assert rows == [
+        make_report(
+            "homogeneity/min_distance", 0.0, 0.0, ">=", vacuous=True, note="single vertex; no pairs"
+        ),
+        make_report("homogeneity/ball_count", 1.0, 2.0, "<=", vacuous=True, note="no radii sampled"),
+    ]
+    assert rows_pass(rows)
+
+
 def test_homogeneity_lattice_count():
     g = lattice_box(2, 10)
     md = compute_metric(g)
@@ -252,7 +264,8 @@ def test_homogeneity_radii_match_one_quantile_call_per_radius(monkeypatch):
         return np.array([quantile(a, x) for x in q])
 
     monkeypatch.setattr(np, "quantile", one_call_per_quantile)
-    assert check_homogeneity(g, md) == rows
+    # A fresh metric: md has its quartiles cached already.
+    assert check_homogeneity(g, MetricData(g, md.dist, md.pred)) == rows
     assert calls == [(0.25, 0.5, 0.75, 1.0)]
 
 
@@ -267,7 +280,7 @@ def _loop_ball_count(g, md, seed=DEFAULT_SEED):
     else:
         centers = rng.choice(g.n, size=MAX_CENTERS, replace=False)
         centers.sort()
-    finite = md.positive_distances
+    finite = np.sort(md.dist[md.dist > 0.0])
     radii = [0.5 / c.b_max]
     radii.extend(float(q) for q in np.quantile(finite, (0.25, 0.5, 0.75, 1.0)))
     worst, margins = None, []
@@ -352,8 +365,19 @@ def test_min_distance_is_the_shortest_edge(g):
     assert row.passed and not row.vacuous
 
 
-def test_positive_distances_are_sorted_once_per_metric():
+def test_quartiles_are_computed_once_per_metric(monkeypatch):
     md = compute_metric(random_instance(4, n_lo=20, n_hi=30))
-    finite = md.positive_distances
-    assert finite is md.positive_distances
-    assert np.array_equal(finite, np.sort(md.dist[md.dist > 0.0]))
+    quantile, calls = np.quantile, []
+
+    def recording_quantile(a, q):
+        calls.append(q)
+        return quantile(a, q)
+
+    monkeypatch.setattr(np, "quantile", recording_quantile)
+    quartiles = md.quartiles
+    assert quartiles is md.quartiles
+    assert calls == [(0.25, 0.5, 0.75, 1.0)]
+    finite = np.sort(md.dist[md.dist > 0.0])
+    assert quartiles == tuple(float(quantile(finite, q)) for q in (0.25, 0.5, 0.75, 1.0))
+    assert all(type(q) is float for q in quartiles)
+    assert compute_metric(path_graph(1)).quartiles == ()

@@ -299,6 +299,6 @@ def test_doubling_scales_match_one_quantile_call_per_scale(monkeypatch):
     monkeypatch.setattr(potential, "verify_doubling", recording_verify)
     rows = potential_dirichlet_bound(ctx, gs, doubling_exponent=4.0)
     assert len(rows) == 2
-    assert calls == [(0.25, 0.5, 0.75)]
+    assert calls == [(0.25, 0.5, 0.75, 1.0)]
     finite = ctx.metric.dist[ctx.metric.dist > 0.0]
     assert scales_seen == [[ctx.R] + [float(quantile(finite, q)) for q in (0.25, 0.5, 0.75)]]

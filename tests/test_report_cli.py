@@ -181,6 +181,21 @@ def test_cli_repeated_center_id_counts_once(capsys, command):
     assert rows("v0,v0") == rows("v0")
 
 
+def test_bounds_explicit_t_grid_is_geometric(capsys):
+    """--t-grid start:stop:points samples t geometrically; the resolvent
+    row reads the largest t."""
+    assert cli.parse_t_grid("1:100:3", 1.0) == [1.0, 10.0, 100.0]
+    argv = ["bounds", "--generate", "path:6", "--centers", "every:3", "--t-grid", "1:100:3"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["t_grid"] == "1:100:3"
+    notes = {r["name"]: r["note"] for r in doc["rows"]}
+    for k, t in enumerate(("1.0", "10.0", "100.0")):
+        assert notes[f"coupling/rate#{k}"].split(";")[0] == f"t={t}"
+    assert "coupling/rate#3" not in notes
+    assert notes["resolvent/schur_gap"].startswith("t=100.0, ")
+
+
 def test_cli_injected_bound_violation_exits_two(monkeypatch, capsys):
     def broken(ctx):
         return [make_report("dirichlet/lower_ball_volume", 0.0, 1.0, ">=")]

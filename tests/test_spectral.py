@@ -1,5 +1,6 @@
 """Operator assembly, eigenvalue bounds, coupling limits, projections."""
 
+import json
 import math
 
 import numpy as np
@@ -820,6 +821,24 @@ def test_window_falls_back_to_dense_when_superlu_pivots(monkeypatch):
         assert (a.passed, a.vacuous) == (b.passed, b.vacuous)
         assert np.isclose(a.true_value, b.true_value, rtol=1e-9, atol=1e-12)
         assert np.isclose(a.bound_value, b.bound_value, rtol=1e-9, atol=1e-12)
+
+
+def test_matrix_free_empty_window_needs_no_decomposition(capsys):
+    """An interval below the spectrum gives an empty window from the two
+    inertia counts alone, and the uncertainty rows say so."""
+    g = generate("random:300")
+    ctx = AnalysisContext(g, cli.parse_centers(g, "every:4"))
+    assert ctx.matrix_free
+    evals, vectors = ctx.window((-4.0, -3.0))
+    assert evals.shape == (0,) and vectors.shape == (300, 0)
+    assert "decomposition" not in vars(ctx)
+    argv = ["uncertainty", "--generate", "random:300", "--centers", "every:4", "--interval", "-4:-3"]
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["name"], r["true"], r["pass"], r["vacuous"], r["note"]) for r in rows] == [
+        (name, 0, True, True, "no spectrum in the interval; statement vacuous")
+        for name in ("uncertainty/energy_form", "uncertainty/geometry_form")
+    ]
 
 
 def test_coupled_sparse_adds_t_on_the_penalty_diagonal_only():
