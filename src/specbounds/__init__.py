@@ -25,8 +25,6 @@ from .errors import (
     DoublingUnverified,
     EmptyCenters,
     EmptyOmega,
-    EmptySet,
-    FullSet,
     GraphError,
     GraphFormatError,
     InvalidSpec,
@@ -97,7 +95,6 @@ from .spectral import (
     dirichlet_lower_bound,
     eigdecompose,
     eigenvalues_of,
-    lowest_eigenvalue,
     resolvent_gap,
     sparse_ground_state,
     sparse_top_eigenvalue,

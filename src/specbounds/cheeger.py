@@ -16,11 +16,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import CapacityOverflow, NotCombinatorial
+from .errors import CapacityOverflow, EmptyOmega, NotCombinatorial
 from .graph import WeightedGraph, is_combinatorial
 from .metric import MetricData
 from .report import BoundReport, make_report
-from .spectral import AnalysisContext
+from .spectral import AnalysisContext, _geometric_row
 
 # After the package modules, so scipy loads through metric first: importing
 # it here ahead of them made `import specbounds.cli` 20-40 ms slower on a
@@ -107,12 +107,13 @@ def region_constant(g: WeightedGraph, omega: Iterable[str]) -> IsoperimetricData
     largest minimizer S of |dS| - lambda |S| (one min cut at the rational
     lambda = p/q) and set lambda to its ratio, until the ratio stops
     falling.  The witness is the largest subset attaining beta, so it does
-    not depend on the flow algorithm or the vertex labels.
+    not depend on the flow algorithm or the vertex labels.  EmptyOmega
+    when the region is empty.
     """
     _require_combinatorial(g)
     omega = tuple(dict.fromkeys(omega))
     if not omega:
-        raise ValueError("region must be nonempty")
+        raise EmptyOmega()
     inner, out_degree = _region_network(g, omega)
     boundary, size = int(out_degree.sum()), len(omega)
     while True:
@@ -142,7 +143,10 @@ def cheeger_chain(ctx: AnalysisContext) -> list[BoundReport]:
     bound 1/(R vol[R]), and an informational comparison of the two routes
     (the ball-volume route wins exactly when R < 2 delta vol[R]).  R is the
     covering radius of the centers, which equals ctx.R (the inradius of the
-    region) bit for bit.
+    region) bit for bit.  The two rows on the ground energy are proved for
+    V >= 0 only, and are not asserted when some V(x) < 0; the region
+    constant's row is geometry alone.  EmptyCenters or EmptyOmega when D
+    or the region is empty.
     """
     g = ctx.graph
     _require_combinatorial(g)
@@ -155,16 +159,14 @@ def cheeger_chain(ctx: AnalysisContext) -> list[BoundReport]:
 
     iso = region_constant(g, omega)
     rows = [
-        make_report(
-            "cheeger/eigenvalue_vs_cheeger", lam, iso.beta * iso.beta / (2.0 * delta), ">=",
+        _geometric_row(
+            ctx, "cheeger/eigenvalue_vs_cheeger", lam, iso.beta * iso.beta / (2.0 * delta)
         ),
         make_report("cheeger/region_constant_vs_volume", iso.beta, 1.0 / vol_r, ">="),
     ]
 
     ball_bound = 1.0 / (R * vol_r)
-    rows.append(
-        make_report("cheeger/eigenvalue_vs_ball_volume", lam, ball_bound, ">=")
-    )
+    rows.append(_geometric_row(ctx, "cheeger/eigenvalue_vs_ball_volume", lam, ball_bound))
     route_bound = 1.0 / (2.0 * delta * vol_r * vol_r)
     stronger = ball_bound > route_bound
     rows.append(

@@ -360,7 +360,8 @@ STAGES = {
         make_report(
             "operator/norm_vs_weighted_degree",
             run.ctx.norm,
-            run.ctx.graph.constants.operator_norm_bound,
+            # ||H|| <= ||L|| + ||V/m||, and ||L|| <= 2 delta.
+            run.ctx.graph.constants.operator_norm_bound + run.ctx.potential_norm,
             "<=",
         )
     ],

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every bound concerns a penalty set D with a nonempty region X \\ D, so
+the two degenerate sets have one error type each, raised by every entry
+point that reads them: EmptyCenters when D is empty, EmptyOmega when D
+covers the graph.  Each has one message, defined here.
+"""
 
 
 class GraphError(Exception):
@@ -43,20 +49,18 @@ class DistanceOverflow(GraphError):
     """A shortest-path distance exceeds the float64 range."""
 
 
-class EmptySet(GraphError):
-    """An operation received an empty vertex set where a nonempty one is required."""
-
-
-class FullSet(GraphError):
-    """The inradius of the whole vertex set is undefined (no exterior point)."""
-
-
 class EmptyCenters(GraphError):
-    """A Voronoi decomposition needs at least one center."""
+    """The penalty set (the centers) D is empty."""
+
+    def __init__(self) -> None:
+        super().__init__("penalty set must be nonempty")
 
 
 class EmptyOmega(GraphError):
-    """An operator restriction received an empty index set."""
+    """The region X \\ D is empty: the penalty set covers the graph."""
+
+    def __init__(self) -> None:
+        super().__init__("penalty set covers the graph; no region remains")
 
 
 class ConvergenceFailure(GraphError):

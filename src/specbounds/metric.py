@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
-from .errors import EmptySet, FullSet, InvalidSpec
+from .errors import EmptyCenters, EmptyOmega, InvalidSpec
 from .generators import DEFAULT_SEED
 from .graph import WeightedGraph, _readonly
 from .report import BoundReport, make_report
@@ -81,10 +81,11 @@ class MetricData:
         return float(((self.dist <= s) @ restricted).max())
 
     def vol_bracket_centers(self, s: float, centers: Iterable[str]) -> float:
-        """sup over the given centers only of m(B_s(p))."""
+        """sup over the given centers only of m(B_s(p)); EmptyCenters when
+        there are none."""
         idx = self.graph.indices(centers)
         if idx.size == 0:
-            raise EmptySet("no centers supplied")
+            raise EmptyCenters()
         return float(((self.dist[idx, :] <= s) @ self.graph.m).max())
 
 
@@ -126,14 +127,16 @@ def inradius(md: MetricData, omega: Iterable[str]) -> float:
     """Largest r such that some open ball U_r(x), x in omega, stays in omega.
 
     On a finite graph this equals max over x in omega of the distance from
-    x to the complement.
+    x to the complement D = X \\ omega.  EmptyOmega when omega is empty,
+    EmptyCenters when omega is the whole graph (D is empty, so no point
+    lies outside).
     """
     g = md.graph
     omega = tuple(omega)
     if not omega:
-        raise EmptySet("inradius of the empty set is undefined")
+        raise EmptyOmega()
     if len(set(omega)) == g.n:
-        raise FullSet("inradius of the whole vertex set is undefined")
+        raise EmptyCenters()
     omega_idx = g.indices(omega)
     d_idx = g.indices(g.complement(omega))
     # Rows indexed by complement points: same entries the covering radius
@@ -143,11 +146,12 @@ def inradius(md: MetricData, omega: Iterable[str]) -> float:
 
 
 def covering_radius(md: MetricData, d_set: Iterable[str]) -> float:
-    """Smallest R with X covered by closed R-balls around the given centers."""
+    """Smallest R with X covered by closed R-balls around the given centers;
+    EmptyCenters when there are none."""
     g = md.graph
     centers = tuple(d_set)
     if not centers:
-        raise EmptySet("covering radius of the empty set is undefined")
+        raise EmptyCenters()
     d_idx = g.indices(centers)
     colmin = md.dist[d_idx, :].min(axis=0)
     return float(colmin.max())

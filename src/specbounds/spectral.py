@@ -123,17 +123,6 @@ class OperatorMatrix:
     sym: np.ndarray
     m: np.ndarray
 
-    def restricted(self, idx: np.ndarray) -> OperatorMatrix:
-        """The block on the coordinates idx: the operator restricted to a
-        region, whose diagonal keeps the full weighted degree."""
-        return OperatorMatrix(_readonly(self.sym[np.ix_(idx, idx)]), _readonly(self.m[idx]))
-
-    def coupled(self, d_idx: np.ndarray, t: float) -> OperatorMatrix:
-        """A copy with t added on the diagonal at d_idx: H + t 1_D."""
-        sym = self.sym.copy()
-        sym[d_idx, d_idx] += t
-        return OperatorMatrix(_readonly(sym), self.m)
-
 
 def eigdecompose(op: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Full symmetric eigendecomposition: the eigenvalues ascending and the
@@ -150,10 +139,6 @@ def eigenvalues_of(op: OperatorMatrix) -> np.ndarray:
         return np.linalg.eigvalsh(op.sym)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
-
-
-def lowest_eigenvalue(op: OperatorMatrix) -> float:
-    return float(eigenvalues_of(op)[0])
 
 
 # Membership of an interval's endpoints allows this much solver jitter.
@@ -550,7 +535,7 @@ class AnalysisContext:
         """The indices of the region; raises EmptyOmega when D covers the graph."""
         idx = self.graph.indices(self.omega)
         if idx.size == 0:
-            raise EmptyOmega("cannot restrict to an empty region")
+            raise EmptyOmega()
         return idx
 
     @cached_property
@@ -558,7 +543,7 @@ class AnalysisContext:
         """The indices of D; raises EmptyCenters when D is empty."""
         idx = self.graph.indices(self.centers)
         if idx.size == 0:
-            raise EmptyCenters("a coupling term needs a nonempty penalty set")
+            raise EmptyCenters()
         return idx
 
     def _coupling_indices(self, t: float) -> np.ndarray:
@@ -648,14 +633,18 @@ class AnalysisContext:
 
     @cached_property
     def region_operator(self) -> OperatorMatrix:
-        """H restricted to the region: its block on region_indices."""
-        return self.operator.restricted(self.region_indices)
+        """H restricted to the region: its block on region_indices, whose
+        diagonal keeps the full weighted degree."""
+        idx = self.region_indices
+        return OperatorMatrix(
+            _readonly(self.operator.sym[np.ix_(idx, idx)]), _readonly(self.graph.m[idx])
+        )
 
     @cached_property
     def lambda_omega(self) -> float:
         """The lowest Dirichlet eigenvalue of the region."""
         if not self.matrix_free:
-            return lowest_eigenvalue(self.region_operator)
+            return float(eigenvalues_of(self.region_operator)[0])
         idx = self.region_indices
         lam, _, _ = sparse_ground_state(
             self.sparse_operator[idx][:, idx],
@@ -693,13 +682,24 @@ class AnalysisContext:
         return float(self.graph.V.min())
 
     @cached_property
+    def potential_norm(self) -> float:
+        """max |V(x)|/m(x), the norm of the potential's part V/m of H; 0 on
+        a graph without potential."""
+        g = self.graph
+        return float(np.abs(g.V / g.m).max())
+
+    @cached_property
     def vol_R(self) -> float:
         """vol[R], the largest closed-ball volume of radius R."""
         return self.metric.vol_bracket(self.R)
 
     def coupled(self, t: float) -> OperatorMatrix:
-        """H + t 1_D on the whole graph: operator with t added on D's diagonal."""
-        return self.operator.coupled(self._coupling_indices(t), t)
+        """H + t 1_D on the whole graph: a copy of operator with t added on
+        D's diagonal."""
+        d_idx = self._coupling_indices(t)
+        sym = self.operator.sym.copy()
+        sym[d_idx, d_idx] += t
+        return OperatorMatrix(_readonly(sym), self.graph.m)
 
     @cached_property
     def sparse_operator(self) -> sparse.csc_matrix:
@@ -758,7 +758,7 @@ class AnalysisContext:
         (the coupling and uncertainty grids can share their first t)."""
         if t not in self._coupled_ground:
             if not self.matrix_free:
-                lam = lowest_eigenvalue(self.coupled(t))
+                lam = float(eigenvalues_of(self.coupled(t))[0])
             else:
                 budget = self.coupled_budget(t)
                 # lambda_0(H + t 1_D) is nondecreasing in t, so the bound
@@ -778,11 +778,10 @@ class AnalysisContext:
         return self._coupled_ground[t]
 
     def require_region(self) -> None:
-        """Raise unless both D and the region X \\ D are nonempty."""
-        if not self.centers:
-            raise EmptyCenters("penalty set must be nonempty")
-        if not self.omega:
-            raise EmptyOmega("penalty set covers the graph; no region remains")
+        """Raise EmptyCenters unless D is nonempty, then EmptyOmega unless
+        the region X \\ D is."""
+        self.penalty_indices
+        self.region_indices
 
 
 # ---------------------------------------------------------------------------
@@ -808,9 +807,14 @@ def dirichlet_bounds_finite(ctx: AnalysisContext) -> tuple[BoundReport, BoundRep
     """Two-sided finite-volume bounds for the lowest Dirichlet eigenvalue.
 
     Lower: 1 / (Inr(omega) * vol(omega)), proved for V >= 0 and not
-    asserted otherwise.  Upper: ||H|| times the measure fraction of the
-    complement, which is tight for a single free vertex on the two-point
-    graph.
+    asserted otherwise.  Upper: (||H|| + a) times the measure fraction
+    vol D / vol X of the complement, plus b, with a = max |V/m| and b the
+    largest V/m on the region; for V = 0 this is ||H|| vol D / vol X,
+    which is tight for a single free vertex on the two-point graph.  It is
+    the Rayleigh quotient of 1_Omega: with g = 1_D - (vol D / vol X) 1 the
+    Laplacian part gives <L 1_Omega, 1_Omega> = <L g, g> <= ||L|| vol D
+    vol Omega / vol X and ||L|| <= ||H|| + a, and the potential's part is
+    the sum of V over the region, at most b vol Omega.
     """
     g = ctx.graph
     lam = ctx.lambda_omega
@@ -819,10 +823,11 @@ def dirichlet_bounds_finite(ctx: AnalysisContext) -> tuple[BoundReport, BoundRep
         ctx, "dirichlet/lower_inradius_volume", lam, 1.0 / (ctx.R * vol_omega)
     )
     vol_x = g.vol_total()
+    region_potential = float((g.V / g.m)[ctx.region_indices].max())
     upper = make_report(
         "dirichlet/upper_complement_fraction",
         lam,
-        ctx.norm * ((vol_x - vol_omega) / vol_x),
+        (ctx.norm + ctx.potential_norm) * ((vol_x - vol_omega) / vol_x) + region_potential,
         "<=",
     )
     return lower, upper

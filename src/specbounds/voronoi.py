@@ -77,7 +77,7 @@ def build_voronoi(g: WeightedGraph, d_set: Iterable[str]) -> VoronoiDecompositio
     """
     centers = tuple(sorted(set(d_set), key=g.index.__getitem__))
     if not centers:
-        raise EmptyCenters("need at least one center")
+        raise EmptyCenters()
 
     n = g.n
     label = np.full(n, -1, dtype=np.int64)

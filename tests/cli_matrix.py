@@ -68,6 +68,8 @@ GENERATED = [
     # uncertainty grid may skip fewest couplings (none on comb:26).
     ("comb:26", "every:3"),
     ("random:200:0.001:1000", "every:3"),
+    # An explicit centre list, semicolon-separated (lattice ids hold commas).
+    ("lattice:2:6", "0,0;6,6;3,3"),
 ]
 
 # Graph files: measure with a positive potential below and above the sparse
@@ -93,7 +95,9 @@ OPTIONS = {
     "voronoi": [[]],
     "spectrum": [[], ["--interval", "0:0.5"], ["--interval", "3:1"], ["--interval", "auto"]],
     "bounds": [[], ["--t-grid", "auto"], ["--t-grid", "1:100:3"]],
-    "uncertainty": [[], ["--interval", "-4:-3"], ["--interval", "3:1"]],
+    # 0:1e-3 holds lambda_0(H) = 0 of the inputs without a potential, where
+    # the two geometric uncertainty rows are asserted.
+    "uncertainty": [[], ["--interval", "-4:-3"], ["--interval", "3:1"], ["--interval", "0:1e-3"]],
     "cheeger": [[]],
     "transform": [[], ["--doubling-N", "2"]],
     "report": [[], ["--doubling-N", "3"], ["--interval", "-4:-3"], ["--t-grid", "auto"]],

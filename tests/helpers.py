@@ -44,6 +44,14 @@ def random_instance(
     )
 
 
+def with_potential(g: WeightedGraph, potential: Iterable[float]) -> WeightedGraph:
+    """The graph g, with its ids, measure and edges, and the given potential."""
+    ids = g.vertices
+    return WeightedGraph.from_edge_list(
+        ids, list(g.m), [(ids[i], ids[j], w) for i, j, w in g.edges], potential=list(potential)
+    )
+
+
 def random_proper_subset(g: WeightedGraph, seed: int) -> tuple[str, ...]:
     """Nonempty proper vertex subset, deterministic in the seed."""
     rng = np.random.default_rng(seed)
@@ -122,6 +130,11 @@ def uncertainty_grid(ctx: AnalysisContext, interval: tuple[float, float]) -> lis
     h1, lam, max_i = ctx.shifted_norm, ctx.lambda_omega, float(interval[1])
     ts = list(np.geomspace(ctx.threshold, 1.0e4 * h1 * h1, UNCERTAINTY_GRID_POINTS))
     return ts + [8.0 * h1 * h1 * (lam + 1.0) ** 2 / (lam - max_i)]
+
+
+def lowest_eigenvalue(op: OperatorMatrix) -> float:
+    """The lowest eigenvalue of an operator, by dense eigvalsh."""
+    return float(eigenvalues_of(op)[0])
 
 
 def operator_norm(op: OperatorMatrix) -> float:

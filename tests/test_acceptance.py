@@ -30,7 +30,6 @@ from specbounds import (
     ground_state_transform_check,
     inradius,
     lattice_box,
-    lowest_eigenvalue,
     path_graph,
     potential_dirichlet_bound,
     random_connected,
@@ -41,7 +40,13 @@ from specbounds import (
 )
 from specbounds import cli
 from specbounds.spectral import dirichlet_energy, eigenvalues_of
-from helpers import operator_norm, random_instance, random_proper_subset, reference_assemble
+from helpers import (
+    lowest_eigenvalue,
+    operator_norm,
+    random_instance,
+    random_proper_subset,
+    reference_assemble,
+)
 
 GENERATOR_FAMILY_CASES = [
     ("lattice:1:6", ("0", "3", "6")),

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from specbounds import (
     DEFAULT_SEED,
-    EmptySet,
-    FullSet,
+    EmptyCenters,
+    EmptyOmega,
     WeightedGraph,
     ball,
     check_homogeneity,
@@ -87,9 +87,9 @@ def test_inradius_hand_cases():
     p = path_graph(3)
     mdp = compute_metric(p)
     assert inradius(mdp, ("v0", "v1")) == 2.0
-    with pytest.raises(FullSet):
+    with pytest.raises(EmptyCenters):
         inradius(mdp, ("v0", "v1", "v2"))
-    with pytest.raises(EmptySet):
+    with pytest.raises(EmptyOmega):
         inradius(mdp, ())
 
 
@@ -101,7 +101,7 @@ def test_covering_radius_hand_cases():
     assert covering_radius(md, ("v2",)) == inradius(md, ("v0", "v1"))
     k2 = complete_graph(2)
     assert covering_radius(compute_metric(k2), ("v1",)) == 1.0
-    with pytest.raises(EmptySet):
+    with pytest.raises(EmptyCenters):
         covering_radius(md, ())
 
 

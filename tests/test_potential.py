@@ -23,8 +23,8 @@ from specbounds import (
     rows_pass,
 )
 from specbounds import potential
-from specbounds.spectral import dirichlet_energy, lowest_eigenvalue
-from helpers import random_proper_subset, reference_assemble
+from specbounds.spectral import dirichlet_energy
+from helpers import lowest_eigenvalue, random_proper_subset, reference_assemble
 
 
 def _k2_with_potential():

@@ -17,7 +17,9 @@ from specbounds import graph, metric, spectral
 from specbounds import (
     AnalysisContext,
     Report,
+    WeightedGraph,
     dumps_graph,
+    generate,
     make_report,
     random_connected,
     render_csv,
@@ -26,7 +28,7 @@ from specbounds import (
 from specbounds import cli
 from specbounds.report import dumps_value
 
-from helpers import parse_json, record_coupled, uncertainty_grid
+from helpers import parse_json, record_coupled, uncertainty_grid, with_potential
 
 
 def test_report_relations_and_tolerance():
@@ -903,6 +905,49 @@ def test_report_on_22_vertex_region_matches_expectation(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["rows"] == expected["rows"]
     assert "exhaustive_cap" not in doc["config"]
+
+
+def test_cli_upper_bounds_count_a_constant_potential(tmp_path, capsys):
+    """On the path a-b-c with V = 10 and D = {a}, ||H|| = 13 and
+    lambda_Omega = (23 - sqrt 5)/2 = 10.38 exceed the Laplacian's bounds
+    2 delta = 4 and 4 (1/3).  With the potential's terms the bounds are
+    2 delta + max |V/m| = 14 and (13 + 10)(1/3) + 10, both rows are
+    asserted and pass, and the report exits 0."""
+    g = WeightedGraph.from_edge_list(
+        ("a", "b", "c"), 1.0, [("a", "b", 1.0), ("b", "c", 1.0)], potential=(10.0,) * 3
+    )
+    path = tmp_path / "g.json"
+    path.write_text(dumps_graph(g), encoding="utf-8")
+    assert cli.main(["report", "--graph", str(path), "--centers", "a"]) == 0
+    rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+    norm, upper = rows["operator/norm_vs_weighted_degree"], rows["dirichlet/upper_complement_fraction"]
+    assert norm["true"] == pytest.approx(13.0, rel=1e-14) and norm["bound"] == 14.0
+    assert upper["true"] == pytest.approx((23.0 - math.sqrt(5.0)) / 2.0, rel=1e-14)
+    assert upper["bound"] == pytest.approx((13.0 + 10.0) / 3.0 + 10.0, rel=1e-14)
+    for row in (norm, upper):
+        assert row["pass"] and not row["vacuous"]
+
+
+@pytest.mark.parametrize("argv", [["cheeger"], ["report", "--interval", "-5:-4"]])
+def test_cli_cheeger_energy_rows_are_not_asserted_on_a_negative_potential(
+    tmp_path, capsys, argv
+):
+    """beta^2/(2 delta) and 1/(R vol[R]) bound lambda_Omega for V >= 0 only.
+    On lattice:2:5 with V = -3 (lambda_Omega = -2.618) both rows are
+    reported but not asserted, with the note of the Dirichlet lower rows;
+    the region constant's row, geometry alone, stays asserted."""
+    g = with_potential(generate("lattice:2:5"), [-3.0] * 36)
+    path = tmp_path / "g.json"
+    path.write_text(dumps_graph(g), encoding="utf-8")
+    argv = [argv[0], "--graph", str(path), "--centers", "every:3", *argv[1:]]
+    assert cli.main(argv) == 0
+    rows = {row["name"]: row for row in json.loads(capsys.readouterr().out)["rows"]}
+    for name in ("cheeger/eigenvalue_vs_cheeger", "cheeger/eigenvalue_vs_ball_volume"):
+        assert rows[name]["vacuous"] and rows[name]["true"] < rows[name]["bound"]
+        assert rows[name]["note"] == "min V = -3.0 < 0; bound proved for V >= 0 only, not asserted"
+    region = rows["cheeger/region_constant_vs_volume"]
+    assert region["pass"] and not region["vacuous"]
+    assert all(row["pass"] for row in rows.values())
 
 
 @pytest.mark.parametrize("command", ["cheeger", "report"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,17 +18,23 @@ from specbounds import (
     PreconditionInterval,
     WeightedGraph,
     build_voronoi,
+    cheeger_chain,
     complete_graph,
+    compute_metric,
     coupling_rate,
+    covering_radius,
     dirichlet_bounds_finite,
     dirichlet_energy,
     dirichlet_lower_bound,
     dumps_graph,
     eigdecompose,
     eigenvalues_of,
+    inradius,
+    is_combinatorial,
     lattice_box,
-    lowest_eigenvalue,
+    make_report,
     path_graph,
+    region_constant,
     resolvent_gap,
     rows_pass,
     sparse_ground_state,
@@ -37,6 +44,7 @@ from specbounds import cli, generate, random_connected, spectral
 from cli_matrix import FILES as CLI_MATRIX_FILES
 from helpers import (
     dense_weights,
+    lowest_eigenvalue,
     operator_norm,
     random_instance,
     random_proper_subset,
@@ -44,6 +52,7 @@ from helpers import (
     reference_assemble,
     spectral_projection,
     uncertainty_grid,
+    with_potential,
 )
 
 EPS = np.finfo(float).eps
@@ -161,6 +170,38 @@ def test_dense_and_sparse_cuts_raise_alike(monkeypatch):
     monkeypatch.setattr(spectral, "SPARSE_MIN_N", 1)
     assert AnalysisContext(g).matrix_free
     assert errors() == dense == (ValueError, EmptyCenters, EmptyOmega)
+
+
+EMPTY_CENTERS = "penalty set must be nonempty"
+EMPTY_OMEGA = "penalty set covers the graph; no region remains"
+
+
+@pytest.mark.parametrize(
+    "error, message, call",
+    [
+        (EmptyCenters, EMPTY_CENTERS, lambda g: compute_metric(g).vol_bracket_centers(1.0, ())),
+        (EmptyOmega, EMPTY_OMEGA, lambda g: inradius(compute_metric(g), ())),
+        (EmptyCenters, EMPTY_CENTERS, lambda g: inradius(compute_metric(g), g.vertices)),
+        (EmptyCenters, EMPTY_CENTERS, lambda g: covering_radius(compute_metric(g), ())),
+        (EmptyCenters, EMPTY_CENTERS, lambda g: build_voronoi(g, ())),
+        (EmptyOmega, EMPTY_OMEGA, lambda g: region_constant(g, ())),
+        (EmptyOmega, EMPTY_OMEGA, lambda g: AnalysisContext(g, g.vertices).lambda_omega),
+        (EmptyCenters, EMPTY_CENTERS, lambda g: AnalysisContext(g).coupled_ground_energy(1.0)),
+        (EmptyCenters, EMPTY_CENTERS, lambda g: AnalysisContext(g).require_region()),
+        (EmptyOmega, EMPTY_OMEGA, lambda g: AnalysisContext(g, g.vertices).require_region()),
+    ],
+    ids=[
+        "vol_bracket_centers", "inradius-empty", "inradius-whole", "covering_radius",
+        "build_voronoi", "region_constant", "region_indices", "penalty_indices",
+        "require_region-no-centers", "require_region-no-region",
+    ],
+)
+def test_each_degenerate_set_raises_its_one_error(error, message, call):
+    """An empty penalty set raises EmptyCenters and an empty region
+    EmptyOmega, each with its one message, whichever entry point reads it."""
+    with pytest.raises(error) as info:
+        call(path_graph(4))
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_weighted_self_adjointness():
@@ -286,6 +327,52 @@ def test_bound_rows_pass_on_random_instances(seed):
         by_name["dirichlet/lower_center_balls"].bound_value
         >= by_name["dirichlet/lower_ball_volume"].bound_value
     )
+
+
+# Potentials of both signs and none; measures in [0.2, 5] on the random graphs.
+POTENTIAL_RANGES = [(5.0, 20.0), (-20.0, -5.0), (-10.0, 10.0), None]
+
+
+def _potential_instance(seed: int) -> AnalysisContext:
+    """A small graph and a random proper penalty set.  Seeds 4, 9, 14, ...
+    give a unit lattice (combinatorial, so the Cheeger chain runs) with a
+    uniform random potential in one of the first three ranges; the others
+    a random graph with the range POTENTIAL_RANGES[seed % 4]."""
+    rng = np.random.default_rng(seed)
+    if seed % 5 == 4:
+        box = lattice_box(int(rng.integers(1, 3)), int(rng.integers(2, 5)))
+        lo, hi = POTENTIAL_RANGES[seed // 5 % 3]
+        g = with_potential(box, rng.uniform(lo, hi, box.n))
+    else:
+        g = random_connected(
+            int(rng.integers(2, 25)), seed=seed, m_range=(0.2, 5.0),
+            potential_range=POTENTIAL_RANGES[seed % 4],
+        )
+    return AnalysisContext(g, random_proper_subset(g, seed))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_potential_aware_rows_never_fail(seed):
+    """The operator-norm row, the upper complement-fraction row and the
+    Cheeger chain's rows pass or are not asserted on every graph with a
+    potential, and their bounds hold for the dense eigvalsh values of H and
+    of its region block as well."""
+    ctx = _potential_instance(seed)
+    g = ctx.graph
+    rows = [*cli.STAGES["operator_norm"](SimpleNamespace(ctx=ctx)), dirichlet_bounds_finite(ctx)[1]]
+    if is_combinatorial(g):
+        rows += cheeger_chain(ctx)
+    lam = lowest_eigenvalue(reference_assemble(g, omega=ctx.omega))
+    reference = {
+        "operator/norm_vs_weighted_degree": operator_norm(reference_assemble(g)),
+        "dirichlet/upper_complement_fraction": lam,
+        "cheeger/eigenvalue_vs_cheeger": lam,
+        "cheeger/eigenvalue_vs_ball_volume": lam,
+    }
+    for row in rows:
+        assert row.passed, row
+        if row.name in reference and not row.vacuous:
+            assert make_report(row.name, reference[row.name], row.bound_value, row.relation).passed
 
 
 # ---------------------------------------------------------------------------
