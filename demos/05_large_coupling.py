@@ -39,7 +39,7 @@ lam_limit = ctx.lambda_omega
 print(f"Dirichlet ground energy (t = infinity): {lam_limit:.8f}")
 th = ctx.threshold
 for t in [0.0, th, 10 * th, 100 * th, 1000 * th]:
-    lam_t = ctx.coupled_ground_energy(t) if t else ctx.lambda_0
+    lam_t = ctx.coupled_ground_energy(t)
     print(f"  t = {t:12.1f}: ground energy {lam_t:.8f}   gap {lam_limit - lam_t:.2e}")
 
 rows = coupling_rate(ctx, [0.0, th, 10 * th, 100 * th])

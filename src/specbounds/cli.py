@@ -129,7 +129,9 @@ def join_negative_ranges(argv: list[str]) -> list[str]:
     return out
 
 
-T_GRID_FORM = "start:stop:points with finite numbers start and stop and a whole number of points"
+T_GRID_FORM = (
+    "start:stop:points with finite numbers start and stop and a whole number of points >= 1"
+)
 
 
 def _numbers(option: str, spec, form: str, count: int = 1) -> list[float]:
@@ -224,7 +226,7 @@ def parse_t_grid(spec: str, threshold: float) -> list[float]:
             )
         return [0.0] + list(np.geomspace(threshold, 100.0 * threshold, 8))
     start, stop, points = _numbers("--t-grid", spec, T_GRID_FORM, 3)
-    if not (points.is_integer() and points >= 0.0):
+    if not (points.is_integer() and points >= 1.0):
         raise ValueError(f"--t-grid {spec}: expected {T_GRID_FORM}")
     if not (start > 0.0 and stop > 0.0):
         raise ValueError(f"--t-grid {spec}: couplings start and stop must be positive")
@@ -331,7 +333,7 @@ def _cells(run: _Run) -> None:
 
 
 def _resolvent(run: _Run) -> list:
-    if not run.t_grid or max(run.t_grid) <= 0.0:
+    if run.t_grid is None:
         return []
     return [resolvent_gap(run.ctx, max(run.t_grid))]
 

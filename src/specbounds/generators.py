@@ -211,9 +211,14 @@ def generate(spec: str, seed: int = DEFAULT_SEED) -> WeightedGraph:
         if len(parts) == 1:
             return random_connected(_int_field(parts[0], head), seed=seed)
         if len(parts) == 3:
-            lo, hi = float(parts[1]), float(parts[2])
-            if not (0.0 < lo <= hi):
-                raise InvalidSpec("random weight range must satisfy 0 < lo <= hi")
+            try:
+                lo, hi = float(parts[1]), float(parts[2])
+            except ValueError:
+                lo = hi = np.nan
+            if not (0.0 < lo <= hi < np.inf):
+                raise InvalidSpec(
+                    f"{spec}: expected random:n:wlo:whi with finite numbers 0 < wlo <= whi"
+                )
             return random_connected(
                 _int_field(parts[0], head), seed=seed, weight_range=(lo, hi)
             )

@@ -23,6 +23,9 @@ vol[R], ...) are each computed once, on first use.
 The bounds read only the low end of the spectrum and its top: lambda_0(H),
 lambda_max(H) (for ||H|| and ||H+1||), lambda_Omega, the eigenpairs in the
 uncertainty window and the coupled ground energies lambda_0(H + t 1_D).
+Those are one curve, t -> lambda_0(H + t 1_D) for finite t >= 0, which
+rises to lambda_Omega.  The context keeps one record of it, seeded at
+t = 0 with lambda_0(H) itself, and refuses any other t with one ValueError.
 Below SPARSE_MIN_N vertices H is densified and solved once, by eigh: both
 ends of its spectrum and the window's pairs come from that decomposition.
 lambda_Omega and the coupled energies come from eigvalsh of the dense H's
@@ -42,8 +45,8 @@ Each solver below adds only its own check:
         its only check.
     lambda_0(H + t 1_D)
         sparse_ground_state with the shift just below the eigenvalue: the
-        largest lambda_0(H + t' 1_D) already solved with t' <= t
-        (lambda_0(H) if none), less its residual and the budget.  That lies
+        curve's lower bound at the largest t' <= t already solved
+        (lambda_0(H) less its residual at t' = 0), less the budget.  That lies
         below the spectrum, since lambda_0(H + t 1_D) is nondecreasing in
         t, and the factorization of the shifted matrix certifies it (no
         negative pivot); three Lanczos vectors then suffice.  When that
@@ -472,9 +475,17 @@ class AnalysisContext:
     shifted_norm and threshold follow from the two, and window(interval)
     cuts the pairs in the interval from it.  lambda_omega is the eigvalsh
     of operator's block on region_indices (region_operator),
-    coupled_ground_energy(t) that of operator with t added on the diagonal
-    at penalty_indices (coupled(t)).
+    coupled_ground_energy(t) for t > 0 that of operator with t added on the
+    diagonal at penalty_indices (coupled(t)).
     Both index sets, which also cut the sparse operators, are found once.
+
+    The coupling curve t -> lambda_0(H + t 1_D) is one record, _curve: for
+    each t asked so far, (lambda_t, a lower bound, a start vector), solved
+    once.  t = 0 is seeded with lambda_0, so coupled_ground_energy(0.0) is
+    lambda_0 bit for bit on both sides; only the matrix-free side keeps the
+    last two fields.  _coupling_indices is the one check of t: every
+    coupled operator and coupled_ground_energy refuse a t that is not
+    finite and >= 0 with the same ValueError.
 
     From SPARSE_MIN_N vertices on (matrix_free) no dense n x n matrix is
     formed or solved.  Everything comes from sparse_operator, and each
@@ -494,13 +505,13 @@ class AnalysisContext:
     eigenvalues ascending and m-orthonormal eigenvectors as columns.
       - coupled_ground_energy(t): sparse_ground_state on H + t 1_D,
         certified by the residual within n eps (||H|| + t).  Its shift is
-        the largest lambda_0(H + t' 1_D) solved so far with t' <= t
-        (lambda_0 if none) less that value's residual and the budget of t,
-        below lambda_0(H + t 1_D) because the ground energy is
+        the curve's lower bound at the largest t' <= t solved so far
+        (lambda_0 less its residual at the seed t' = 0) less the budget of
+        t, below lambda_0(H + t 1_D) because the ground energy is
         nondecreasing in t; the inertia of the factorization certifies it,
         and on failure the solve is redone with the shift lambda_0 - 1.
-        Each solve starts from the ground state at that t' (H's for the
-        first), a positive vector, so the values are reproducible bit for
+        Each solve starts from the ground state at that t' (H's at the
+        seed), a positive vector, so the values are reproducible bit for
         bit for the same sequence of t.
     Every factorization of H's sparsity pattern (the inertia counts, the
     window, the coupled solves and the resolvent's LU) reuses ordering,
@@ -547,9 +558,10 @@ class AnalysisContext:
         return idx
 
     def _coupling_indices(self, t: float) -> np.ndarray:
-        """Where t 1_D adds t: the penalty indices, for t >= 0."""
-        if t < 0.0:
-            raise ValueError("coupling strength must be nonnegative")
+        """Where t 1_D adds t: the penalty indices.  The one check of a
+        coupling strength: t must be finite and >= 0."""
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ValueError(f"coupling strength must be finite and nonnegative, got {float(t)!r}")
         return self.penalty_indices
 
     @cached_property
@@ -721,31 +733,27 @@ class AnalysisContext:
             shape=(g.n, g.n),
         )
 
-    @cached_property
-    def _diagonal_positions(self) -> np.ndarray:
-        """Where each diagonal entry sits in sparse_operator.data."""
-        A = self.sparse_operator
-        columns = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
-        return np.flatnonzero(A.indices == columns)
-
     def coupled_sparse(self, t: float) -> sparse.csc_matrix:
-        """The symmetric picture of H + t 1_D in CSC form."""
+        """The symmetric picture of H + t 1_D in CSC form: a copy of
+        sparse_operator with t added on D's diagonal entries, which it
+        stores already (so the pattern is unchanged)."""
         A = self.sparse_operator.copy()
-        A.data[self._diagonal_positions[self._coupling_indices(t)]] += t
+        diagonal = A.diagonal()
+        diagonal[self._coupling_indices(t)] += t
+        A.setdiag(diagonal)
         return A
 
     @cached_property
-    def _coupled_ground(self) -> dict[float, float]:
-        return {}
-
-    @cached_property
-    def _ground_states(self) -> dict[float, tuple[float, np.ndarray]]:
-        """For each t solved so far from SPARSE_MIN_N vertices on: a lower
-        bound for lambda_0(H + t 1_D) (the value less its residual) and
-        the ground state, positive and of unit length in the symmetric
-        picture.  t = 0 holds H's own."""
+    def _curve(self) -> dict[float, tuple[float, float | None, np.ndarray | None]]:
+        """The coupling curve solved so far: for each t, lambda_0(H + t 1_D),
+        a lower bound for it (the value less its residual) and its ground
+        state, positive and of unit length in the symmetric picture, which
+        starts the next solve.  Only the matrix-free side keeps the last
+        two.  t = 0 is seeded from H's own solve, so it is lambda_0."""
+        if not self.matrix_free:
+            return {0.0: (self.lambda_0, None, None)}
         lam, x, residual = self._ground_solve
-        return {0.0: (lam - residual, np.abs(x))}
+        return {0.0: (lam, lam - residual, np.abs(x))}
 
     def coupled_budget(self, t: float) -> float:
         """n eps (||H|| + t), the error budget of lambda_0(H + t 1_D): the
@@ -754,16 +762,19 @@ class AnalysisContext:
         return self.graph.n * np.finfo(float).eps * (self.norm + t)
 
     def coupled_ground_energy(self, t: float) -> float:
-        """The lowest eigenvalue of H + t 1_D, solved once per distinct t
-        (the coupling and uncertainty grids can share their first t)."""
-        if t not in self._coupled_ground:
+        """The lowest eigenvalue of H + t 1_D for finite t >= 0, read from
+        the curve record or solved once and stored there (the coupling and
+        uncertainty grids can share their first t); t = 0 is lambda_0."""
+        self._coupling_indices(t)
+        curve = self._curve
+        if t not in curve:
             if not self.matrix_free:
-                lam = float(eigenvalues_of(self.coupled(t))[0])
+                curve[t] = (float(eigenvalues_of(self.coupled(t))[0]), None, None)
             else:
                 budget = self.coupled_budget(t)
                 # lambda_0(H + t 1_D) is nondecreasing in t, so the bound
                 # at the largest t' <= t solved so far lies below it.
-                floor, v0 = self._ground_states[max(s for s in self._ground_states if s <= t)]
+                _, floor, v0 = curve[max(s for s in curve if s <= t)]
                 lam, x, residual = sparse_ground_state(
                     self.coupled_sparse(t),
                     floor - budget,
@@ -773,9 +784,8 @@ class AnalysisContext:
                     fallback=self.lambda_0 - 1.0,
                 )
                 # The ground state is positive up to sign; abs fixes the sign.
-                self._ground_states[t] = (lam - residual, np.abs(x))
-            self._coupled_ground[t] = lam
-        return self._coupled_ground[t]
+                curve[t] = (lam, lam - residual, np.abs(x))
+        return curve[t][0]
 
     def require_region(self) -> None:
         """Raise EmptyCenters unless D is nonempty, then EmptyOmega unless
@@ -947,9 +957,7 @@ def coupling_rate(ctx: AnalysisContext, t_list: Sequence[float]) -> list[BoundRe
 
     h1, threshold = ctx.shifted_norm, ctx.threshold
     lam_inf = ctx.lambda_omega
-    lam_ts = [
-        ctx.coupled_ground_energy(t) if t > 0.0 else ctx.lambda_0 for t in ts
-    ]
+    lam_ts = [ctx.coupled_ground_energy(t) for t in ts]
 
     rows = [
         make_report(

@@ -37,14 +37,12 @@ class VoronoiDecomposition:
     """Cell assignment with geodesic witnesses.
 
     label[i] is the index (into centers) of the cell owning vertex i;
-    dist_to_center[i] is the length of the witness path; pred[i] is the
-    predecessor vertex on that path (-1 at centers).
+    pred[i] is the predecessor vertex on its witness path (-1 at centers).
     """
 
     graph: WeightedGraph
     centers: tuple[str, ...]
     label: np.ndarray
-    dist_to_center: np.ndarray
     pred: np.ndarray
 
     def cell_of(self, x: str) -> str:
@@ -81,7 +79,6 @@ def build_voronoi(g: WeightedGraph, d_set: Iterable[str]) -> VoronoiDecompositio
 
     n = g.n
     label = np.full(n, -1, dtype=np.int64)
-    dist = np.full(n, np.inf)
     pred = np.full(n, -1, dtype=np.int64)
     settled = np.zeros(n, dtype=bool)
 
@@ -99,7 +96,6 @@ def build_voronoi(g: WeightedGraph, d_set: Iterable[str]) -> VoronoiDecompositio
         settled[v] = True
         remaining -= 1
         label[v] = rank
-        dist[v] = d
         pred[v] = via
         for k in range(indptr[v], indptr[v + 1]):
             u = indices[k]
@@ -110,7 +106,6 @@ def build_voronoi(g: WeightedGraph, d_set: Iterable[str]) -> VoronoiDecompositio
         graph=g,
         centers=centers,
         label=_readonly(label),
-        dist_to_center=_readonly(dist),
         pred=_readonly(pred),
     )
 

@@ -94,7 +94,8 @@ OPTIONS = {
                ["--radius", "1.0", "--ball-center", "9,9"]],
     "voronoi": [[]],
     "spectrum": [[], ["--interval", "0:0.5"], ["--interval", "3:1"], ["--interval", "auto"]],
-    "bounds": [[], ["--t-grid", "auto"], ["--t-grid", "1:100:3"]],
+    # 1:1:1 is a one-coupling grid: no coupling/monotone_in_t row.
+    "bounds": [[], ["--t-grid", "auto"], ["--t-grid", "1:100:3"], ["--t-grid", "1:1:1"]],
     # 0:1e-3 holds lambda_0(H) = 0 of the inputs without a potential, where
     # the two geometric uncertainty rows are asserted.
     "uncertainty": [[], ["--interval", "-4:-3"], ["--interval", "3:1"], ["--interval", "0:1e-3"]],

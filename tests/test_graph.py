@@ -268,8 +268,11 @@ def test_random_spec_with_a_weight_range_is_random_connected():
     h = random_connected(50, weight_range=(0.5, 2.0))
     assert g.vertices == h.vertices and g.edges == h.edges
     assert np.array_equal(g.m, h.m)
-    with pytest.raises(InvalidSpec, match="^random weight range must satisfy 0 < lo <= hi$"):
+    with pytest.raises(InvalidSpec) as info:
         generate("random:50:2:1")
+    assert str(info.value) == (
+        "random:50:2:1: expected random:n:wlo:whi with finite numbers 0 < wlo <= whi"
+    )
 
 
 @pytest.mark.parametrize(
@@ -279,6 +282,21 @@ def test_random_spec_with_a_weight_range_is_random_connected():
 def test_invalid_specs_rejected(spec):
     with pytest.raises(InvalidSpec):
         generate(spec)
+
+
+@pytest.mark.parametrize(
+    "m, potential, message",
+    [
+        ({"a": 1.0}, None, "measure missing for vertex 'b'"),
+        ([1.0], None, "measure list length mismatch"),
+        (1.0, [0.0, 0.0, 0.0], "potential list length mismatch"),
+    ],
+    ids=["measure-mapping-lacks-a-vertex", "measure-list-length", "potential-list-length"],
+)
+def test_from_edge_list_refuses_a_measure_or_potential_of_the_wrong_form(m, potential, message):
+    with pytest.raises(GraphFormatError) as info:
+        WeightedGraph.from_edge_list(["a", "b"], m, [("a", "b", 1.0)], potential=potential)
+    assert str(info.value) == message
 
 
 def test_json_round_trip_plain():

@@ -245,7 +245,9 @@ def test_cli_unknown_ball_center_exits_one(capsys, fmt, spec, center):
 
 
 INTERVAL_FORM = "a:b with finite numbers a and b"
-T_GRID_FORM = "start:stop:points with finite numbers start and stop and a whole number of points"
+T_GRID_FORM = (
+    "start:stop:points with finite numbers start and stop and a whole number of points >= 1"
+)
 HALF_A_BALL = "--radius and --ball-center ask for one ball: give both or neither"
 BAD_NUMBERS = [
     (["spectrum", "--interval", "0:nan"], f"--interval 0:nan: expected {INTERVAL_FORM}"),
@@ -260,6 +262,7 @@ BAD_NUMBERS = [
     (["report", "--t-grid", "1:2"], f"--t-grid 1:2: expected {T_GRID_FORM}"),
     (["bounds", "--t-grid", "1:100:2.5"], f"--t-grid 1:100:2.5: expected {T_GRID_FORM}"),
     (["bounds", "--t-grid", "1:100:-1"], f"--t-grid 1:100:-1: expected {T_GRID_FORM}"),
+    (["bounds", "--t-grid", "1:2:0"], f"--t-grid 1:2:0: expected {T_GRID_FORM}"),
     (["metric", "--radius", "nan", "--ball-center", "v0"], "--radius nan: expected a finite number"),
     (["metric", "--radius", "abc", "--ball-center", "v0"], "--radius abc: expected a finite number"),
     (["report", "--centers", "every:x"], "--centers every:x: expected every:k with a whole number k"),
@@ -286,6 +289,57 @@ def test_cli_bad_number_is_a_one_line_error(monkeypatch, capsys, argv, message):
 
         monkeypatch.setattr(cli, "load_input", no_stage)
     assert cli.main([command, "--generate", "path:6", *options]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"specbounds: error: {message}\n"
+
+
+RANDOM_RANGE_FORM = "expected random:n:wlo:whi with finite numbers 0 < wlo <= whi"
+INPUT_ERRORS = [
+    (["validate", "--generate", "cycle:2"], "cycle needs n >= 3"),
+    (["validate", "--generate", "complete:0"], "complete graph needs n >= 1"),
+    (["validate", "--generate", "lattice:2:1000"], "lattice box too large"),
+    (["validate", "--generate", "apex_ray:10001"], "apex_ray truncation too large"),
+    (["validate", "--generate", "comb:27"], "comb truncation limited to N <= 26 (exact weights)"),
+    (["validate", "--generate", "random:0"], "random graph needs n >= 1"),
+    (["validate", "--generate", "normalized:"], "normalized needs an inner spec"),
+    (["validate", "--generate", "normalized:path:1"],
+     "normalized measure needs at least one edge"),
+    (["validate", "--generate", "lattice:2"], "lattice spec is lattice:d:L"),
+    (["validate", "--generate", "random:5:1"], "random spec is random:n or random:n:wlo:whi"),
+    (["validate", "--generate", "path:x"], "path: expected an integer, got 'x'"),
+    (["validate", "--generate", "random:5:a:1"], f"random:5:a:1: {RANDOM_RANGE_FORM}"),
+    (["validate", "--generate", "random:5:1:inf"], f"random:5:1:inf: {RANDOM_RANGE_FORM}"),
+    (["validate", "--generate", "random:5:nan:1"], f"random:5:nan:1: {RANDOM_RANGE_FORM}"),
+    (["report", "--generate", "path:6", "--centers", "every:0"], "every:k needs k >= 1"),
+    (["report", "--generate", "apex_ray:3", "--centers", "sublattice:5"],
+     "sublattice:5 selected no vertices"),
+    # --graph takes the file's JSON text here.
+    (["validate", "--graph", "[]"], "expected an object with 'vertices' and 'edges'"),
+    (["validate", "--graph", '{"vertices": [{"id": "a"}], "edges": []}'],
+     "vertex entries need 'id' and 'm'"),
+    (["validate", "--graph",
+      '{"vertices": [{"id": "a", "m": 1}, {"id": "b", "m": 1}], "edges": [{"u": "a", "w": "b"}]}'],
+     "edge entries need 'u', 'w' and 'b'"),
+    (["validate", "--graph", '{"vertices": [{"id": "a", "m": "x"}], "edges": []}'],
+     "malformed graph entry: could not convert string to float: 'x'"),
+    (["validate", "--graph",
+      '{"vertices": [{"id": "a", "m": 1}], "edges": [{"u": "a", "w": "z", "b": 1}]}'],
+     "edge references unknown vertex: 'a'-'z'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", INPUT_ERRORS, ids=[" ".join(a[1:]) for a, _ in INPUT_ERRORS]
+)
+def test_cli_input_error_is_a_one_line_error(tmp_path, capsys, argv, message):
+    """A generator spec, a --centers spec or a JSON graph file that breaks
+    its form exits 1 with exactly one error line and no output."""
+    if "--graph" in argv:
+        k = argv.index("--graph") + 1
+        path = tmp_path / "graph.json"
+        path.write_text(argv[k])
+        argv = [*argv[:k], str(path), *argv[k + 1:]]
+    assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err == f"specbounds: error: {message}\n"
 
@@ -667,10 +721,11 @@ def _solve_skipped(monkeypatch, ctx, ts):
 
 def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, capsys):
     """From SPARSE_MIN_N vertices on, a report makes one sparse solve per
-    distinct coupling t it solves (8: the uncertainty grid adds none to the
-    coupling grid's) plus one each for lambda_0(H) and lambda_Omega, runs
-    eigvalsh on no coupled operator, and cuts no dense coupled matrix (the
-    resolvent row factors the sparse one)."""
+    distinct coupling t > 0 it asks for (8: the uncertainty grid adds none
+    to the coupling grid's) plus one each for lambda_0(H) and lambda_Omega,
+    runs eigvalsh on no coupled operator, and cuts no dense coupled matrix
+    (the resolvent row factors the sparse one).  The coupling grid's t = 0
+    is answered from the curve's seed, lambda_0(H), with no solve."""
     calls = Counter()
     ts, contexts = set(), set()
     coupled = record_coupled(monkeypatch)
@@ -693,11 +748,14 @@ def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, caps
     capsys.readouterr()
     assert calls["coupled_eigenvalues_of"] == 0
     assert coupled == []
-    assert len(ts) == 8
-    assert calls["sparse_ground_state"] == len(ts) + 2
+    assert 0.0 in ts
+    solved = ts - {0.0}
+    assert len(solved) == 8
+    assert calls["sparse_ground_state"] == len(solved) + 2
     (ctx,) = contexts
+    assert ctx.coupled_ground_energy(0.0) == ctx.lambda_0
     assert _solve_skipped(monkeypatch, ctx, ts) == 16
-    assert calls["sparse_ground_state"] == len(ts) + 2 == 26
+    assert calls["sparse_ground_state"] == len(ts - {0.0}) + 2 == 26
 
 
 def test_report_above_crossover_orders_each_pattern_once(monkeypatch, capsys):
@@ -705,7 +763,8 @@ def test_report_above_crossover_orders_each_pattern_once(monkeypatch, capsys):
     ordering twice per report, once for H's sparsity pattern and once for
     the region block; every other factorization reuses H's.  Every coupled
     solve takes the shift just below its own eigenvalue, with no fallback,
-    and so do the couplings the report skips when solved after it."""
+    and so do the couplings the report skips when solved after it; t = 0
+    takes no solve at all."""
     orderings, solves = Counter(), Counter()
     ts, contexts = set(), set()
     splu, ground_state = spectral.splu, spectral._ground_state
@@ -732,13 +791,15 @@ def test_report_above_crossover_orders_each_pattern_once(monkeypatch, capsys):
     capsys.readouterr()
     assert orderings["MMD_AT_PLUS_A"] == 2
     assert set(orderings) == {"MMD_AT_PLUS_A", "NATURAL"}
-    assert len(ts) == 8
+    assert 0.0 in ts
+    solved = ts - {0.0}
+    assert len(solved) == 8
     # lambda_0(H) and lambda_Omega take a shift far below the spectrum.
-    assert solves == {"near": len(ts), "far": 2}
+    assert solves == {"near": len(solved), "far": 2}
     (ctx,) = contexts
     assert _solve_skipped(monkeypatch, ctx, ts) == 16
     assert orderings["MMD_AT_PLUS_A"] == 2
-    assert solves == {"near": len(ts), "far": 2} and len(ts) == 24
+    assert solves == {"near": len(ts - {0.0}), "far": 2} and len(ts - {0.0}) == 24
 
 
 def test_cli_interval_auto_on_negative_potential(tmp_path, capsys):

@@ -172,6 +172,41 @@ def test_dense_and_sparse_cuts_raise_alike(monkeypatch):
     assert errors() == dense == (ValueError, EmptyCenters, EmptyOmega)
 
 
+@pytest.mark.parametrize("source, matrix_free", [("random:100", False), ("random:300", True)])
+def test_every_invalid_coupling_raises_one_error(source, matrix_free):
+    """A coupling strength that is not finite and >= 0 raises one
+    ValueError naming it, through the coupling curve, the coupling grid
+    and the resolvent row, on both sides of SPARSE_MIN_N."""
+    g = generate(source)
+    ctx = AnalysisContext(g, cli.parse_centers(g, "every:4"))
+    assert ctx.matrix_free is matrix_free
+    for t in (-1.0, -0.5, math.nan, math.inf):
+        for call in (
+            lambda: ctx.coupled_ground_energy(t),
+            lambda: coupling_rate(ctx, [t, 2.0]),
+            lambda: resolvent_gap(ctx, t),
+        ):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert type(info.value) is ValueError
+            assert str(info.value) == (
+                f"coupling strength must be finite and nonnegative, got {t!r}"
+            )
+
+
+@pytest.mark.parametrize("source", ["random:100", "random:300"])
+def test_coupling_curve_at_zero_is_lambda_0(source):
+    """t = 0 on the coupling curve is lambda_0(H) bit for bit, on a fresh
+    context and after other couplings were solved, on both sides of
+    SPARSE_MIN_N."""
+    g = generate(source)
+    centers = cli.parse_centers(g, "every:4")
+    fresh, used = AnalysisContext(g, centers), AnalysisContext(g, centers)
+    assert fresh.coupled_ground_energy(0.0) == fresh.lambda_0
+    used.coupled_ground_energy(2.0)
+    assert used.coupled_ground_energy(0.0) == used.lambda_0 == fresh.lambda_0
+
+
 EMPTY_CENTERS = "penalty set must be nonempty"
 EMPTY_OMEGA = "penalty set covers the graph; no region remains"
 
@@ -741,8 +776,10 @@ def test_coupled_ground_energies_in_report_order_match_dense(ctx, monkeypatch):
     """The report's own sequence of couplings (the auto coupling grid, then
     the uncertainty grid with t_opt last, after larger couplings), each
     solved from a shift just below it, agrees with dense eigvalsh.  The
-    report solves 8 of the 24; the 16 uncertainty couplings it skips are
-    then solved on the same warm-started chain and checked too."""
+    coupling grid's t = 0 is read from the curve's seed, lambda_0(H), with
+    no solve.  The report solves 8 of the 24 positive couplings; the 16
+    uncertainty couplings it skips are then solved on the same
+    warm-started chain and checked too."""
     assert ctx.matrix_free
     interval, threshold = _oracle_interval(ctx), ctx.threshold
     ts, solves = [], []
@@ -762,13 +799,15 @@ def test_coupled_ground_energies_in_report_order_match_dense(ctx, monkeypatch):
     monkeypatch.setattr(spectral, "sparse_ground_state", recording_solve)
     coupling_rate(ctx, cli.parse_t_grid("auto", threshold))
     uncertainty_constant(ctx, interval)
-    assert len(ts) == len(solves) == 8
+    assert ts[0] == 0.0
+    assert ctx.coupled_ground_energy(0.0) == ctx.lambda_0
+    assert len(ts) - 1 == len(solves) == 8
     skipped = [t for t in uncertainty_grid(ctx, interval) if t not in ts]
     assert len(skipped) == 16
     for t in skipped:
         ctx.coupled_ground_energy(t)
-    assert len(ts) == len(solves) == 24
-    for t, (A, lam, residual) in zip(ts, solves):
+    assert len(ts) - 1 == len(solves) == 24
+    for t, (A, lam, residual) in zip(ts[1:], solves):
         assert ctx.coupled_ground_energy(t) == lam
         dense = np.linalg.eigvalsh(A.toarray())
         assert abs(lam - dense[0]) <= ctx.graph.n * EPS * (ctx.norm + t) + residual
@@ -1040,6 +1079,21 @@ def _record_couplings(monkeypatch):
     return asked
 
 
+def _record_cuts(monkeypatch):
+    """Patch both coupled operators, dense and sparse, to keep each t they
+    are cut at: one per coupled eigensolve."""
+    cut = []
+    for name in ("coupled", "coupled_sparse"):
+        original = getattr(AnalysisContext, name)
+
+        def recording(self, t, original=original):
+            cut.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(AnalysisContext, name, recording)
+    return cut
+
+
 def _all_couplings(g, centers, interval):
     """(t, lambda_0(H + t 1_D)) at each of the 17 couplings of the
     uncertainty grid, every one solved, on a fresh context."""
@@ -1080,15 +1134,21 @@ def test_sampled_coupling_skips_only_couplings_that_cannot_win(
     """In report order (the auto coupling grid, then the uncertainty grid),
     the sampled constant is exactly the best of all 17 samples, taken on a
     fresh context, while the report solves only the coupling grid's 8 of
-    its 24 distinct couplings; where the budgets n eps t are wide it
-    solves more (11 on comb:12), or all 24 (comb:26, t up to 1e33)."""
+    its 24 distinct positive couplings; where the budgets n eps t are wide
+    it solves more (11 on comb:12), or all 24 (comb:26, t up to 1e33).
+    The coupling grid's t = 0 is asked too, and read from the curve's
+    seed, lambda_0(H), with no coupled operator cut."""
     g = _matrix_input(source)
     ctx = AnalysisContext(g, cli.parse_centers(g, centers))
     interval = _ground_window(ctx)
     asked = _record_couplings(monkeypatch)
+    cut = _record_cuts(monkeypatch)
     coupling_rate(ctx, cli.parse_t_grid("auto", ctx.threshold))
     rows = {row.name: row for row in uncertainty_constant(ctx, interval)}
-    assert len(asked) == solved
+    assert (ctx, 0.0) in asked
+    assert len(asked) - 1 == len(cut) == solved
+    assert sorted(cut) == sorted(t for _, t in asked if t != 0.0)
+    assert ctx.coupled_ground_energy(0.0) == ctx.lambda_0
     row = rows["uncertainty/sampled_coupling"]
     assert row.note == "best of 17 sampled couplings"
     assert row.bound_value == _best_sample(_all_couplings(g, ctx.centers, interval), interval)

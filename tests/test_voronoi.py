@@ -78,7 +78,6 @@ def test_construction_is_deterministic():
     b = build_voronoi(g, d_set)
     assert np.array_equal(a.label, b.label)
     assert np.array_equal(a.pred, b.pred)
-    assert np.array_equal(a.dist_to_center, b.dist_to_center)
 
 
 def test_witness_prefix_property():
