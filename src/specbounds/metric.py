@@ -6,14 +6,15 @@ single-source shortest-path run per vertex over the graph's sparse edge
 lengths (WeightedGraph.lengths); the predecessor structure of each run is
 kept so a geodesic can be read back for any pair.  MetricData owns the
 distance table and answers every query read off it, the ball-volume
-brackets vol[s] and the sampled radii (quartiles) included.
+brackets vol[s] and the sampled radii (quartiles) included; those two read
+the table in blocks of rows and form no n x n temporary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as _dijkstra
@@ -27,6 +28,162 @@ from .report import BoundReport, make_report
 MAX_CENTERS = 24
 
 
+# The distance table is read in blocks of whole rows holding about this many
+# entries (512 KiB of float64), so no temporary of the ball masses or of the
+# quartile selection is larger than a few blocks.
+BLOCK_ENTRIES = 1 << 16
+# The quantile levels of MetricData.quartiles.
+QUARTILE_LEVELS = (0.25, 0.5, 0.75, 1.0)
+# The selection sorts the candidates of a key range once they number at most
+# _GATHER_MAX (all pending ranges together stay within one block); a larger
+# range is counted in at most 2**_BUCKET_BITS buckets instead.
+_GATHER_MAX = BLOCK_ENTRIES // 8
+_BUCKET_BITS = 12
+_KEY_MAX = int(np.iinfo(np.int64).max)
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of an n-column table: about BLOCK_ENTRIES entries, and
+    a multiple of 8, so every block starts where OpenBLAS's matrix-vector
+    kernels, which take rows four at a time, start a group in the whole
+    table too."""
+    return max(8, BLOCK_ENTRIES // max(n, 1) // 8 * 8)
+
+
+def _row_blocks(n: int, rows: int) -> list[slice]:
+    """Consecutive slices of `rows` rows covering n rows.  A last slice of
+    one row joins the one before it: numpy multiplies a one-row matrix by a
+    vector as a dot product, which sums in another order than the
+    matrix-vector product does."""
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
+
+
+def ball_mass_max(dist: np.ndarray, s: float, weights: np.ndarray, rows: int) -> float:
+    """((dist <= s) @ weights).max(), one block of `rows` rows at a time:
+    each row's sum is the same matrix-vector product over the same row.
+    OpenBLAS may split one product over its threads at a row that does not
+    start a group of four, so a row sum at such a split can round
+    differently in the whole-table product (and differs between thread
+    counts there as well)."""
+    return max(
+        float(((dist[block] <= s) @ weights).max()) for block in _row_blocks(len(dist), rows)
+    )
+
+
+def positive_quantiles(dist: np.ndarray, rows: int) -> tuple[float, ...]:
+    """np.quantile(dist[dist > 0], QUARTILE_LEVELS) bit for bit, as floats;
+    () when no entry is positive.  dist holds no NaN.
+
+    No sample of the positive entries is formed.  The table is read in
+    blocks of `rows` rows, each entry as the int64 key of its float64 bits,
+    which orders nonnegative floats, inf included, as their values.  One
+    pass counts the positive entries and finds the smallest and largest;
+    _order_statistics then finds the entries at the ranks numpy
+    interpolates between, and the interpolation is numpy's own: the same
+    virtual indexes, weights and lerp, so a quantile that touches an inf
+    entry is NaN as np.quantile makes it.
+    """
+    count, lo, hi = 0, _KEY_MAX, 0
+    for keys in _key_blocks(dist, rows):
+        positive = keys > 0
+        if size := int(np.count_nonzero(positive)):
+            count += size
+            lo = min(lo, int(keys.min(where=positive, initial=_KEY_MAX)))
+            hi = max(hi, int(keys.max()))
+    if not count:
+        return ()
+    # numpy's linear method: virtual index (count - 1) q between the ranks
+    # floor and floor + 1, and -1 (the largest) from the last rank on.
+    levels = np.asarray(QUARTILE_LEVELS)
+    virtual = (count - 1) * levels
+    below = np.floor(virtual)
+    above = below + 1
+    last = virtual >= count - 1
+    below[last] = above[last] = -1
+    below, above = below.astype(np.intp), above.astype(np.intp)
+    gamma = virtual - below
+    ranks = {int(r) % count for r in (*below, *above)}
+    found = _order_statistics(dist, rows, ranks, count, lo, hi)
+    a = np.array([found[r % count] for r in below]).view(np.float64)
+    b = np.array([found[r % count] for r in above]).view(np.float64)
+    diff = b - a
+    lerp = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=lerp, where=gamma >= 0.5)
+    return tuple(float(q) for q in lerp)
+
+
+def _key_blocks(dist: np.ndarray, rows: int) -> Iterator[np.ndarray]:
+    """Each row block of dist as one flat array of int64 keys (a view when
+    dist is C-contiguous)."""
+    for block in _row_blocks(len(dist), rows):
+        yield np.ascontiguousarray(dist[block]).view(np.int64).ravel()
+
+
+def _order_statistics(
+    dist: np.ndarray, rows: int, ranks: set[int], count: int, lo: int, hi: int
+) -> dict[int, int]:
+    """The keys at the given ranks (0-based, ascending) among the `count`
+    positive keys of dist, which all lie in [lo, hi].
+
+    Each pending key range [lo, hi] holds `before` positive keys below lo,
+    `size` keys inside, and some of the ranks.  A range of one key answers
+    its ranks.  A range of at most _GATHER_MAX keys is gathered and sorted.
+    A larger one is counted in buckets of 2**shift keys, and each rank goes
+    on in its bucket, narrowed to the smallest and largest key the range
+    holds: a bucket of many equal keys is answered by the next pass.  One
+    pass over the table serves every pending range.
+    """
+    found = {0: lo, count - 1: hi}
+    pending = [(lo, hi, 0, count, sorted(ranks - found.keys()))]
+    while pending:
+        spans = []
+        for lo, hi, before, size, want in pending:
+            if lo == hi:
+                found.update(dict.fromkeys(want, lo))
+            elif size <= _GATHER_MAX:
+                spans.append((lo, hi, before, want, None, []))
+            else:
+                shift = max((hi - lo).bit_length() - _BUCKET_BITS, 0)
+                counts = np.zeros(((hi - lo) >> shift) + 1, dtype=np.intp)
+                # The bucket counts, then the smallest and largest key inside.
+                spans.append((lo, hi, before, want, shift, [counts, hi, lo]))
+        pending = []
+        for keys in _key_blocks(dist, rows):
+            for lo, hi, _, _, shift, seen in spans:
+                inside = keys[(keys >= lo) & (keys <= hi)]
+                if shift is None:
+                    seen.append(inside)
+                elif inside.size:
+                    seen[0] += np.bincount((inside - lo) >> shift, minlength=seen[0].size)
+                    seen[1] = min(seen[1], int(inside.min()))
+                    seen[2] = max(seen[2], int(inside.max()))
+        for lo, hi, before, want, shift, seen in spans:
+            if shift is None:
+                keys = np.concatenate(seen)
+                keys.sort()
+                found.update((r, int(keys[r - before])) for r in want)
+                continue
+            counts, first, last = seen
+            ends = np.cumsum(counts)
+            buckets: dict[int, list[int]] = {}
+            for r in want:
+                k = int(np.searchsorted(ends, r - before, side="right"))
+                buckets.setdefault(k, []).append(r)
+            for k, rs in buckets.items():
+                start = lo + (k << shift)
+                pending.append((
+                    max(start, first),
+                    min(start + (1 << shift) - 1, last),
+                    before + (int(ends[k - 1]) if k else 0),
+                    int(counts[k]),
+                    rs,
+                ))
+    return found
+
+
 @dataclass(frozen=True, eq=False)
 class MetricData:
     """All-pairs distances plus one geodesic tree per source vertex.
@@ -34,12 +191,15 @@ class MetricData:
     dist[i, j] is the length of a shortest path from vertex i to vertex j.
     pred[i, j] is the predecessor of j on such a path from source i, as
     scipy returns it: int32, and negative (-9999) where there is none, at
-    the source itself and at every vertex it cannot reach.
+    the source itself and at every vertex it cannot reach.  These are the
+    only n x n arrays a metric holds; every query below reads dist in
+    blocks of _block_rows(n) rows.
 
     vol_bracket(s) is vol[s], the supremum of closed-ball volumes of radius
     s over all centers; vol_bracket_within and vol_bracket_centers are its
     two refinements.  quartiles holds the one sample of the distance
-    distribution that the homogeneity radii and the doubling scales read.
+    distribution that the homogeneity radii and the doubling scales read,
+    selected from dist without copying it.
     """
 
     graph: WeightedGraph
@@ -54,14 +214,10 @@ class MetricData:
     def quartiles(self) -> tuple[float, ...]:
         """The 0.25, 0.5, 0.75 and 1.0 quantiles of the positive distances,
         () on a single vertex: the sampled radii of the homogeneity rows and
-        the doubling scales.  The masked sample is a fresh copy, sorted in
-        place (np.quantile partitions a sorted array much faster) and
-        dropped; only the four floats are kept."""
-        sample = self.dist[self.dist > 0.0]
-        if not sample.size:
-            return ()
-        sample.sort()
-        return tuple(float(q) for q in np.quantile(sample, (0.25, 0.5, 0.75, 1.0)))
+        the doubling scales.  positive_quantiles selects them exactly, bit
+        for bit np.quantile's floats, with no copy of the n^2 distances;
+        only the four floats are kept."""
+        return positive_quantiles(self.dist, _block_rows(self.graph.n))
 
     @cached_property
     def _brackets(self) -> dict[float, float]:
@@ -70,7 +226,7 @@ class MetricData:
     def vol_bracket(self, s: float) -> float:
         """vol[s], evaluated once per distinct s (a report reuses vol[R])."""
         if s not in self._brackets:
-            self._brackets[s] = float(((self.dist <= s) @ self.graph.m).max())
+            self._brackets[s] = ball_mass_max(self.dist, s, self.graph.m, _block_rows(self.graph.n))
         return self._brackets[s]
 
     def vol_bracket_within(self, s: float, subset: Iterable[str]) -> float:
@@ -78,7 +234,7 @@ class MetricData:
         mask = np.zeros(self.graph.n)
         mask[self.graph.indices(subset)] = 1.0
         restricted = self.graph.m * mask
-        return float(((self.dist <= s) @ restricted).max())
+        return ball_mass_max(self.dist, s, restricted, _block_rows(self.graph.n))
 
     def vol_bracket_centers(self, s: float, centers: Iterable[str]) -> float:
         """sup over the given centers only of m(B_s(p)); EmptyCenters when

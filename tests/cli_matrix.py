@@ -12,7 +12,9 @@ checkouts give byte-identical output when
     diff -r OUTDIR_A OUTDIR_B
 
 is empty.  stdout longer than STDOUT_LIMIT bytes (the distance matrices of
-large graphs) is written as its length and SHA-256 digest.
+large graphs) is written as its length and SHA-256 digest.  An OUTDIR that
+starts with "-" (such as --help), or arguments matching none of the forms
+here, print this text and exit 1 without writing anything.
 
     PYTHONPATH=src python tests/cli_matrix.py --compare OUTDIR_A OUTDIR_B
 
@@ -258,7 +260,8 @@ def main(argv: list[str]) -> int:
         return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) == 2 and argv[0] == "--against":
         return against(argv[1])
-    if len(argv) != 1:
+    # A lone option such as --help is not a directory name.
+    if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__, file=sys.stderr)
         return 1
     outdir = Path(argv[0]).resolve()

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cli_matrix import against, case_name, compare, run_case
+from cli_matrix import against, case_name, compare, main, run_case
 
 CASES = [
     ("bounds", "json"),
@@ -89,3 +89,15 @@ def test_a_moved_value_is_reported_but_passes(parent, tmp_path, capsys):
 def test_against_an_unknown_revision_fails_before_any_run(capsys):
     assert against("no-such-revision") == 1
     assert capsys.readouterr().err.startswith("git archive no-such-revision src failed: ")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["-o"], [], ["out", "more"]])
+def test_an_option_as_outdir_prints_the_usage_and_writes_nothing(
+    argv, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert list(tmp_path.iterdir()) == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "PYTHONPATH=src python tests/cli_matrix.py OUTDIR" in captured.err

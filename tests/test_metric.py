@@ -1,8 +1,11 @@
 """Path metric, balls, inradius/covering radius, and geometry estimates."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specbounds import (
@@ -25,7 +28,14 @@ from specbounds import (
     path_graph,
     rows_pass,
 )
-from specbounds.metric import MAX_CENTERS, MetricData
+from specbounds import metric
+from specbounds.metric import (
+    MAX_CENTERS,
+    QUARTILE_LEVELS,
+    MetricData,
+    ball_mass_max,
+    positive_quantiles,
+)
 from helpers import random_instance, random_proper_subset, weight
 
 
@@ -251,22 +261,17 @@ def test_homogeneity_rows_pass_on_random_graphs(spec_seed):
     assert rows_pass(check_homogeneity(g, md))
 
 
-def test_homogeneity_radii_match_one_quantile_call_per_radius(monkeypatch):
-    """The radii come from one np.quantile call over all distances; the
-    rows equal, bit for bit, those of one call per quantile."""
+def test_homogeneity_radii_match_one_quantile_call_per_radius():
+    """The selected radii are, bit for bit, those of one np.quantile call
+    per radius over all positive distances, and so are the rows."""
     g = generate("random:200")
     md = compute_metric(g)
     rows = check_homogeneity(g, md)
-    quantile, calls = np.quantile, []
-
-    def one_call_per_quantile(a, q):
-        calls.append(q)
-        return np.array([quantile(a, x) for x in q])
-
-    monkeypatch.setattr(np, "quantile", one_call_per_quantile)
+    positive = md.dist[md.dist > 0]
     # A fresh metric: md has its quartiles cached already.
-    assert check_homogeneity(g, MetricData(g, md.dist, md.pred)) == rows
-    assert calls == [(0.25, 0.5, 0.75, 1.0)]
+    fresh = MetricData(g, md.dist, md.pred)
+    assert fresh.quartiles == tuple(float(np.quantile(positive, q)) for q in QUARTILE_LEVELS)
+    assert check_homogeneity(g, fresh) == rows
 
 
 def _loop_ball_count(g, md, seed=DEFAULT_SEED):
@@ -365,19 +370,82 @@ def test_min_distance_is_the_shortest_edge(g):
     assert row.passed and not row.vacuous
 
 
-def test_quartiles_are_computed_once_per_metric(monkeypatch):
-    md = compute_metric(random_instance(4, n_lo=20, n_hi=30))
-    quantile, calls = np.quantile, []
-
-    def recording_quantile(a, q):
-        calls.append(q)
-        return quantile(a, q)
-
-    monkeypatch.setattr(np, "quantile", recording_quantile)
+def test_quartiles_are_computed_once_per_metric():
+    """quartiles is one cached tuple of floats: later reads, check_homogeneity
+    and vol_bracket included, get the same object back."""
+    g = random_instance(4, n_lo=20, n_hi=30)
+    md = compute_metric(g)
     quartiles = md.quartiles
-    assert quartiles is md.quartiles
-    assert calls == [(0.25, 0.5, 0.75, 1.0)]
+    check_homogeneity(g, md)
+    md.vol_bracket(quartiles[1])
+    assert md.quartiles is quartiles
     finite = np.sort(md.dist[md.dist > 0.0])
-    assert quartiles == tuple(float(quantile(finite, q)) for q in (0.25, 0.5, 0.75, 1.0))
+    assert quartiles == tuple(float(np.quantile(finite, q)) for q in (0.25, 0.5, 0.75, 1.0))
     assert all(type(q) is float for q in quartiles)
     assert compute_metric(path_graph(1)).quartiles == ()
+
+
+@st.composite
+def distance_tables(draw):
+    """n x n tables of zeros and positive entries from 1e-300 to 1e300 and
+    inf, drawn from a pool of one, a few or n^2 values (ties, one distinct
+    value, or mostly distinct)."""
+    n = draw(st.integers(2, 24))
+    size = draw(st.sampled_from([1, 3, n * n]))
+    pool = draw(st.lists(st.floats(1e-300, 1e300) | st.just(np.inf), min_size=1, max_size=size))
+    entries = draw(st.lists(st.sampled_from([0.0, *pool]), min_size=n * n, max_size=n * n))
+    return np.array(entries).reshape(n, n)
+
+
+@settings(deadline=None, max_examples=150)
+@given(distance_tables(), st.integers(1, 9), st.sampled_from([1, 2, 5, metric._GATHER_MAX]))
+@example(np.array([[0.0, 1.0], [1.0, 0.0]]), 1, 1)
+@example(np.full((5, 5), 2.5), 2, 1)
+@example(np.array([[0.0, np.inf], [np.inf, 0.0]]), 1, 1)
+@example(np.array([[1e-300, 1e300, np.inf], [3.0, 0.0, 3.0], [5e-324, 1e-300, 2.0]]), 2, 2)
+@example(np.zeros((3, 3)), 2, 1)
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_quartile_selection_is_np_quantile_bit_for_bit(dist, rows, gather):
+    """The blocked selection returns the bits of np.quantile over the
+    positive entries, whatever the block size and however few candidates
+    it gathers before splitting a key range into buckets."""
+    positive = dist[dist > 0]
+    want = np.quantile(positive, QUARTILE_LEVELS) if positive.size else np.array([])
+    with mock.patch.object(metric, "_GATHER_MAX", gather):
+        got = positive_quantiles(dist, rows)
+    assert all(type(q) is float for q in got)
+    assert np.array(got, dtype=float).tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10**6), st.sampled_from([8, 16, 24]))
+def test_blocked_ball_masses_match_the_whole_table_product(seed, rows):
+    """Under a non-unit measure the blocked ball masses equal the
+    whole-table product bit for bit.  n stays below 96, where OpenBLAS
+    runs the whole product on one thread (see ball_mass_max)."""
+    g = random_instance(seed, n_lo=2, n_hi=60, m_weighted=True)
+    md = compute_metric(g)
+    restricted = g.m * (np.arange(g.n) % 3 == 0)
+    for s in (0.5 / g.constants.b_max, *md.quartiles):
+        for weights in (g.m, restricted):
+            assert ball_mass_max(md.dist, s, weights, rows) == ((md.dist <= s) @ weights).max()
+        assert md.vol_bracket(s) == ((md.dist <= s) @ g.m).max()
+        assert md.vol_bracket_within(s, g.vertices[::3]) == ((md.dist <= s) @ restricted).max()
+
+
+def test_quartiles_and_ball_masses_form_no_dense_copy():
+    """On random:800 the quartiles, both all-centre brackets and the
+    homogeneity rows stay below half of the n x n distance table in
+    tracemalloc peak: they read it in row blocks."""
+    g = generate("random:800")
+    md = compute_metric(g)
+    tracemalloc.start()
+    try:
+        radius = md.quartiles[1]
+        md.vol_bracket(radius)
+        md.vol_bracket_within(radius, g.vertices[::4])
+        check_homogeneity(g, md)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < md.dist.nbytes / 2

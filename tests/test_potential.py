@@ -278,27 +278,21 @@ def test_doubling_variant_on_lattice():
 
 
 def test_doubling_scales_match_one_quantile_call_per_scale(monkeypatch):
-    """The sampled doubling scales come from one np.quantile call over all
-    distances, bit for bit the values of one call per quantile."""
+    """The sampled doubling scales are the metric's cached quartiles, bit
+    for bit the values of one np.quantile call per scale."""
     g = random_connected(60, seed=3, weight_range=(0.5, 3.0), potential_range=(0.0, 2.0))
     ctx = AnalysisContext(g, g.vertices[::4])
     gs = ground_state(ctx)
-    ctx.vol_R  # settle the shared quantities before counting calls
-    quantile, verify = np.quantile, potential.verify_doubling
-    calls, scales_seen = [], []
-
-    def recording_quantile(a, q):
-        calls.append(q)
-        return quantile(a, q)
+    quartiles = ctx.metric.quartiles
+    verify, scales_seen = potential.verify_doubling, []
 
     def recording_verify(md, exponent, scales, factors):
         scales_seen.append(list(scales))
         verify(md, exponent, scales, factors)
 
-    monkeypatch.setattr(np, "quantile", recording_quantile)
     monkeypatch.setattr(potential, "verify_doubling", recording_verify)
     rows = potential_dirichlet_bound(ctx, gs, doubling_exponent=4.0)
     assert len(rows) == 2
-    assert calls == [(0.25, 0.5, 0.75, 1.0)]
+    assert ctx.metric.quartiles is quartiles
     finite = ctx.metric.dist[ctx.metric.dist > 0.0]
-    assert scales_seen == [[ctx.R] + [float(quantile(finite, q)) for q in (0.25, 0.5, 0.75)]]
+    assert scales_seen == [[ctx.R] + [float(np.quantile(finite, q)) for q in (0.25, 0.5, 0.75)]]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 import tomllib
 from collections import Counter
@@ -1017,3 +1018,59 @@ def test_exhaustive_cap_option_is_unknown(capsys, command):
     assert cli.main(argv) == 0
     assert cli.main(argv + ["--exhaustive-cap", "22"]) == 1
     assert "unrecognized arguments: --exhaustive-cap" in capsys.readouterr().err
+
+
+# Scaling b, m and V by one constant c leaves H unchanged and divides every
+# length by c; with c = 4^5 every scaled value is exact.
+SCALE = 1024.0
+# Rows whose true, bound and slack values are lengths.
+LENGTH_ROWS = ("homogeneity/min_distance", "voronoi/cell_in_covering_ball")
+# Radii printed in the notes of homogeneity/ball_count and
+# potential/dirichlet_lower.
+NOTE_RADIUS = re.compile(r"\b([rR])=([^,\s]+)")
+
+
+def _scaled(g: WeightedGraph, c: float) -> WeightedGraph:
+    ids = g.vertices
+    potential = None if g.potential is None else list(np.asarray(g.potential) * c)
+    return WeightedGraph.from_edge_list(
+        ids, list(g.m * c), [(ids[i], ids[j], w * c) for i, j, w in g.edges], potential=potential
+    )
+
+
+def _report_rows(tmp_path, capsys, g: WeightedGraph) -> list[dict]:
+    path = tmp_path / "graph.json"
+    path.write_text(dumps_graph(g), encoding="utf-8")
+    code = cli.main(["report", "--graph", str(path), "--centers", "every:4", "--format", "json"])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)["rows"]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        random_connected(40, seed=1, m_range=(0.5, 2.0)),
+        random_connected(40, seed=1, m_range=(0.5, 2.0), potential_range=(0.0, 3.0)),
+        generate("random:300"),
+    ],
+    ids=["measure40", "potential40", "random300"],
+)
+def test_report_is_invariant_under_scaling_weights_measure_and_potential(tmp_path, capsys, g):
+    """Metamorphic: b, m and V times 1024 give every row its bits back,
+    except the two length rows and the radii in two notes, which come out
+    divided by exactly 1024."""
+    rows = _report_rows(tmp_path, capsys, g)
+    scaled = _report_rows(tmp_path, capsys, _scaled(g, SCALE))
+    assert [r["name"] for r in scaled] == [r["name"] for r in rows]
+    seen = set()
+    for row, back in zip(rows, scaled):
+        if row["name"] in LENGTH_ROWS:
+            seen.add(row["name"])
+            for key in ("true", "bound", "slack"):
+                assert back[key] == row[key] / SCALE
+            back = {**back, **{key: row[key] for key in ("true", "bound", "slack")}}
+        note = NOTE_RADIUS.sub(lambda m: f"{m[1]}={float(m[2]) / SCALE!r}", row["note"])
+        assert back == {**row, "note": note}
+    assert seen == set(LENGTH_ROWS)
+    moved = {r["name"] for r in rows if NOTE_RADIUS.search(r["note"])}
+    assert moved == {"homogeneity/ball_count", "potential/dirichlet_lower"}
