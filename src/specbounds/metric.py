@@ -3,11 +3,12 @@
 The distance between two vertices is the infimum of path lengths, where an
 edge of weight b contributes length 1/b.  All-pairs distances come from one
 single-source shortest-path run per vertex over the graph's sparse edge
-lengths (WeightedGraph.lengths); the predecessor structure of each run is
-kept so a geodesic can be read back for any pair.  MetricData owns the
-distance table and answers every query read off it, the ball-volume
-brackets vol[s] and the sampled radii (quartiles) included; those two read
-the table in blocks of rows and form no n x n temporary.
+lengths (WeightedGraph.lengths); only the distances are kept.  MetricData
+owns the distance table and answers every query read off it, the
+ball-volume brackets vol[s] and the sampled radii (quartiles) included;
+those two read the table in blocks of rows and form no n x n temporary.
+A geodesic is read back from the predecessors, which MetricData derives
+from the table only when something asks for them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .errors import EmptyCenters, EmptyOmega, InvalidSpec
@@ -26,6 +28,9 @@ from .report import BoundReport, make_report
 
 # The homogeneity ball_count row samples at most this many centres.
 MAX_CENTERS = 24
+# MetricData.pred at the source and at every vertex it cannot reach, as
+# scipy's shortest-path routines write it.
+NO_PREDECESSOR = -9999
 
 
 # The distance table is read in blocks of whole rows holding about this many
@@ -186,25 +191,22 @@ def _order_statistics(
 
 @dataclass(frozen=True, eq=False)
 class MetricData:
-    """All-pairs distances plus one geodesic tree per source vertex.
+    """All-pairs distances, and the queries read off them.
 
-    dist[i, j] is the length of a shortest path from vertex i to vertex j.
-    pred[i, j] is the predecessor of j on such a path from source i, as
-    scipy returns it: int32, and negative (-9999) where there is none, at
-    the source itself and at every vertex it cannot reach.  These are the
-    only n x n arrays a metric holds; every query below reads dist in
+    dist[i, j] is the length of a shortest path from vertex i to vertex j,
+    the only n x n array a metric holds; every query below reads it in
     blocks of _block_rows(n) rows.
 
     vol_bracket(s) is vol[s], the supremum of closed-ball volumes of radius
     s over all centers; vol_bracket_within and vol_bracket_centers are its
     two refinements.  quartiles holds the one sample of the distance
-    distribution that the homogeneity radii and the doubling scales read,
-    selected from dist without copying it.
+    distribution that the homogeneity rows and the doubling scales read,
+    selected from dist without copying it.  pred, the geodesic trees, is
+    derived from dist on first use; no report stage reads it.
     """
 
     graph: WeightedGraph
     dist: np.ndarray
-    pred: np.ndarray
 
     def d(self, x: str, y: str) -> float:
         gi = self.graph.index
@@ -218,6 +220,44 @@ class MetricData:
         for bit np.quantile's floats, with no copy of the n^2 distances;
         only the four floats are kept."""
         return positive_quantiles(self.dist, _block_rows(self.graph.n))
+
+    @cached_property
+    def pred(self) -> np.ndarray:
+        """pred[i, j], the predecessor of j on a shortest path from source
+        i, in scipy's convention: int32, and NO_PREDECESSOR (-9999) at the
+        source itself and at every vertex it cannot reach.  Derived from
+        dist: u is tight for j when dist[i, u] + L[u, j] == dist[i, j] bit
+        for bit, and pred[i, j] is the first u in lengths' CSR order that
+        is tight and strictly closer to i.  Dijkstra set dist[i, j] by
+        exactly such an add, so a reachable j != i has a tight neighbour;
+        it is strictly closer unless L[u, j] is below half an ulp of
+        dist[i, j], and then _join_ties picks one.  An inf distance is
+        skipped: there inf + L == inf holds for every neighbour at distance
+        inf too.  Sources are taken in blocks of about BLOCK_ENTRIES
+        (source, CSR entry) pairs; the n x n int32 table is kept once
+        formed."""
+        n, L = self.graph.n, self.graph.lengths
+        pred = np.full((n, n), NO_PREDECESSOR, dtype=np.int32)
+        if not L.nnz:
+            return _readonly(pred)
+        owner = np.repeat(np.arange(n), np.diff(L.indptr))
+        has = np.flatnonzero(np.diff(L.indptr))
+        entry = np.arange(L.nnz)
+        named = np.append(L.indices, NO_PREDECESSOR)
+        ties = []
+        for block in _row_blocks(n, max(1, BLOCK_ENTRIES // L.nnz)):
+            near = self.dist[block][:, L.indices]
+            target = self.dist[block][:, owner]
+            tight = (near + L.data == target) & (near < target) & (target < np.inf)
+            # The first tight entry of each vertex's CSR row, L.nnz for none.
+            first = np.minimum.reduceat(np.where(tight, entry, L.nnz), L.indptr[has], axis=1)
+            pred[block, has] = named[first]
+            reached = self.dist[block][:, has]
+            lacking = (first == L.nnz) & (reached > 0.0) & (reached < np.inf)
+            ties.extend(block.start + np.flatnonzero(lacking.any(axis=1)))
+        for i in ties:
+            _join_ties(pred[i], self.dist[i], L)
+        return _readonly(pred)
 
     @cached_property
     def _brackets(self) -> dict[float, float]:
@@ -245,20 +285,43 @@ class MetricData:
         return float(((self.dist[idx, :] <= s) @ self.graph.m).max())
 
 
+def _join_ties(pred: np.ndarray, dist: np.ndarray, L: sparse.csr_matrix) -> None:
+    """Complete one source's predecessor row where no tight neighbour is
+    strictly closer: the tight neighbours of such a j lie at its own
+    distance, and j takes the first, in CSR order, that has joined the tree
+    already, sweep by sweep.  Each j is joined through one that joined
+    before it, so no chain cycles."""
+    left = np.flatnonzero((pred < 0) & (dist > 0.0) & (dist < np.inf)).tolist()
+    while left:
+        rest = []
+        for j in left:
+            span = slice(L.indptr[j], L.indptr[j + 1])
+            for u, length in zip(L.indices[span], L.data[span]):
+                if pred[u] >= 0 and dist[u] + length == dist[j]:
+                    pred[j] = u
+                    break
+            else:
+                rest.append(j)
+        if len(rest) == len(left):
+            return  # no tight chain reaches them; Dijkstra's distances always have one
+        left = rest
+
+
 def compute_metric(g: WeightedGraph) -> MetricData:
-    """All-pairs shortest paths under edge length 1/b, with witnesses."""
-    dist, pred = _dijkstra(g.lengths, directed=True, return_predecessors=True)
-    return MetricData(g, _readonly(dist), _readonly(pred))
+    """All-pairs shortest paths under edge length 1/b."""
+    return MetricData(g, _readonly(_dijkstra(g.lengths, directed=True)))
 
 
 def geodesic(md: MetricData, x: str, y: str) -> tuple[str, ...]:
-    """One shortest path from x to y, read from the predecessor tree."""
+    """One shortest path from x to y, read from the predecessor tree.  A
+    chain that reaches no predecessor, or passes n vertices without
+    reaching x, is refused."""
     gi = md.graph.index
     i, j = gi[x], gi[y]
     chain = [j]
     while chain[-1] != i:
         p = int(md.pred[i, chain[-1]])
-        if p < 0:
+        if p < 0 or len(chain) == md.graph.n:
             raise ValueError(f"no path recorded from {x!r} to {y!r}")
         chain.append(p)
     chain.reverse()

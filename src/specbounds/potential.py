@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConvergenceFailure, DoublingUnverified
 from .generators import DEFAULT_SEED
 from .graph import WeightedGraph, _readonly
-from .metric import MetricData
+from .metric import BLOCK_ENTRIES, MetricData
 from .report import BoundReport, make_report
 from .spectral import AnalysisContext, dirichlet_energy
 
@@ -92,27 +92,35 @@ def ground_state_transform_check(
     of f/phi in the transformed graph.  On a finite graph the ground state
     is a true eigenfunction, so this holds with equality; the row reports
     the worst relative mismatch against a 1e-8 budget.  The samples are
-    the rows of one (samples, n) draw, the same stream as samples draws of
-    size n, and each side's energies come from one batched call; every
-    sample's mismatch has the bits of evaluating it alone.
+    drawn and evaluated in blocks of rows, each with about
+    metric.BLOCK_ENTRIES entries per (rows, max(|E|, n)) temporary, so a
+    graph of up to about 650 edges takes one block.  The blocks are drawn
+    in order from one generator, the same stream as one (samples, n) draw
+    or samples draws of size n, and each side's energies come from one
+    batched call per block; every sample's mismatch has the bits of
+    evaluating it alone.
 
     A sample whose energy overflows float64 has a NaN mismatch and is not
     evaluated: the note then names how many samples were, and with none
     the row is vacuous.
     """
     transformed = ground_state_transform(g, gs)
-    f = np.random.default_rng(seed).standard_normal((samples, g.n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        lhs = (
-            dirichlet_energy(g, f, include_potential=True)
-            - gs.lambda_v * np.sum(f * f * g.m, axis=-1)
-        )
-        rhs = dirichlet_energy(transformed, f / gs.phi)
-        scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-12)
-        rel = np.abs(lhs - rhs) / scale
-    evaluated = ~np.isnan(rel)
-    count = int(np.count_nonzero(evaluated))
-    worst = float(np.max(rel, initial=0.0, where=evaluated))
+    rng = np.random.default_rng(seed)
+    rows = max(1, BLOCK_ENTRIES // max(len(g.edges), g.n))
+    count, worst = 0, 0.0
+    for start in range(0, samples, rows):
+        f = rng.standard_normal((min(rows, samples - start), g.n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lhs = (
+                dirichlet_energy(g, f, include_potential=True)
+                - gs.lambda_v * np.sum(f * f * g.m, axis=-1)
+            )
+            rhs = dirichlet_energy(transformed, f / gs.phi)
+            scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-12)
+            rel = np.abs(lhs - rhs) / scale
+        evaluated = ~np.isnan(rel)
+        count += int(np.count_nonzero(evaluated))
+        worst = max(worst, float(np.max(rel, initial=0.0, where=evaluated)))
     note = f"worst relative mismatch over {samples} random functions"
     if 0 < count < samples:
         note = (

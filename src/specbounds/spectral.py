@@ -88,7 +88,10 @@ C = Y[D, :] = S^(-1), the inverse Schur complement of A on D,
 
 so its norm is that of the |D| x |D| matrix R C^(-1) R^T, Y = QR.  From
 SPARSE_MIN_N vertices on, Y comes from a sparse LU of A with partial
-pivoting (A is indefinite when V < 0).
+pivoting (A is indefinite when V < 0), whose unit right-hand sides are
+written straight into factored order: the solve holds at most two n x |D|
+arrays at a time (the right-hand sides and SuperLU's solution, then that
+and Y), where E_D, its permuted copy, the solution and Y made four.
 """
 
 from __future__ import annotations
@@ -209,6 +212,23 @@ class _Factorization:
         x = np.empty_like(b)
         x[self.order] = self.lu.solve(b[self.order])
         return x
+
+    def solve_unit_columns(self, idx: np.ndarray) -> np.ndarray:
+        """(A - shift)^(-1) E, E the columns of the identity at the rows
+        idx, as solve(E) gives it bit for bit.  The ones are written
+        straight into factored order, so no E or permuted copy of it is
+        formed beside the solution."""
+        n = self.lu.shape[0]
+        rows = idx if self.order is None else np.argsort(self.order)[idx]
+        rhs = np.zeros((n, idx.size))
+        rhs[rows, np.arange(idx.size)] = 1.0
+        x = self.lu.solve(rhs)
+        if self.order is None:
+            return x
+        del rhs  # freed before y is formed
+        y = np.empty(x.shape)
+        y[self.order] = x
+        return y
 
     def negative_pivots(self) -> int | None:
         """The number of eigenvalues of A below the shift, or None when
@@ -526,8 +546,13 @@ class AnalysisContext:
         """All-pairs distances; DistanceOverflow names the first inf one."""
         self.graph.constants  # a disconnected graph is refused as such
         md = compute_metric(self.graph)
-        if math.isinf(md.dist.max()):
-            x, y = (self.graph.vertices[i] for i in np.argwhere(np.isinf(md.dist))[0])
+        # The first inf entry in row-major order, found from the row maxima
+        # and then one row, with no n x n mask.
+        row_max = md.dist.max(axis=1)
+        if math.isinf(row_max.max()):
+            i = int(np.argmax(np.isinf(row_max)))
+            j = int(np.argmax(np.isinf(md.dist[i])))
+            x, y = self.graph.vertices[i], self.graph.vertices[j]
             raise DistanceOverflow(f"the distance from {x!r} to {y!r} overflows float64")
         return md
 
@@ -896,7 +921,8 @@ def resolvent_gap(ctx: AnalysisContext, t: float) -> BoundReport:
     R C^(-1) R^T: one solve with |D| right-hand sides, one QR and one small
     eigvalsh.  Nothing subtracts two O(1) resolvents to get an O(1/t)
     difference, so the value keeps its relative accuracy at large t.
-    From SPARSE_MIN_N vertices on the solve is a sparse LU of A.
+    From SPARSE_MIN_N vertices on the solve is a sparse LU of A, with the
+    unit columns written in its factored order (solve_unit_columns).
     """
     t = float(t)
     g = ctx.graph
@@ -904,12 +930,14 @@ def resolvent_gap(ctx: AnalysisContext, t: float) -> BoundReport:
     h1, threshold = ctx.shifted_norm, ctx.threshold
 
     d_idx = ctx.penalty_indices
-    e_d = np.zeros((g.n, d_idx.size))
-    e_d[d_idx, np.arange(d_idx.size)] = 1.0
     if ctx.matrix_free:
         # Partial pivoting: A is indefinite when V < 0.
-        y = _factor(ctx.coupled_sparse(t), -1.0, ctx.ordering, diagonal=False).solve(e_d)
+        y = _factor(
+            ctx.coupled_sparse(t), -1.0, ctx.ordering, diagonal=False
+        ).solve_unit_columns(d_idx)
     else:
+        e_d = np.zeros((g.n, d_idx.size))
+        e_d[d_idx, np.arange(d_idx.size)] = 1.0
         y = np.linalg.solve(ctx.coupled(t).sym + np.eye(g.n), e_d)
     r = np.linalg.qr(y, mode="r")
     m = r @ np.linalg.solve(y[d_idx], r.T)

@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -150,6 +151,8 @@ def test_metric_structure(seed):
 @settings(deadline=None, max_examples=15)
 @given(st.integers(0, 10**6))
 def test_geodesic_reconstruction(seed):
+    """The edge lengths along a geodesic, added from x on, give d(x, y) bit
+    for bit: each step of the chain is a tight Dijkstra relaxation."""
     g = random_instance(seed, n_lo=2, n_hi=30)
     md = compute_metric(g)
     rng = np.random.default_rng(seed)
@@ -158,13 +161,88 @@ def test_geodesic_reconstruction(seed):
         x, y = g.vertices[int(i)], g.vertices[int(j)]
         path = geodesic(md, x, y)
         assert path[0] == x and path[-1] == y
-        want = md.d(x, y)
-        assert abs(path_length(g, path) - want) <= 1e-12 * max(want, 1.0)
+        assert path_length(g, path) == md.d(x, y)
+
+
+# Lengths 1e-20 vanish in dist 1.0: b, a and e all lie at distance 1 from
+# s, and a's first tight neighbour is b, whose only one is a.
+ABSORBED = WeightedGraph.from_edge_list(
+    ("b", "a", "e", "s"), 1.0, [("s", "e", 1.0), ("e", "a", 1e20), ("a", "b", 1e20)]
+)
+# Two components, joined by an edge whose length 1/b overflows to inf.
+INF_BRIDGE = WeightedGraph.from_edge_list(
+    ("a", "b", "c", "d"), 1.0, [("a", "b", 1.0), ("c", "d", 2.0), ("b", "c", 1e-320)]
+)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [generate("lattice:2:6"), generate("apex_ray:12"), generate("comb:4"), ABSORBED],
+    ids=["lattice", "apex_ray", "comb", "absorbed"],
+)
+def test_geodesics_on_graphs_with_ties_fold_to_the_distance(g):
+    """Unit weights tie many predecessors, and an edge shorter than half an
+    ulp of the distance ties a vertex with its neighbour; every pair's
+    geodesic still folds to its distance bit for bit."""
+    md = compute_metric(g)
+    for x in g.vertices:
+        for y in g.vertices:
+            path = geodesic(md, x, y)
+            assert (path[0], path[-1]) == (x, y)
+            assert path_length(g, path) == md.d(x, y)
+
+
+def _tight_counts(md):
+    """count[i, j]: the neighbours u of j with dist[i, u] + L[u, j] ==
+    dist[i, j] and dist[i, j] finite, the candidates for pred[i, j]."""
+    L, dist = md.graph.lengths, md.dist
+    count = np.zeros(dist.shape, dtype=int)
+    for j in range(md.graph.n):
+        nbrs = L.indices[L.indptr[j]:L.indptr[j + 1]]
+        lengths = L.data[L.indptr[j]:L.indptr[j + 1]]
+        tight = dist[:, nbrs] + lengths == dist[:, [j]]
+        count[:, j] = np.count_nonzero(tight & np.isfinite(dist[:, [j]]), axis=1)
+    return count
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        generate("random:40"),
+        generate("random:300"),
+        generate("lattice:2:6"),
+        generate("apex_ray:30"),
+        ABSORBED,
+        INF_BRIDGE,
+    ],
+    ids=["random40", "random300", "lattice", "apex_ray", "absorbed", "inf_bridge"],
+)
+def test_derived_predecessors_match_scipy_where_unique(g):
+    """MetricData.pred is derived from dist; wherever one neighbour alone
+    is tight, it is scipy's predecessor, and it keeps scipy's int32 and
+    -9999 convention at the source and at unreachable vertices."""
+    md = compute_metric(g)
+    assert "pred" not in md.__dict__
+    dist, pred = dijkstra(g.lengths, directed=True, return_predecessors=True)
+    assert np.array_equal(md.dist, dist)
+    assert md.pred.dtype == np.int32 and not md.pred.flags.writeable
+    count = _tight_counts(md)
+    unique = count == 1
+    assert np.array_equal(md.pred[unique], pred[unique])
+    # No candidate: the source and every vertex at distance inf.
+    none = count == 0
+    assert np.array_equal(none, (dist == 0.0) | np.isinf(dist))
+    assert np.all(md.pred[none] == -9999) and np.all(pred[none] == -9999)
+    # Where several are tight, pred names one of them.
+    i, j = np.nonzero(count > 1)
+    p = md.pred[i, j]
+    assert np.all(dist[i, p] + np.asarray(g.lengths[p, j]).ravel() == dist[i, j])
 
 
 def test_geodesic_between_components_is_refused():
     """The predecessor is negative where there is none: at the source and
-    at every vertex it cannot reach.  geodesic refuses such a pair."""
+    at every vertex it cannot reach.  geodesic refuses such a pair, and a
+    chain that would pass n vertices (a cycle in the table) as well."""
     g = WeightedGraph.from_edge_list(
         ("a", "b", "c", "d"), 1.0, [("a", "b", 1.0), ("c", "d", 1.0)]
     )
@@ -173,6 +251,23 @@ def test_geodesic_between_components_is_refused():
     assert geodesic(md, "c", "c") == ("c",)
     with pytest.raises(ValueError, match="^no path recorded from 'a' to 'd'$"):
         geodesic(md, "a", "d")
+    # A table whose chain from d cycles through c: geodesic gives up at the
+    # n-th lookup, and a walk that does not stop fails here at the next.
+    table = np.array(md.pred)
+    table[0, 2], table[0, 3] = 3, 2
+    lookups = []
+
+    class Cyclic:
+        def __getitem__(self, key):
+            lookups.append(key)
+            assert len(lookups) <= g.n, "the chain passed n vertices"
+            return table[key]
+
+    cyclic = MetricData(g, md.dist)
+    cyclic.__dict__["pred"] = Cyclic()
+    with pytest.raises(ValueError, match="^no path recorded from 'a' to 'd'$"):
+        geodesic(cyclic, "a", "d")
+    assert len(lookups) == g.n
 
 
 def _floyd_warshall(g):
@@ -269,7 +364,7 @@ def test_homogeneity_radii_match_one_quantile_call_per_radius():
     rows = check_homogeneity(g, md)
     positive = md.dist[md.dist > 0]
     # A fresh metric: md has its quartiles cached already.
-    fresh = MetricData(g, md.dist, md.pred)
+    fresh = MetricData(g, md.dist)
     assert fresh.quartiles == tuple(float(np.quantile(positive, q)) for q in QUARTILE_LEVELS)
     assert check_homogeneity(g, fresh) == rows
 

@@ -13,6 +13,7 @@ from specbounds import (
     WeightedGraph,
     compute_metric,
     dirichlet_lower_bound,
+    generate,
     ground_state,
     ground_state_transform,
     ground_state_transform_check,
@@ -177,19 +178,50 @@ def _loop_transform_check(g, gs, samples=100, seed=DEFAULT_SEED):
         random_connected(30, seed=7, potential_range=(-3.0, 1.0)),
         random_connected(300, seed=8, m_range=(0.5, 2.0), potential_range=(0.0, 2.0)),
         random_connected(20, seed=9, weight_range=(1e306, 1e307)),
+        generate("random:800"),
     ],
-    ids=["measure", "potential", "negative_potential", "sparse_potential", "overflow"],
+    ids=["measure", "potential", "negative_potential", "sparse_potential", "overflow", "blocks"],
 )
 @pytest.mark.parametrize("samples", [0, 1, 100])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_transform_check_matches_sample_loop_bit_for_bit(g, samples):
-    """One (samples, n) draw and two batched energy calls give the row of
-    the per-sample loop, bit for bit; on the overflow graph some energies
-    are inf and their NaN mismatches are skipped in both."""
+    """Row blocks of draws and two batched energy calls per block give the
+    row of the per-sample loop, bit for bit (random:800, with 1 199 edges,
+    takes blocks of 54 samples); on the overflow graph some energies are
+    inf and their NaN mismatches are skipped in both."""
     gs = ground_state(AnalysisContext(g))
     for seed in (DEFAULT_SEED, 3):
         row = ground_state_transform_check(g, gs, samples=samples, seed=seed)
         assert row == _loop_transform_check(g, gs, samples=samples, seed=seed)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 99, 100])
+@pytest.mark.parametrize(
+    "g",
+    [
+        random_connected(60, seed=6, m_range=(0.5, 2.0), potential_range=(0.0, 2.0)),
+        random_connected(20, seed=9, weight_range=(1e306, 1e307)),
+    ],
+    ids=["potential", "overflow"],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_transform_check_in_row_blocks_matches_sample_loop(monkeypatch, g, rows):
+    """With BLOCK_ENTRIES giving `rows` samples per block, the blocks draw
+    the one stream in order, each block takes two energy calls, and the
+    row keeps the per-sample loop's bits."""
+    gs = ground_state(AnalysisContext(g))
+    width = max(len(g.edges), g.n)
+    monkeypatch.setattr(potential, "BLOCK_ENTRIES", rows * width + width - 1)
+    calls = []
+
+    def counting(graph, f, include_potential=False):
+        calls.append(np.shape(f))
+        return dirichlet_energy(graph, f, include_potential)
+
+    monkeypatch.setattr(potential, "dirichlet_energy", counting)
+    assert ground_state_transform_check(g, gs) == _loop_transform_check(g, gs)
+    sizes = [min(rows, 100 - start) for start in range(0, 100, rows)]
+    assert calls == [(size, g.n) for size in sizes for _ in range(2)]
 
 
 def test_transform_check_names_the_samples_it_could_evaluate():

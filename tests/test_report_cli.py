@@ -30,6 +30,7 @@ from specbounds import cli
 from specbounds.report import dumps_value
 
 from helpers import parse_json, record_coupled, uncertainty_grid, with_potential
+from stage_memory import stage_memory
 
 
 def test_report_relations_and_tolerance():
@@ -1074,3 +1075,15 @@ def test_report_is_invariant_under_scaling_weights_measure_and_potential(tmp_pat
     assert seen == set(LENGTH_ROWS)
     moved = {r["name"] for r in rows if NOTE_RADIUS.search(r["note"])}
     assert moved == {"homogeneity/ball_count", "potential/dirichlet_lower"}
+
+
+def test_report_holds_the_distance_table_and_o_n_beside_it():
+    """On random:800 every:4 no stage of the report reaches 1.8 times the
+    n x n distance table in tracemalloc peak: the predecessors are never
+    formed, the resolvent writes its unit columns straight into factored
+    order, and the transform check evaluates its samples in row blocks."""
+    stages, state = stage_memory(["report", "--generate", "random:800", "--centers", "every:4"])
+    md = state.ctx.metric
+    assert "pred" not in md.__dict__
+    worst = max(stages, key=lambda stage: stage[1])
+    assert worst[1] < 1.8 * md.dist.nbytes, worst

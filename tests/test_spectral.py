@@ -516,6 +516,24 @@ def test_rows_stay_asserted_without_negative_potential(g):
     assert all(r.passed and not r.vacuous and "min V" not in r.note for r in rows)
 
 
+@pytest.mark.parametrize("ordered", [False, True], ids=["mmd", "shared_order"])
+def test_unit_column_solve_is_the_identity_solve_bit_for_bit(ordered):
+    """The resolvent's solve writes its ones straight into factored order;
+    the columns come out as solving with the identity's columns on D."""
+    g = generate("random:300")
+    ctx = AnalysisContext(g, cli.parse_centers(g, "every:4"))
+    if ordered:
+        ctx.lambda_0  # the ground solve fixes the shared ordering
+        assert ctx.ordering.order is not None
+    d_idx = ctx.penalty_indices
+    e_d = np.zeros((g.n, d_idx.size))
+    e_d[d_idx, np.arange(d_idx.size)] = 1.0
+    ordering = ctx.ordering if ordered else None
+    lu = spectral._factor(ctx.coupled_sparse(7.0), -1.0, ordering, diagonal=False)
+    assert (lu.order is not None) == ordered
+    assert np.array_equal(lu.solve_unit_columns(d_idx), lu.solve(e_d))
+
+
 def test_coupling_rate_k2_closed_form():
     g = complete_graph(2)
     ts = [0.0, 18.0, 50.0, 200.0]
