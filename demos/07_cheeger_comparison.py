@@ -37,7 +37,7 @@ print(f"  ({iso.boundary_size} boundary pairs over volume {iso.volume})")
 
 print("\n=== Growth diagnostic (no pass/fail: a scaling table) ===")
 print("line of 41 vertices, ratios log vol(B_n)/n from the midpoint:")
-table = growth_diagnostic(generate("lattice:1:40"), compute_metric(generate("lattice:1:40")), "20")
+table = growth_diagnostic(compute_metric(generate("lattice:1:40")), "20")
 for n, ratio in table[:8]:
     print(f"  n = {n:2d}   log vol / n = {ratio:.4f}")
 print("  ... decaying to zero: subexponential growth, so the unrestricted")

@@ -186,14 +186,14 @@ def cheeger_chain(ctx: AnalysisContext) -> list[BoundReport]:
     return rows
 
 
-def growth_diagnostic(
-    g: WeightedGraph, md: MetricData, x: str
-) -> tuple[tuple[int, float], ...]:
-    """Finite-box growth table: (n, log vol(B_n(x)) / n) up to the eccentricity.
+def growth_diagnostic(md: MetricData, x: str) -> tuple[tuple[int, float], ...]:
+    """Finite-box growth table of the metric's graph: (n, log vol(B_n(x)) / n)
+    up to the eccentricity.
 
     Purely diagnostic; on a finite graph the ratios eventually decay like
     log(vol X)/n, so no pass/fail judgement is attached.
     """
+    g = md.graph
     _require_combinatorial(g)
     row = md.dist[g.index[x]]
     eccentricity = int(np.floor(row.max()))

@@ -367,7 +367,7 @@ STAGES = {
             "<=",
         )
     ],
-    "homogeneity": lambda run: check_homogeneity(run.ctx.graph, run.ctx.metric, seed=run.args.seed),
+    "homogeneity": lambda run: check_homogeneity(run.ctx.metric, seed=run.args.seed),
     "covering": _covering,
     "voronoi": lambda run: verify_voronoi(run.voronoi, run.ctx.metric),
     "cells": _cells,

@@ -4,11 +4,13 @@ The distance between two vertices is the infimum of path lengths, where an
 edge of weight b contributes length 1/b.  All-pairs distances come from one
 single-source shortest-path run per vertex over the graph's sparse edge
 lengths (WeightedGraph.lengths); only the distances are kept.  MetricData
-owns the distance table and answers every query read off it, the
-ball-volume brackets vol[s] and the sampled radii (quartiles) included;
-those two read the table in blocks of rows and form no n x n temporary.
-A geodesic is read back from the predecessors, which MetricData derives
-from the table only when something asks for them.
+owns the distance table and answers every query read off it, each with
+one implementation: the ball-volume brackets vol[s] and its two
+refinements are one blocked product (ball_mass_max), the sampled radii
+(quartiles) one blocked selection, and the inradius the covering radius of
+the complement.  None forms an n x n temporary.  A geodesic is read back
+from scipy's predecessors, which only a read of MetricData.pred asks
+Dijkstra for.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.csgraph import dijkstra as _dijkstra
 
 from .errors import EmptyCenters, EmptyOmega, InvalidSpec
@@ -28,9 +29,6 @@ from .report import BoundReport, make_report
 
 # The homogeneity ball_count row samples at most this many centres.
 MAX_CENTERS = 24
-# MetricData.pred at the source and at every vertex it cannot reach, as
-# scipy's shortest-path routines write it.
-NO_PREDECESSOR = -9999
 
 
 # The distance table is read in blocks of whole rows holding about this many
@@ -66,16 +64,22 @@ def _row_blocks(n: int, rows: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 
 
-def ball_mass_max(dist: np.ndarray, s: float, weights: np.ndarray, rows: int) -> float:
-    """((dist <= s) @ weights).max(), one block of `rows` rows at a time:
-    each row's sum is the same matrix-vector product over the same row.
-    OpenBLAS may split one product over its threads at a row that does not
-    start a group of four, so a row sum at such a split can round
-    differently in the whole-table product (and differs between thread
-    counts there as well)."""
-    return max(
-        float(((dist[block] <= s) @ weights).max()) for block in _row_blocks(len(dist), rows)
-    )
+def ball_mass_max(
+    dist: np.ndarray, s: float, weights: np.ndarray, rows: int, centers: np.ndarray | None = None
+) -> float:
+    """((dist[centers] <= s) @ weights).max(), all rows when centers is None,
+    one block of `rows` rows at a time: each row's sum is the same
+    matrix-vector product over the same row, and only a block of the
+    centre rows is ever copied or cast.  OpenBLAS may split one product
+    over its threads at a row that does not start a group of four, so a row
+    sum at such a split can round differently in the whole-table product
+    (and differs between thread counts there as well); the blocked sums do
+    not."""
+    if centers is None:
+        blocks = _row_blocks(len(dist), rows)
+    else:
+        blocks = [centers[block] for block in _row_blocks(len(centers), rows)]
+    return max(float(((dist[block] <= s) @ weights).max()) for block in blocks)
 
 
 def positive_quantiles(dist: np.ndarray, rows: int) -> tuple[float, ...]:
@@ -199,10 +203,11 @@ class MetricData:
 
     vol_bracket(s) is vol[s], the supremum of closed-ball volumes of radius
     s over all centers; vol_bracket_within and vol_bracket_centers are its
-    two refinements.  quartiles holds the one sample of the distance
-    distribution that the homogeneity rows and the doubling scales read,
-    selected from dist without copying it.  pred, the geodesic trees, is
-    derived from dist on first use; no report stage reads it.
+    two refinements, all three read by ball_mass_max.  quartiles holds the
+    one sample of the distance distribution that the homogeneity rows and
+    the doubling scales read, selected from dist without copying it.
+    pred, the geodesic trees, is scipy's predecessor table, asked of
+    Dijkstra on first read; no report stage reads it.
     """
 
     graph: WeightedGraph
@@ -224,39 +229,11 @@ class MetricData:
     @cached_property
     def pred(self) -> np.ndarray:
         """pred[i, j], the predecessor of j on a shortest path from source
-        i, in scipy's convention: int32, and NO_PREDECESSOR (-9999) at the
-        source itself and at every vertex it cannot reach.  Derived from
-        dist: u is tight for j when dist[i, u] + L[u, j] == dist[i, j] bit
-        for bit, and pred[i, j] is the first u in lengths' CSR order that
-        is tight and strictly closer to i.  Dijkstra set dist[i, j] by
-        exactly such an add, so a reachable j != i has a tight neighbour;
-        it is strictly closer unless L[u, j] is below half an ulp of
-        dist[i, j], and then _join_ties picks one.  An inf distance is
-        skipped: there inf + L == inf holds for every neighbour at distance
-        inf too.  Sources are taken in blocks of about BLOCK_ENTRIES
-        (source, CSR entry) pairs; the n x n int32 table is kept once
-        formed."""
-        n, L = self.graph.n, self.graph.lengths
-        pred = np.full((n, n), NO_PREDECESSOR, dtype=np.int32)
-        if not L.nnz:
-            return _readonly(pred)
-        owner = np.repeat(np.arange(n), np.diff(L.indptr))
-        has = np.flatnonzero(np.diff(L.indptr))
-        entry = np.arange(L.nnz)
-        named = np.append(L.indices, NO_PREDECESSOR)
-        ties = []
-        for block in _row_blocks(n, max(1, BLOCK_ENTRIES // L.nnz)):
-            near = self.dist[block][:, L.indices]
-            target = self.dist[block][:, owner]
-            tight = (near + L.data == target) & (near < target) & (target < np.inf)
-            # The first tight entry of each vertex's CSR row, L.nnz for none.
-            first = np.minimum.reduceat(np.where(tight, entry, L.nnz), L.indptr[has], axis=1)
-            pred[block, has] = named[first]
-            reached = self.dist[block][:, has]
-            lacking = (first == L.nnz) & (reached > 0.0) & (reached < np.inf)
-            ties.extend(block.start + np.flatnonzero(lacking.any(axis=1)))
-        for i in ties:
-            _join_ties(pred[i], self.dist[i], L)
+        i, as scipy's Dijkstra returns it: int32, and -9999 at the source
+        itself and at every vertex it cannot reach.  compute_metric keeps
+        the distances only, so the first read runs Dijkstra again, with
+        predecessors, and keeps the read-only n x n table."""
+        _, pred = _dijkstra(self.graph.lengths, directed=True, return_predecessors=True)
         return _readonly(pred)
 
     @cached_property
@@ -282,29 +259,7 @@ class MetricData:
         idx = self.graph.indices(centers)
         if idx.size == 0:
             raise EmptyCenters()
-        return float(((self.dist[idx, :] <= s) @ self.graph.m).max())
-
-
-def _join_ties(pred: np.ndarray, dist: np.ndarray, L: sparse.csr_matrix) -> None:
-    """Complete one source's predecessor row where no tight neighbour is
-    strictly closer: the tight neighbours of such a j lie at its own
-    distance, and j takes the first, in CSR order, that has joined the tree
-    already, sweep by sweep.  Each j is joined through one that joined
-    before it, so no chain cycles."""
-    left = np.flatnonzero((pred < 0) & (dist > 0.0) & (dist < np.inf)).tolist()
-    while left:
-        rest = []
-        for j in left:
-            span = slice(L.indptr[j], L.indptr[j + 1])
-            for u, length in zip(L.indices[span], L.data[span]):
-                if pred[u] >= 0 and dist[u] + length == dist[j]:
-                    pred[j] = u
-                    break
-            else:
-                rest.append(j)
-        if len(rest) == len(left):
-            return  # no tight chain reaches them; Dijkstra's distances always have one
-        left = rest
+        return ball_mass_max(self.dist, s, self.graph.m, _block_rows(self.graph.n), idx)
 
 
 def compute_metric(g: WeightedGraph) -> MetricData:
@@ -346,22 +301,18 @@ def inradius(md: MetricData, omega: Iterable[str]) -> float:
     """Largest r such that some open ball U_r(x), x in omega, stays in omega.
 
     On a finite graph this equals max over x in omega of the distance from
-    x to the complement D = X \\ omega.  EmptyOmega when omega is empty,
-    EmptyCenters when omega is the whole graph (D is empty, so no point
-    lies outside).
+    x to the complement D = X \\ omega, which is the covering radius of D:
+    the distance from D to a vertex of D is 0, so the maximum over all
+    vertices is the same float, and Covr(D) == Inr(X \\ D) holds bit for
+    bit.  EmptyOmega when omega is empty, EmptyCenters when omega is the
+    whole graph (D is empty, so no point lies outside), and KeyError on an
+    id that is not a vertex.
     """
     g = md.graph
-    omega = tuple(omega)
-    if not omega:
+    inside = g.indices(omega)
+    if not inside.size:
         raise EmptyOmega()
-    if len(set(omega)) == g.n:
-        raise EmptyCenters()
-    omega_idx = g.indices(omega)
-    d_idx = g.indices(g.complement(omega))
-    # Rows indexed by complement points: same entries the covering radius
-    # reads, so Covr(D) == Inr(X \ D) holds bit-for-bit.
-    colmin = md.dist[d_idx, :].min(axis=0)
-    return float(colmin[omega_idx].max())
+    return covering_radius(md, np.delete(g.vertices, inside))
 
 
 def covering_radius(md: MetricData, d_set: Iterable[str]) -> float:
@@ -376,12 +327,9 @@ def covering_radius(md: MetricData, d_set: Iterable[str]) -> float:
     return float(colmin.max())
 
 
-def check_homogeneity(
-    g: WeightedGraph,
-    md: MetricData,
-    seed: int = DEFAULT_SEED,
-) -> list[BoundReport]:
-    """Verify the two uniform-geometry estimates on sampled balls.
+def check_homogeneity(md: MetricData, seed: int = DEFAULT_SEED) -> list[BoundReport]:
+    """Verify the two uniform-geometry estimates on sampled balls of the
+    metric's graph.
 
     Row 1: every pair of distinct vertices is at distance >= 1/b_max.
     Row 2: for sampled (x, r), the cardinality of B_r(x) stays below
@@ -396,6 +344,7 @@ def check_homogeneity(
     smaller margin would report.  A single vertex has neither pairs nor
     radii, so both its rows are vacuous.
     """
+    g = md.graph
     c = g.constants
     if g.n == 1:
         return [

@@ -368,7 +368,7 @@ def test_chain_on_random_combinatorial_instances(seed):
 def test_growth_diagnostic_on_line_decreases():
     g = lattice_box(1, 20)
     md = compute_metric(g)
-    table = growth_diagnostic(g, md, "10")
+    table = growth_diagnostic(md, "10")
     ratios = [r for _, r in table]
     assert len(table) == 10
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
@@ -390,7 +390,7 @@ def test_growth_diagnostic_on_binary_tree_plateaus_near_log2():
         level = nxt
     g = WeightedGraph.from_edge_list(ids, 1.0, edges)
     md = compute_metric(g)
-    table = growth_diagnostic(g, md, "r")
+    table = growth_diagnostic(md, "r")
     mid = [r for n, r in table if 3 <= n <= depth]
     assert all(abs(r - np.log(2.0)) < 0.35 for r in mid)
 
@@ -398,4 +398,4 @@ def test_growth_diagnostic_on_binary_tree_plateaus_near_log2():
 def test_growth_diagnostic_single_vertex_empty():
     g = WeightedGraph.from_edge_list(("a",), 1.0, [])
     md = compute_metric(g)
-    assert growth_diagnostic(g, md, "a") == ()
+    assert growth_diagnostic(md, "a") == ()
