@@ -147,8 +147,11 @@ def _numbers(option: str, spec, form: str, count: int = 1) -> list[float]:
 
 
 def _check_numbers(args) -> None:
-    """Refuse a malformed or non-finite number option, or half a ball
-    query, before any stage runs; only the 'auto' forms wait for the graph."""
+    """Refuse a malformed or non-finite number option, a negative seed, or
+    half a ball query, before any stage runs; only the 'auto' forms wait
+    for the graph."""
+    if args.seed < 0:
+        raise ValueError(f"--seed {args.seed}: expected a nonnegative integer")
     interval = getattr(args, "interval", None)
     if interval is not None and (interval != "auto" or args.command == "spectrum"):
         parse_interval(interval, None)

@@ -23,7 +23,7 @@ from .generators import DEFAULT_SEED
 from .graph import WeightedGraph, _readonly
 from .metric import BLOCK_ENTRIES, MetricData
 from .report import BoundReport, make_report
-from .spectral import AnalysisContext, dirichlet_energy
+from .spectral import AnalysisContext, _power, dirichlet_energy
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +140,8 @@ def verify_doubling(
     scales: Iterable[float],
     factors: Iterable[float] = (1.5, 2.0, 3.0),
 ) -> None:
-    """Check vol[a*s] <= a^N vol[s] on a sampled grid; raise when violated."""
+    """Check vol[a*s] <= a^N vol[s] on a sampled grid; raise when violated.
+    An a^N beyond float64 is inf, which every volume satisfies."""
     for s in scales:
         if s <= 0.0:
             continue
@@ -148,7 +149,7 @@ def verify_doubling(
         for a in factors:
             if a < 1.0:
                 continue
-            if md.vol_bracket(a * s) > a**exponent * base * (1.0 + 1e-12):
+            if md.vol_bracket(a * s) > _power(a, exponent) * base * (1.0 + 1e-12):
                 raise DoublingUnverified(
                     f"vol[{a * s!r}] exceeds {a!r}^{exponent!r} * vol[{s!r}]"
                 )
@@ -164,7 +165,8 @@ def potential_dirichlet_bound(
     the penalty set in the original metric and vol[.] in the original
     measure.  When a doubling exponent N is supplied it is first verified
     on a sampled grid (including the pair actually used); the variant
-    lambda_V + 1 / (c^(4+2N) * R * vol[R]) is then emitted as well.
+    lambda_V + 1 / (c^(4+2N) * R * vol[R]) is then emitted as well; where
+    c^(4+2N) overflows float64 its bound is lambda_V.
     """
     ctx.require_region()
     truth, R, md = ctx.lambda_omega, ctx.R, ctx.metric
@@ -188,7 +190,7 @@ def potential_dirichlet_bound(
             make_report(
                 "potential/dirichlet_lower_doubling",
                 truth,
-                gs.lambda_v + 1.0 / (gs.c ** (4.0 + 2.0 * n_exp) * R * ctx.vol_R),
+                gs.lambda_v + 1.0 / (_power(gs.c, 4.0 + 2.0 * n_exp) * R * ctx.vol_R),
                 ">=",
                 note=f"doubling exponent {n_exp!r} verified on sampled grid",
             )

@@ -38,9 +38,9 @@ sorts the pairs and holds every residual ||Ax - lambda x|| to the budget.
 Each solver below adds only its own check:
 
     lambda_0(H), lambda_Omega
-        sparse_ground_state: shift-invert Lanczos (ARPACK) with a shift
-        below the whole spectrum (min V/m - 1 for H, lambda_0(H) - 1 for
-        the region block), so the largest eigenvalue of the
+        shift-invert Lanczos (ARPACK) with a shift below the whole
+        spectrum (min V/m - 1 for H, lambda_0(H) - 1 for the region
+        block, by sparse_ground_state), so the largest eigenvalue of the
         shift-inverted operator is the ground energy.  The residual is
         its only check.
     lambda_0(H + t 1_D)
@@ -71,14 +71,15 @@ constant reads those pairs, with no index into a full decomposition.
 Every residual must stay within n eps ||H||_1 (n eps (||H|| + t) for the
 coupled operators): the dense solver's own error budget n eps ||H||, with
 ||H|| bounded by the largest absolute column sum, which needs no solve.
-Every factorization of a matrix with H's sparsity pattern reuses the
-fill-reducing ordering SuperLU found for the first (SymmetricOrdering):
-the matrix is permuted symmetrically and factored in that order, with the
-same fill and no new search.  Before the first sparse factorization or
-Lanczos run, scipy's bundled OpenBLAS is set to one thread for the rest
-of the process (_one_blas_thread): its workers otherwise spin on both
-cores of a small machine and slow numpy's separate OpenBLAS, which runs
-the dense LAPACK calls that follow.
+Every other factorization of a matrix with H's sparsity pattern reuses
+the fill-reducing ordering SuperLU found for H's ground-state
+factorization (AnalysisContext.ordering): the matrix is permuted
+symmetrically and factored in that order, with the same fill and no new
+search, so no value depends on which quantity was asked first.  Before
+the first sparse factorization or Lanczos run, scipy's bundled OpenBLAS
+is set to one thread for the rest of the process (_one_blas_thread): its
+workers otherwise spin on both cores of a small machine and slow numpy's
+separate OpenBLAS, which runs the dense LAPACK calls that follow.
 
 The resolvent row never forms an n x n inverse.  With A = H + t 1_D + 1,
 Y = A^(-1) E_D (the columns of the coupled resolvent on D) and
@@ -91,7 +92,7 @@ SPARSE_MIN_N vertices on, Y comes from a sparse LU of A with partial
 pivoting (A is indefinite when V < 0), whose unit right-hand sides are
 written straight into factored order: the solve holds at most two n x |D|
 arrays at a time (the right-hand sides and SuperLU's solution, then that
-and Y), where E_D, its permuted copy, the solution and Y made four.
+and Y).
 """
 
 from __future__ import annotations
@@ -182,20 +183,6 @@ def _one_blas_thread() -> None:
         set_threads(1)
 
 
-@dataclass(eq=False)
-class SymmetricOrdering:
-    """A fill-reducing symmetric ordering shared by the matrices of one
-    sparsity pattern (H, H - s, H + t 1_D - s, ...).
-
-    The first factorization given it lets SuperLU order the pattern
-    (minimum degree on A^T + A) and keeps that order, argsort(perm_c);
-    every later one factors the symmetrically permuted matrix with
-    permc_spec="NATURAL", which has the same fill and skips the search.
-    """
-
-    order: np.ndarray | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class _Factorization:
     """A SuperLU factorization of A - shift, or of P (A - shift) P^T when
@@ -230,34 +217,35 @@ class _Factorization:
         y[self.order] = x
         return y
 
-    def negative_pivots(self) -> int | None:
-        """The number of eigenvalues of A below the shift, or None when
-        SuperLU pivoted off the diagonal.  By Sylvester's law of inertia it
-        is the number of negative pivots of an LDL^T factorization, which
-        SuperLU gives when it keeps to the diagonal (perm_r == perm_c)."""
+    def negative_pivots(self) -> int:
+        """The number of eigenvalues of A below the shift.  By Sylvester's
+        law of inertia it is the number of negative pivots of an LDL^T
+        factorization, which SuperLU gives when it keeps to the diagonal
+        (perm_r == perm_c); otherwise this raises ConvergenceFailure."""
         if not np.array_equal(self.lu.perm_r, self.lu.perm_c):
-            return None
+            raise ConvergenceFailure(
+                f"no inertia at {self.shift!r}: SuperLU pivoted off the diagonal"
+            )
         return int(np.count_nonzero(self.lu.U.diagonal() < 0.0))
 
 
 def _factor(
     A: sparse.spmatrix,
     shift: float,
-    ordering: SymmetricOrdering | None = None,
+    order: np.ndarray | None = None,
     diagonal: bool = True,
 ) -> _Factorization:
-    """LU of A - shift under a symmetric fill-reducing ordering (ordering's,
-    once it has one).  With diagonal, the pivots stay on the diagonal
-    unless one is exactly zero; otherwise SuperLU pivots partially.
-    Raises ConvergenceFailure when A - shift is exactly singular."""
+    """LU of A - shift under a symmetric fill-reducing ordering: order, the
+    rows and columns of A in factored order, when given, and otherwise the
+    one SuperLU finds (minimum degree on A^T + A).  With diagonal, the
+    pivots stay on the diagonal unless one is exactly zero; otherwise
+    SuperLU pivots partially.  Raises ConvergenceFailure when A - shift is
+    exactly singular."""
     B = (A - shift * sparse.identity(A.shape[0], format="csc")).tocsc()
     pivoting = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}} if diagonal else {}
-    order = None if ordering is None else ordering.order
     try:
         if order is None:
             lu = splu(B, permc_spec="MMD_AT_PLUS_A", **pivoting)
-            if ordering is not None:
-                ordering.order = np.argsort(lu.perm_c)
         else:
             lu = splu(B[order][:, order], permc_spec="NATURAL", **pivoting)
     except RuntimeError as exc:
@@ -319,7 +307,7 @@ def sparse_ground_state(
     sigma: float,
     v0: np.ndarray,
     budget: float,
-    ordering: SymmetricOrdering | None = None,
+    order: np.ndarray | None = None,
     fallback: float | None = None,
 ) -> tuple[float, np.ndarray, float]:
     """Lowest eigenpair of a sparse symmetric matrix A, and its residual.
@@ -337,54 +325,39 @@ def sparse_ground_state(
     law), and then a basis of NEAR_SHIFT_NCV Lanczos vectors suffices.
     When that check, ARPACK or the residual fails, the solve is redone at
     the shift fallback, which must lie below the spectrum, with ARPACK's
-    default basis.  ordering, when given, is the fill-reducing ordering of
+    default basis.  order, when given, is the fill-reducing ordering of
     A's sparsity pattern.
     """
     if fallback is not None:
         try:
-            return _ground_state(A, sigma, v0, budget, ordering, near=True)
+            lu = _factor(A, sigma, order)
+            if lu.negative_pivots() != 0:
+                raise ConvergenceFailure(f"the shift {sigma!r} is not below the spectrum")
+            evals, evecs, residual = _lanczos(A, 1, v0, budget, lu, NEAR_SHIFT_NCV)
+            return float(evals[0]), evecs[:, 0], residual
         except ConvergenceFailure:
             sigma = fallback
-    return _ground_state(A, sigma, v0, budget, ordering, near=False)
-
-
-def _ground_state(
-    A: sparse.spmatrix,
-    sigma: float,
-    v0: np.ndarray,
-    budget: float,
-    ordering: SymmetricOrdering | None,
-    near: bool,
-) -> tuple[float, np.ndarray, float]:
     # Below the spectrum A - sigma is positive definite, so its LU needs no
     # pivoting, and a symmetric fill-reducing ordering keeps it sparse.
-    lu = _factor(A, sigma, ordering)
-    if near and lu.negative_pivots() != 0:
-        raise ConvergenceFailure(f"the shift {sigma!r} is not below the spectrum")
-    evals, evecs, residual = _lanczos(A, 1, v0, budget, lu, NEAR_SHIFT_NCV if near else None)
+    evals, evecs, residual = _lanczos(A, 1, v0, budget, _factor(A, sigma, order))
     return float(evals[0]), evecs[:, 0], residual
 
 
-def count_below(
-    A: sparse.spmatrix, shift: float, ordering: SymmetricOrdering | None = None
-) -> int:
+def count_below(A: sparse.spmatrix, shift: float, order: np.ndarray | None = None) -> int:
     """The number of eigenvalues of the sparse symmetric A below shift.
 
     By Sylvester's law of inertia it is the number of negative pivots of
     an LDL^T factorization of A - shift.  SuperLU gives one when it keeps
     to the diagonal under a symmetric ordering (perm_r == perm_c); when it
     has to pivot elsewhere, or A - shift is exactly singular, this raises
-    ConvergenceFailure.  ordering, when given, is the fill-reducing
-    ordering of A's sparsity pattern.
+    ConvergenceFailure.  order, when given, is the fill-reducing ordering
+    of A's sparsity pattern.
     """
-    count = _factor(A, shift, ordering).negative_pivots()
-    if count is None:
-        raise ConvergenceFailure(f"no inertia at {shift!r}: SuperLU pivoted off the diagonal")
-    return count
+    return _factor(A, shift, order).negative_pivots()
 
 
 def sparse_top_eigenvalue(
-    A: sparse.spmatrix, budget: float, ordering: SymmetricOrdering | None = None
+    A: sparse.spmatrix, budget: float, order: np.ndarray | None = None
 ) -> float:
     """The largest eigenvalue of a sparse symmetric matrix A.
 
@@ -397,7 +370,7 @@ def sparse_top_eigenvalue(
     n = A.shape[0]
     evals, _, residual = _lanczos(A, 1, _start_vector(n), budget)
     theta = float(evals[0])
-    if count_below(A, theta + residual + budget, ordering) != n:
+    if count_below(A, theta + residual + budget, order) != n:
         raise ConvergenceFailure(f"an eigenvalue lies above the Ritz value {theta!r}")
     return theta
 
@@ -407,7 +380,7 @@ def sparse_window(
     sigma: float,
     interval: tuple[float, float],
     budget: float,
-    ordering: SymmetricOrdering | None = None,
+    order: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of a sparse symmetric A with eigenvalues in [a, b].
 
@@ -422,13 +395,13 @@ def sparse_window(
     (eigenvalues ascending, unit eigenvectors as columns).
     """
     n = A.shape[0]
-    lo = count_below(A, interval[0] - ENDPOINT_TOLERANCE, ordering)
-    k = count_below(A, interval[1] + ENDPOINT_TOLERANCE, ordering)
+    lo = count_below(A, interval[0] - ENDPOINT_TOLERANCE, order)
+    k = count_below(A, interval[1] + ENDPOINT_TOLERANCE, order)
     if k == lo:
         return np.empty(0), np.empty((n, 0))
     if k >= n:
         raise ConvergenceFailure(f"the window reaches {k} of {n} eigenvalues; eigsh needs fewer")
-    evals, evecs, _ = _lanczos(A, k, _start_vector(n), budget, _factor(A, sigma, ordering))
+    evals, evecs, _ = _lanczos(A, k, _start_vector(n), budget, _factor(A, sigma, order))
     drift = float(np.max(np.abs(evecs.T @ evecs - np.eye(k))))
     if not (
         np.count_nonzero(evals < interval[0] - ENDPOINT_TOLERANCE) == lo
@@ -510,9 +483,9 @@ class AnalysisContext:
     From SPARSE_MIN_N vertices on (matrix_free) no dense n x n matrix is
     formed or solved.  Everything comes from sparse_operator, and each
     value is certified within budget = n eps ||H||_1:
-      - ground_pair, lambda_0: sparse_ground_state with the shift
-        min V/m - 1 (the Laplacian part is positive semidefinite) from
-        sqrt(m); certified by the residual.
+      - ground_pair, lambda_0: _ground_solve, one shift-invert Lanczos
+        run with the shift min V/m - 1 (the Laplacian part is positive
+        semidefinite) from sqrt(m); certified by the residual.
       - lambda_max: sparse_top_eigenvalue, certified by the residual and
         the inertia above it; falls back to decomposition if that fails.
       - lambda_omega: sparse_ground_state on the region block with the
@@ -533,9 +506,13 @@ class AnalysisContext:
         Each solve starts from the ground state at that t' (H's at the
         seed), a positive vector, so the values are reproducible bit for
         bit for the same sequence of t.
-    Every factorization of H's sparsity pattern (the inertia counts, the
-    window, the coupled solves and the resolvent's LU) reuses ordering,
-    the fill-reducing ordering found for ground_pair.
+    ordering is a value of _ground_solve: the fill-reducing ordering
+    SuperLU found when it factored H below its spectrum.  Every other
+    factorization of H's sparsity pattern (the inertia counts, the window,
+    the coupled solves and the resolvent's LU) is permuted by it and
+    factored with no new search; reading ordering runs the ground solve
+    first, so each value has the same bits in whatever order the
+    properties are read.
     """
 
     graph: WeightedGraph
@@ -615,28 +592,29 @@ class AnalysisContext:
         if not self.matrix_free:
             evals, vectors = self.decomposition
             return float(evals[0]), vectors[:, 0]
-        lam, x, _ = self._ground_solve
+        lam, x, _, _ = self._ground_solve
         return lam, _readonly(x / np.sqrt(self.graph.m))
 
     @cached_property
-    def ordering(self) -> SymmetricOrdering:
-        """The fill-reducing ordering of H's sparsity pattern, found by the
-        first factorization given it (ground_pair's in a report) and
-        shared by every later one of H - s or H + t 1_D - s."""
-        return SymmetricOrdering()
+    def _ground_solve(self) -> tuple[float, np.ndarray, float, np.ndarray]:
+        """H's ground state from one shift-invert Lanczos run at the shift
+        min V/m - 1, below the spectrum since the Laplacian part is
+        positive semidefinite, from sqrt(m): lambda_0, the unit eigenvector
+        in the symmetric picture, its residual, and the ordering SuperLU
+        found for that factorization."""
+        g = self.graph
+        A = self.sparse_operator
+        lu = _factor(A, float(np.min(g.V / g.m)) - 1.0)
+        evals, evecs, residual = _lanczos(A, 1, np.sqrt(g.m), self.budget, lu)
+        return float(evals[0]), evecs[:, 0], residual, _readonly(np.argsort(lu.lu.perm_c))
 
     @cached_property
-    def _ground_solve(self) -> tuple[float, np.ndarray, float]:
-        """sparse_ground_state of H: lambda_0, the unit eigenvector in the
-        symmetric picture, and its residual."""
-        g = self.graph
-        return sparse_ground_state(
-            self.sparse_operator,
-            float(np.min(g.V / g.m)) - 1.0,
-            np.sqrt(g.m),
-            self.budget,
-            self.ordering,
-        )
+    def ordering(self) -> np.ndarray:
+        """The fill-reducing ordering of H's sparsity pattern, H's rows and
+        columns in factored order: the one SuperLU found for the ground
+        solve, shared by every later factorization of H - s or
+        H + t 1_D - s, whichever quantity is asked first."""
+        return self._ground_solve[3]
 
     @cached_property
     def lambda_0(self) -> float:
@@ -777,7 +755,7 @@ class AnalysisContext:
         two.  t = 0 is seeded from H's own solve, so it is lambda_0."""
         if not self.matrix_free:
             return {0.0: (self.lambda_0, None, None)}
-        lam, x, residual = self._ground_solve
+        lam, x, residual, _ = self._ground_solve
         return {0.0: (lam, lam - residual, np.abs(x))}
 
     def coupled_budget(self, t: float) -> float:
@@ -960,10 +938,10 @@ def resolvent_gap(ctx: AnalysisContext, t: float) -> BoundReport:
     )
 
 
-def _fourth_power(x: float) -> float:
-    """x ** 4, or inf where that leaves float64 (Python's ** raises there)."""
+def _power(x: float, y: float) -> float:
+    """x ** y, or inf where that leaves float64 (Python's ** raises there)."""
     try:
-        return x ** 4
+        return x**y
     except OverflowError:
         return math.inf
 
@@ -1008,7 +986,7 @@ def coupling_rate(ctx: AnalysisContext, t_list: Sequence[float]) -> list[BoundRe
         )
 
     refined_factor = 4.0 * h1 * h1 * (lam_inf + 1.0) ** 2
-    coarse_factor = 4.0 * _fourth_power(h1)
+    coarse_factor = 4.0 * _power(h1, 4)
 
     def coarse_bound(t: float) -> float:
         if math.isfinite(coarse_factor):
@@ -1124,7 +1102,7 @@ def uncertainty_constant(
     geo = 1.0 / (ctx.R * ctx.vol_R)
     kappa_cor = None
     if max_i < geo:
-        h1_fourth = _fourth_power(h1)
+        h1_fourth = _power(h1, 4)
         if math.isfinite(h1_fourth):
             kappa_cor = (geo - max_i) ** 2 / (16.0 * h1_fourth)
         else:

@@ -14,7 +14,7 @@ import pytest
 from scipy import sparse
 
 import specbounds
-from specbounds import graph, metric, spectral
+from specbounds import graph, metric, potential, spectral
 from specbounds import (
     AnalysisContext,
     Report,
@@ -270,6 +270,7 @@ BAD_NUMBERS = [
     (["report", "--centers", "every:x"], "--centers every:x: expected every:k with a whole number k"),
     (["cheeger", "--centers", "sublattice:y"],
      "--centers sublattice:y: expected sublattice:k with a whole number k"),
+    (["report", "--seed", "-1"], "--seed -1: expected a nonnegative integer"),
     (["metric", "--radius", "1.0"], HALF_A_BALL),
     (["metric", "--ball-center", "v0"], HALF_A_BALL),
 ]
@@ -627,6 +628,33 @@ def test_vol_bracket_is_evaluated_once_per_radius(monkeypatch, capsys, argv):
     assert sorted(evaluated) == sorted(set(asked))
 
 
+@pytest.mark.parametrize("command", ["transform", "report"])
+@pytest.mark.parametrize("with_v", [False, True], ids=["no_potential", "potential"])
+def test_cli_doubling_exponent_whose_powers_overflow(tmp_path, capsys, command, with_v):
+    """With --doubling-N 2000, a^N leaves float64 for every factor a > 1
+    of the doubling grid, and so does c^(4+2N) where a potential makes
+    c > 1.  Each is inf: every volume satisfies the grid, and the doubling
+    row's bound is lambda_V where c^(4+2N) overflows."""
+    if with_v:
+        g = random_connected(30, seed=3, potential_range=(0.0, 3.0))
+    else:
+        g = generate("random:30")
+    path = tmp_path / "g.json"
+    path.write_text(dumps_graph(g), encoding="utf-8")
+    argv = [command, "--graph", str(path), "--centers", "every:4", "--doubling-N", "2000"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    (row,) = [
+        r for r in json.loads(out)["rows"] if r["name"] == "potential/dirichlet_lower_doubling"
+    ]
+    assert row["pass"] and not row["vacuous"]
+    gs = potential.ground_state(AnalysisContext(g))
+    assert (gs.c > 1.0) == with_v
+    if with_v:
+        assert row["bound"] == gs.lambda_v
+
+
 def test_version_agrees_everywhere(capsys):
     assert cli.main(["--version"]) == 0
     printed = capsys.readouterr().out.strip()
@@ -721,13 +749,27 @@ def _solve_skipped(monkeypatch, ctx, ts):
     return len(skipped)
 
 
+def _count_ground_solves(monkeypatch, calls):
+    """Count the runs of AnalysisContext._ground_solve, H's ground-state
+    solve, as calls["_ground_solve"]."""
+    prop = vars(AnalysisContext)["_ground_solve"]
+    solve = prop.func
+
+    def counting(self):
+        calls["_ground_solve"] += 1
+        return solve(self)
+
+    monkeypatch.setattr(prop, "func", counting)
+
+
 def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, capsys):
     """From SPARSE_MIN_N vertices on, a report makes one sparse solve per
     distinct coupling t > 0 it asks for (8: the uncertainty grid adds none
-    to the coupling grid's) plus one each for lambda_0(H) and lambda_Omega,
-    runs eigvalsh on no coupled operator, and cuts no dense coupled matrix
-    (the resolvent row factors the sparse one).  The coupling grid's t = 0
-    is answered from the curve's seed, lambda_0(H), with no solve."""
+    to the coupling grid's) plus one for lambda_Omega and one ground solve
+    for lambda_0(H), runs eigvalsh on no coupled operator, and cuts no
+    dense coupled matrix (the resolvent row factors the sparse one).  The
+    coupling grid's t = 0 is answered from the curve's seed, lambda_0(H),
+    with no solve."""
     calls = Counter()
     ts, contexts = set(), set()
     coupled = record_coupled(monkeypatch)
@@ -737,6 +779,7 @@ def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, caps
         [(spectral, "eigenvalues_of"), (spectral, "sparse_ground_state")],
         coupled,
     )
+    _count_ground_solves(monkeypatch, calls)
     solve = AnalysisContext.coupled_ground_energy
 
     def recording(self, t):
@@ -753,32 +796,41 @@ def test_report_above_crossover_solves_coupled_energies_sparse(monkeypatch, caps
     assert 0.0 in ts
     solved = ts - {0.0}
     assert len(solved) == 8
-    assert calls["sparse_ground_state"] == len(solved) + 2
+    assert calls["sparse_ground_state"] == len(solved) + 1
+    assert calls["_ground_solve"] == 1
     (ctx,) = contexts
     assert ctx.coupled_ground_energy(0.0) == ctx.lambda_0
     assert _solve_skipped(monkeypatch, ctx, ts) == 16
-    assert calls["sparse_ground_state"] == len(ts - {0.0}) + 2 == 26
+    assert calls["sparse_ground_state"] == len(ts - {0.0}) + 1 == 25
+    assert calls["_ground_solve"] == 1
 
 
 def test_report_above_crossover_orders_each_pattern_once(monkeypatch, capsys):
     """From SPARSE_MIN_N vertices on, SuperLU searches for a fill-reducing
     ordering twice per report, once for H's sparsity pattern and once for
     the region block; every other factorization reuses H's.  Every coupled
-    solve takes the shift just below its own eigenvalue, with no fallback,
-    and so do the couplings the report skips when solved after it; t = 0
-    takes no solve at all."""
-    orderings, solves = Counter(), Counter()
-    ts, contexts = set(), set()
-    splu, ground_state = spectral.splu, spectral._ground_state
+    solve takes the shift just below its own eigenvalue, with no fallback:
+    one Lanczos run with NEAR_SHIFT_NCV vectors.  So do the couplings the
+    report skips when solved after it; t = 0 takes no solve at all."""
+    orderings, solves, calls = Counter(), Counter(), Counter()
+    ts, contexts, runs = set(), set(), []
+    splu, lanczos = spectral.splu, spectral._lanczos
+    ground_state = spectral.sparse_ground_state
     energy = AnalysisContext.coupled_ground_energy
 
     def recording_splu(A, permc_spec=None, **kwargs):
         orderings[permc_spec] += 1
         return splu(A, permc_spec=permc_spec, **kwargs)
 
-    def recording_ground_state(*args, near):
-        solves["near" if near else "far"] += 1
-        return ground_state(*args, near=near)
+    def recording_lanczos(A, k, v0, budget, factor=None, ncv=None):
+        runs.append(ncv)
+        return lanczos(A, k, v0, budget, factor, ncv)
+
+    def recording_ground_state(*args, **kwargs):
+        before = len(runs)
+        result = ground_state(*args, **kwargs)
+        solves["near" if runs[before:] == [spectral.NEAR_SHIFT_NCV] else "far"] += 1
+        return result
 
     def recording_energy(self, t):
         ts.add(t)
@@ -786,8 +838,10 @@ def test_report_above_crossover_orders_each_pattern_once(monkeypatch, capsys):
         return energy(self, t)
 
     monkeypatch.setattr(spectral, "splu", recording_splu)
-    monkeypatch.setattr(spectral, "_ground_state", recording_ground_state)
+    monkeypatch.setattr(spectral, "_lanczos", recording_lanczos)
+    monkeypatch.setattr(spectral, "sparse_ground_state", recording_ground_state)
     monkeypatch.setattr(AnalysisContext, "coupled_ground_energy", recording_energy)
+    _count_ground_solves(monkeypatch, calls)
     argv = ["report", "--generate", f"random:{spectral.SPARSE_MIN_N}", "--centers", "every:4"]
     assert cli.main(argv) == 0
     capsys.readouterr()
@@ -797,11 +851,12 @@ def test_report_above_crossover_orders_each_pattern_once(monkeypatch, capsys):
     solved = ts - {0.0}
     assert len(solved) == 8
     # lambda_0(H) and lambda_Omega take a shift far below the spectrum.
-    assert solves == {"near": len(solved), "far": 2}
+    assert solves == {"near": len(solved), "far": 1} and calls["_ground_solve"] == 1
     (ctx,) = contexts
     assert _solve_skipped(monkeypatch, ctx, ts) == 16
     assert orderings["MMD_AT_PLUS_A"] == 2
-    assert solves == {"near": len(ts - {0.0}), "far": 2} and len(ts - {0.0}) == 24
+    assert solves == {"near": len(ts - {0.0}), "far": 1} and len(ts - {0.0}) == 24
+    assert calls["_ground_solve"] == 1
 
 
 def test_cli_interval_auto_on_negative_potential(tmp_path, capsys):

@@ -522,14 +522,11 @@ def test_unit_column_solve_is_the_identity_solve_bit_for_bit(ordered):
     the columns come out as solving with the identity's columns on D."""
     g = generate("random:300")
     ctx = AnalysisContext(g, cli.parse_centers(g, "every:4"))
-    if ordered:
-        ctx.lambda_0  # the ground solve fixes the shared ordering
-        assert ctx.ordering.order is not None
     d_idx = ctx.penalty_indices
     e_d = np.zeros((g.n, d_idx.size))
     e_d[d_idx, np.arange(d_idx.size)] = 1.0
-    ordering = ctx.ordering if ordered else None
-    lu = spectral._factor(ctx.coupled_sparse(7.0), -1.0, ordering, diagonal=False)
+    order = ctx.ordering if ordered else None  # read from the ground solve
+    lu = spectral._factor(ctx.coupled_sparse(7.0), -1.0, order, diagonal=False)
     assert (lu.order is not None) == ordered
     assert np.array_equal(lu.solve_unit_columns(d_idx), lu.solve(e_d))
 
@@ -554,7 +551,7 @@ def test_coarse_coupling_bound_where_the_fourth_power_of_the_norm_overflows():
     g = WeightedGraph.from_edge_list(ids, 1.0, list(zip(ids, ids[1:], (1.0, 1e100, 1.0))))
     ctx = AnalysisContext(g, ("a",))
     h1, threshold = ctx.shifted_norm, ctx.threshold
-    assert math.isfinite(threshold) and math.isinf(spectral._fourth_power(h1))
+    assert math.isfinite(threshold) and math.isinf(spectral._power(h1, 4))
     ts = [threshold * 10.0**k for k in range(4)]
     rows = [r for r in coupling_rate(ctx, ts) if r.name.startswith("coupling/rate#")]
     assert len(rows) == 4
@@ -866,16 +863,44 @@ def test_inertia_with_the_cached_ordering_matches_superlus_own():
     same inertia counts as SuperLU's own ordering, for H and for H + t 1_D."""
     g = generate("random:300")
     ctx = AnalysisContext(g, cli.parse_centers(g, "every:4"))
-    assert ctx.ordering.order is None
-    ctx.lambda_0
-    order = ctx.ordering.order
+    assert "_ground_solve" not in vars(ctx)
+    order = ctx.ordering
+    assert "_ground_solve" in vars(ctx)
     assert sorted(order) == list(range(g.n))
     for A in (ctx.sparse_operator, ctx.coupled_sparse(ctx.threshold)):
         dense = np.linalg.eigvalsh(A.toarray())
         shifts = [dense[0] - 1.0] + [0.5 * (dense[k - 1] + dense[k]) for k in (1, 5, 150, 299)]
         for k, shift in zip((0, 1, 5, 150, 299), shifts):
-            assert spectral.count_below(A, shift, ctx.ordering) == spectral.count_below(A, shift) == k
-    assert ctx.ordering.order is order
+            assert spectral.count_below(A, shift, order) == spectral.count_below(A, shift) == k
+    assert ctx.ordering is order
+
+
+def _query_order_graphs():
+    g = generate("random:800")
+    yield g, cli.parse_centers(g, "every:4")
+    g = generate("lattice:2:20")
+    yield g, cli.parse_centers(g, "sublattice:3")
+    g = random_connected(400, seed=5, m_range=(0.5, 2.0), potential_range=(-2.0, 3.0))
+    yield g, cli.parse_centers(g, "every:4")
+
+
+@pytest.mark.parametrize("g, centers", _query_order_graphs(), ids=["random800", "lattice", "V400"])
+def test_sparse_values_do_not_depend_on_which_is_read_first(g, centers):
+    """Above the crossover, reading lambda_max or a window before lambda_0
+    gives the same bits of lambda_0, the ground vector, lambda_max and the
+    coupled ground energy at the threshold as reading lambda_0 first: the
+    shared ordering is the ground solve's, not the first factorization's."""
+
+    def values(first):
+        ctx = AnalysisContext(g, centers)
+        assert ctx.matrix_free
+        first(ctx)
+        lam, x = ctx.ground_pair
+        return lam, x.tobytes(), ctx.lambda_max, ctx.coupled_ground_energy(ctx.threshold)
+
+    want = values(lambda ctx: ctx.lambda_0)
+    assert values(lambda ctx: ctx.lambda_max) == want
+    assert values(lambda ctx: ctx.window((0.0, 0.1))) == want
 
 
 def test_top_eigenvalue_on_a_unit_lattice():
