@@ -61,8 +61,11 @@ Each solver below adds only its own check:
         on an LDL^T factorization) gives how many eigenvalues lie below
         each end; one shift-invert Lanczos run returns that many lowest
         pairs, which must split at a as the counts do and be orthonormal
-        to n eps, and those in [a, b] are kept.  When SuperLU pivots off
-        the diagonal or a check fails, the dense eigh is used instead.
+        to n eps, and those in [a, b] are kept.
+
+No solver falls back to a dense eigh: when SuperLU pivots off the
+diagonal, a residual exceeds its budget or a check fails, the
+ConvergenceFailure propagates, and the CLI reports it as an error.
 
 AnalysisContext.window(interval) returns the window's eigenvalues and
 m-orthonormal eigenvectors on both sides of SPARSE_MIN_N: the uncertainty
@@ -75,11 +78,13 @@ Every other factorization of a matrix with H's sparsity pattern reuses
 the fill-reducing ordering SuperLU found for H's ground-state
 factorization (AnalysisContext.ordering): the matrix is permuted
 symmetrically and factored in that order, with the same fill and no new
-search, so no value depends on which quantity was asked first.  Before
-the first sparse factorization or Lanczos run, scipy's bundled OpenBLAS
-is set to one thread for the rest of the process (_one_blas_thread): its
-workers otherwise spin on both cores of a small machine and slow numpy's
-separate OpenBLAS, which runs the dense LAPACK calls that follow.
+search, so no value depends on which quantity was asked first.  When a
+context first assembles H, the OpenBLAS copies bundled with scipy (the
+BLAS of ARPACK and SuperLU) and with numpy (that of its LAPACK: eigh,
+solve, qr) are set to one thread for the rest of the process
+(_one_blas_thread): scipy's workers otherwise spin on both cores of a
+small machine and slow numpy's, and numpy's thread count otherwise moves
+the last bits of the dense values.
 
 The resolvent row never forms an n x n inverse.  With A = H + t 1_D + 1,
 Y = A^(-1) E_D (the columns of the coupled resolvent on D) and
@@ -153,33 +158,40 @@ ENDPOINT_TOLERANCE = 1e-12
 
 
 @cache
-def _scipy_openblas():
-    """The thread-count getter and setter of the OpenBLAS bundled with
-    scipy (the BLAS of ARPACK and SuperLU), or None when not found."""
-    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
-    for path in sorted(libs.glob("*openblas*")):
-        lib = ctypes.CDLL(str(path))
-        if hasattr(lib, "scipy_openblas_set_num_threads"):
-            get_threads = lib.scipy_openblas_get_num_threads
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            set_threads = lib.scipy_openblas_set_num_threads
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            return get_threads, set_threads
-    return None
+def _openblas_thread_setters() -> tuple:
+    """The thread-count setters of the OpenBLAS copies bundled with scipy
+    (the BLAS of ARPACK and SuperLU) and with numpy (that of its LAPACK,
+    whose symbols carry the suffix 64_); a copy that is not found is
+    left out."""
+    setters = []
+    for module, symbol in (
+        (scipy, "scipy_openblas_set_num_threads"),
+        (np, "scipy_openblas_set_num_threads64_"),
+    ):
+        libs = Path(module.__file__).resolve().parent.parent / f"{module.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            set_threads = getattr(ctypes.CDLL(str(path)), symbol, None)
+            if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                setters.append(set_threads)
+                break
+    return tuple(setters)
 
 
 def _one_blas_thread() -> None:
-    """Hold scipy's OpenBLAS at one thread for the rest of the process.
+    """Hold both bundled OpenBLAS copies at one thread for the rest of the
+    process.
 
     The sparse solves make many small BLAS calls; with two threads on two
     cores they run slower, and the idle workers keep spinning against
-    numpy's own OpenBLAS.  The count is never set back: numpy's next
-    LAPACK call can stall behind the workers that wakes.  The library is
-    looked up on first use, not at import; without it this does nothing.
+    numpy's copy.  numpy's thread count splits the dense LAPACK work
+    differently, which moves the last bits of its values; at one thread
+    a report is the same on any core count of one CPU.  The count is never
+    set back: numpy's next LAPACK call can stall behind the workers that
+    wakes.  The libraries are looked up on first use, not at import;
+    without them this does nothing.
     """
-    blas = _scipy_openblas()
-    if blas is not None:
-        _, set_threads = blas
+    for set_threads in _openblas_thread_setters():
         set_threads(1)
 
 
@@ -487,13 +499,12 @@ class AnalysisContext:
         run with the shift min V/m - 1 (the Laplacian part is positive
         semidefinite) from sqrt(m); certified by the residual.
       - lambda_max: sparse_top_eigenvalue, certified by the residual and
-        the inertia above it; falls back to decomposition if that fails.
+        the inertia above it.
       - lambda_omega: sparse_ground_state on the region block with the
         shift lambda_0 - 1 (below it by interlacing) from sqrt(m) on the
         region; certified by the residual.
       - window(interval): sparse_window, certified by the inertia at both
-        ends and the residuals; falls back to the eigh decomposition if
-        SuperLU pivots off the diagonal or a check fails.
+        ends and the residuals.
     On both sides window returns the pairs in the interval alone: their
     eigenvalues ascending and m-orthonormal eigenvectors as columns.
       - coupled_ground_energy(t): sparse_ground_state on H + t 1_D,
@@ -506,6 +517,9 @@ class AnalysisContext:
         Each solve starts from the ground state at that t' (H's at the
         seed), a positive vector, so the values are reproducible bit for
         bit for the same sequence of t.
+    When a certificate fails (SuperLU pivots off the diagonal, a residual
+    exceeds the budget, a check fails) the ConvergenceFailure propagates:
+    no matrix-free value reads operator or decomposition.
     ordering is a value of _ground_solve: the fill-reducing ordering
     SuperLU found when it factored H below its spectrum.  Every other
     factorization of H's sparsity pattern (the inertia counts, the window,
@@ -583,7 +597,7 @@ class AnalysisContext:
         eigensolve's n eps ||H||, with ||H|| bounded by the largest
         absolute column sum, which needs no solve."""
         column_sums = abs(self.sparse_operator).sum(axis=0)
-        return self.graph.n * np.finfo(float).eps * float(column_sums.max())
+        return float(self.graph.n * np.finfo(float).eps * column_sums.max())
 
     @cached_property
     def ground_pair(self) -> tuple[float, np.ndarray]:
@@ -625,10 +639,7 @@ class AnalysisContext:
     def lambda_max(self) -> float:
         """The largest eigenvalue of H."""
         if self.matrix_free:
-            try:
-                return sparse_top_eigenvalue(self.sparse_operator, self.budget, self.ordering)
-            except ConvergenceFailure:
-                pass
+            return sparse_top_eigenvalue(self.sparse_operator, self.budget, self.ordering)
         return float(self.decomposition[0][-1])
 
     @cached_property
@@ -674,14 +685,10 @@ class AnalysisContext:
         (ENDPOINT_TOLERANCE of jitter at both ends): the eigenvalues
         ascending and the m-orthonormal eigenvectors as columns."""
         if self.matrix_free:
-            try:
-                evals, x = sparse_window(
-                    self.sparse_operator, self.lambda_0 - 1.0, interval, self.budget, self.ordering
-                )
-            except ConvergenceFailure:
-                pass
-            else:
-                return _readonly(evals), _readonly(x / np.sqrt(self.graph.m)[:, None])
+            evals, x = sparse_window(
+                self.sparse_operator, self.lambda_0 - 1.0, interval, self.budget, self.ordering
+            )
+            return _readonly(evals), _readonly(x / np.sqrt(self.graph.m)[:, None])
         evals, vectors = self.decomposition
         inside = window_indices(evals, interval)
         return _readonly(evals[inside]), _readonly(vectors[:, inside])
@@ -720,8 +727,8 @@ class AnalysisContext:
     def sparse_operator(self) -> sparse.csc_matrix:
         """The symmetric picture of H in CSC form, built from the edge list:
         the program's one assembly of H.  Every sparse factorization and
-        Lanczos run is of this matrix or one cut from it, so scipy's
-        OpenBLAS is held at one thread here, before the first."""
+        Lanczos run is of this matrix or one cut from it, so both bundled
+        OpenBLAS copies are held at one thread here, before the first."""
         _one_blas_thread()
         g = self.graph
         i, j, w = g.edge_arrays
@@ -762,7 +769,7 @@ class AnalysisContext:
         """n eps (||H|| + t), the error budget of lambda_0(H + t 1_D): the
         dense solver's n eps ||H + t 1_D||, and the residual a sparse
         solve must stay within."""
-        return self.graph.n * np.finfo(float).eps * (self.norm + t)
+        return float(self.graph.n * np.finfo(float).eps * (self.norm + t))
 
     def coupled_ground_energy(self, t: float) -> float:
         """The lowest eigenvalue of H + t 1_D for finite t >= 0, read from

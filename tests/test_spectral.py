@@ -1,11 +1,17 @@
 """Operator assembly, eigenvalue bounds, coupling limits, projections."""
 
+import ctypes
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -924,32 +930,76 @@ def test_inertia_counts_eigenvalues_below_a_shift():
     assert spectral.count_below(ctx.sparse_operator, dense[-1] + 1.0) == 300
 
 
+def _openblas_threads():
+    """(getter, setter) of the thread count of the OpenBLAS copies bundled
+    with scipy and with numpy, in that order; a copy not found is left
+    out."""
+    found = []
+    for module, suffix in ((scipy, ""), (np, "64_")):
+        libs = Path(module.__file__).resolve().parent.parent / f"{module.__name__}.libs"
+        for path in sorted(libs.glob("*openblas*")):
+            lib = ctypes.CDLL(str(path))
+            if hasattr(lib, "scipy_openblas_set_num_threads" + suffix):
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix)
+                get.argtypes, get.restype = [], ctypes.c_int
+                found.append((get, getattr(lib, "scipy_openblas_set_num_threads" + suffix)))
+                break
+    return found
+
+
 def test_one_blas_thread_holds_after_a_sparse_solve():
-    """scipy's OpenBLAS is at one thread after a sparse solve, and stays
-    there: the count is not restored after it."""
-    blas = spectral._scipy_openblas()
-    if blas is None:
-        pytest.skip("scipy's OpenBLAS is not found here")
-    get_threads, set_threads = blas
-    set_threads(2)
+    """scipy's and numpy's OpenBLAS are at one thread after a sparse solve,
+    and stay there: the count is not restored after it."""
+    blas = _openblas_threads()
+    if len(blas) < 2:
+        pytest.skip("scipy's or numpy's OpenBLAS is not found here")
+    assert len(spectral._openblas_thread_setters()) == 2
+    for _, set_threads in blas:
+        set_threads(2)
     ctx = AnalysisContext(generate("random:300"), ("v0",))
     assert abs(ctx.lambda_0) <= ctx.budget
-    assert get_threads() == 1
+    assert [get() for get, _ in blas] == [1, 1]
     ctx.coupled_ground_energy(10.0)
-    assert get_threads() == 1
+    assert [get() for get, _ in blas] == [1, 1]
 
 
 def test_one_blas_thread_without_the_library_does_nothing(monkeypatch):
-    blas = spectral._scipy_openblas()
-    if blas:
-        blas[1](2)
-    before = blas[0]() if blas else None
-    monkeypatch.setattr(spectral, "_scipy_openblas", lambda: None)
+    blas = _openblas_threads()
+    for _, set_threads in blas:
+        set_threads(2)
+    before = [get() for get, _ in blas]
+    monkeypatch.setattr(spectral, "_openblas_thread_setters", lambda: ())
     spectral._one_blas_thread()
-    assert (blas[0]() if blas else None) == before
+    assert [get() for get, _ in blas] == before
     ctx = AnalysisContext(generate("random:300"), ())
     assert abs(ctx.lambda_0) <= ctx.budget
-    assert (blas[0]() if blas else None) == before
+    assert [get() for get, _ in blas] == before
+
+
+def test_reports_are_the_same_at_one_and_two_blas_threads():
+    """With both OpenBLAS copies held at one thread, reports run under
+    OPENBLAS_NUM_THREADS=1 and =2 print the same bytes outside timings
+    (on a one-core machine both runs use one thread)."""
+    tests = Path(__file__).resolve().parent
+    script = (
+        "import sys\n"
+        "from cli_matrix import run_case\n"
+        "for spec in ('random:100', 'apex_ray:200', 'random:800'):\n"
+        "    sys.stdout.write(run_case(['report', '--generate', spec, '--centers', 'every:4']))\n"
+    )
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert outputs[0].count("exit 0\n") == 3
+    assert outputs[0] == outputs[1]
 
 
 class _OffDiagonalPivots:
@@ -964,32 +1014,48 @@ class _OffDiagonalPivots:
         return getattr(self._lu, name)
 
 
-def test_window_falls_back_to_dense_when_superlu_pivots(monkeypatch):
-    """Without an inertia count the window and lambda_max come from the
-    dense solvers; the rows keep their names, flags and values."""
-    argv = ["report", "--generate", "random:300", "--centers", "every:4"]
-
-    def rows():
-        report, _ = cli.run(cli.build_parser().parse_args(argv))
-        return report.rows
-
-    sparse_rows = rows()
+def test_report_fails_without_dense_fallback_when_superlu_pivots(monkeypatch, capsys):
+    """Without an inertia count the certificate fails, and the report ends
+    in that ConvergenceFailure (exit 1), with no dense eigh behind it and
+    the shift printed as a plain float."""
     splu = spectral.splu
     monkeypatch.setattr(spectral, "splu", lambda *a, **k: _OffDiagonalPivots(splu(*a, **k)))
-    with pytest.raises(ConvergenceFailure, match="off the diagonal"):
-        spectral.count_below(AnalysisContext(generate("random:300")).sparse_operator, 0.5)
     decompositions = []
-    eigdecompose = spectral.eigdecompose
-    monkeypatch.setattr(
-        spectral, "eigdecompose", lambda op: decompositions.append(op) or eigdecompose(op)
-    )
-    fallback_rows = rows()
-    assert len(decompositions) == 1
-    assert [r.name for r in fallback_rows] == [r.name for r in sparse_rows]
-    for a, b in zip(sparse_rows, fallback_rows):
-        assert (a.passed, a.vacuous) == (b.passed, b.vacuous)
-        assert np.isclose(a.true_value, b.true_value, rtol=1e-9, atol=1e-12)
-        assert np.isclose(a.bound_value, b.bound_value, rtol=1e-9, atol=1e-12)
+    monkeypatch.setattr(spectral, "eigdecompose", decompositions.append)
+    argv = ["report", "--generate", "random:300", "--centers", "every:4"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("specbounds: error: no inertia at ")
+    assert "SuperLU pivoted off the diagonal" in err
+    assert "np.float64" not in err
+    assert decompositions == []
+
+
+def test_a_window_of_the_whole_spectrum_raises_instead_of_running_eigh():
+    g = generate("random:300")
+    ctx = AnalysisContext(g, cli.parse_centers(g, "every:4"))
+    with pytest.raises(ConvergenceFailure, match="reaches 300 of 300 eigenvalues"):
+        ctx.window((-1.0, 1e9))
+    assert "decomposition" not in vars(ctx) and "operator" not in vars(ctx)
+
+
+@pytest.mark.parametrize(
+    "spec, centers", [("random:300", "every:4"), ("lattice:2:20", "sublattice:3")]
+)
+def test_a_matrix_free_report_forms_no_dense_h(monkeypatch, spec, centers):
+    """Above the crossover no report stage reads the dense H or its eigh."""
+    for name in ("operator", "decomposition"):
+        dense = vars(AnalysisContext)[name].func
+
+        def refuse(self, dense=dense, name=name):
+            assert not self.matrix_free, f"a matrix-free context read {name}"
+            return dense(self)
+
+        monkeypatch.setattr(AnalysisContext, name, property(refuse))
+    argv = ["report", "--generate", spec, "--centers", centers]
+    report, _ = cli.run(cli.build_parser().parse_args(argv))
+    assert report.rows
 
 
 def test_matrix_free_empty_window_needs_no_decomposition(capsys):
