@@ -24,7 +24,7 @@ from .cheeger import cheeger_chain
 from .errors import GraphError, InvalidSpec
 from .generators import DEFAULT_SEED, generate
 from .graph import WeightedGraph, is_combinatorial, load_graph
-from .metric import ball, check_homogeneity, covering_radius
+from .metric import ball, check_homogeneity, covering_radius, covering_radius_by_search
 from .potential import (
     GroundState,
     ground_state,
@@ -325,7 +325,8 @@ def _covering(run: _Run) -> list:
     ctx = run.ctx
     if not (ctx.centers and ctx.omega):
         return []
-    covr = covering_radius(ctx.metric, ctx.centers)
+    # An independent multi-source search against the table's inradius.
+    covr = covering_radius_by_search(ctx.graph, ctx.centers)
     return [make_report("metric/covering_equals_inradius", abs(covr - ctx.R), 0.0, "<=")]
 
 

@@ -1,15 +1,21 @@
 """Shared helpers: random test instances, the dense reference assembly of
 H, dense spectral quantities that only tests compute (the package reads
 the spectrum's ends and the window's pairs, never a norm of an arbitrary
-operator or a projection matrix), and the parser of a JSON report."""
+operator or a projection matrix), the parser of a JSON report, and the
+controls of the forked distance table's worker count."""
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import signal
 from dataclasses import dataclass
 from typing import Iterable
+from unittest import mock
 
 import numpy as np
+import pytest
 
 from specbounds import (
     AnalysisContext,
@@ -21,6 +27,7 @@ from specbounds import (
     random_connected,
     window_indices,
 )
+from specbounds import metric
 from specbounds.spectral import UNCERTAINTY_GRID_POINTS
 
 
@@ -195,3 +202,50 @@ def parse_json(text: str) -> Report:
         timings=doc.get("timings", {}),
         version=doc.get("version", ""),
     )
+
+
+# compute_metric splits the distance table over forked workers, one per
+# usable CPU; patching os.sched_getaffinity sets that count.
+needs_fork = pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+    reason="the table is split over workers only where os.fork and sched_getaffinity exist",
+)
+
+
+def usable_cpus(k: int):
+    """Patch the usable CPUs of this process to k."""
+    return mock.patch("os.sched_getaffinity", return_value=set(range(k)))
+
+
+def dijkstra_raising(exc: BaseException, in_workers: bool):
+    """scipy's dijkstra as compute_metric calls it, raising exc instead in
+    its forked workers (in_workers) or in this process."""
+    parent, serial = os.getpid(), metric._dijkstra
+
+    def dijkstra(*args, **kwargs):
+        if (os.getpid() != parent) == in_workers:
+            raise exc
+        return serial(*args, **kwargs)
+
+    return dijkstra
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Fail with TimeoutError, instead of hanging, after the given time."""
+
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,5 +1,6 @@
 """Path metric, balls, inradius/covering radius, and geometry estimates."""
 
+import os
 import tracemalloc
 from unittest import mock
 
@@ -38,7 +39,16 @@ from specbounds.metric import (
     ball_mass_max,
     positive_quantiles,
 )
-from helpers import random_instance, random_proper_subset, weight
+from helpers import (
+    assert_no_child_left,
+    deadline,
+    dijkstra_raising,
+    needs_fork,
+    random_instance,
+    random_proper_subset,
+    usable_cpus,
+    weight,
+)
 
 
 def path_length(g: WeightedGraph, path) -> float:
@@ -547,3 +557,56 @@ def test_centre_ball_masses_read_the_centre_rows_in_blocks():
             tracemalloc.stop()
         assert got == want
         assert peak < idx.size * g.n * 8
+
+
+@needs_fork
+@pytest.mark.parametrize("spec", ["random:800", "lattice:2:40"])
+def test_forked_table_is_scipys_serial_table_bit_for_bit(spec):
+    """At 1, 2 and 3 usable CPUs the table has the bits of one serial
+    Dijkstra call, each worker after the first is one fork, and no child
+    is left after the call."""
+    g = generate(spec)
+    want = dijkstra(g.lengths, directed=True)
+    for cpus in (1, 2, 3):
+        with usable_cpus(cpus), mock.patch("os.fork", wraps=os.fork) as fork, deadline(60):
+            got = compute_metric(g).dist
+        assert fork.call_count == cpus - 1
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        assert_no_child_left()
+
+
+@needs_fork
+def test_graphs_below_two_worker_shares_never_fork():
+    """Below 2 * ROWS_PER_WORKER = 512 vertices the table is one Dijkstra
+    call in this process, however many CPUs are usable."""
+    assert metric.ROWS_PER_WORKER == 256
+    with usable_cpus(64), mock.patch("os.fork", side_effect=AssertionError("forked")):
+        for g in (generate("random:511"), lattice_box(2, 20), path_graph(1)):
+            assert compute_metric(g).dist.tobytes() == dijkstra(g.lengths, directed=True).tobytes()
+
+
+@needs_fork
+def test_a_failing_worker_raises_child_process_error(monkeypatch):
+    """A worker whose Dijkstra raises exits nonzero, and the call raises
+    ChildProcessError naming its rows and status; no child is left."""
+    monkeypatch.setattr(metric, "_dijkstra", dijkstra_raising(MemoryError(), in_workers=True))
+    with usable_cpus(2), deadline(60), pytest.raises(
+        ChildProcessError, match=r"distance rows 400-799: worker exited with status 1 after sending 0 of"
+    ):
+        compute_metric(generate("random:800"))
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_failing_parent_share_reaps_every_worker(monkeypatch):
+    """When this process's own share raises (here SystemExit, as the
+    benchmark's SIGTERM handler raises it), the call ends in that exception
+    without waiting on a worker blocked on its pipe (each sends 1.7 MB
+    against a 1 MiB pipe), and every worker is reaped."""
+    monkeypatch.setattr(metric, "_dijkstra", dijkstra_raising(SystemExit(143), in_workers=False))
+    with usable_cpus(3), mock.patch("os.fork", wraps=os.fork) as fork, deadline(60):
+        with pytest.raises(SystemExit):
+            compute_metric(generate("random:800"))
+    assert fork.call_count == 2
+    assert_no_child_left()

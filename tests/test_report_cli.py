@@ -2,12 +2,14 @@
 
 import json
 import math
+import os
 import re
 import sys
 import tomllib
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,9 +29,21 @@ from specbounds import (
     render_json,
 )
 from specbounds import cli
+from specbounds.metric import MetricData
 from specbounds.report import dumps_value
 
-from helpers import parse_json, record_coupled, uncertainty_grid, with_potential
+from cli_matrix import run_case
+from helpers import (
+    assert_no_child_left,
+    deadline,
+    dijkstra_raising,
+    needs_fork,
+    parse_json,
+    record_coupled,
+    uncertainty_grid,
+    usable_cpus,
+    with_potential,
+)
 from stage_memory import stage_memory
 
 
@@ -1142,3 +1156,54 @@ def test_report_holds_the_distance_table_and_o_n_beside_it():
     assert "pred" not in md.__dict__
     worst = max(stages, key=lambda stage: stage[1])
     assert worst[1] < 1.8 * md.dist.nbytes, worst
+
+
+@needs_fork
+def test_reports_are_the_same_at_one_and_two_usable_cpus():
+    """report on random:800 every:4 prints the same bytes outside timings
+    whether its distance table comes from one process or from two (one
+    fork), and leaves no child behind."""
+    argv = ["report", "--generate", "random:800", "--centers", "every:4"]
+    outputs = []
+    for cpus in (1, 2):
+        with usable_cpus(cpus), mock.patch("os.fork", wraps=os.fork) as fork, deadline(120):
+            outputs.append(run_case(argv))
+        assert fork.call_count == cpus - 1
+        assert_no_child_left()
+    assert outputs[0].startswith("exit 0\n")
+    assert outputs[0] == outputs[1]
+
+
+@needs_fork
+def test_report_exits_one_when_a_distance_worker_fails(monkeypatch, capsys):
+    """A worker whose Dijkstra raises ends the report as a
+    ChildProcessError, an OSError, which the CLI prints; exit 1."""
+    monkeypatch.setattr(metric, "_dijkstra", dijkstra_raising(MemoryError(), in_workers=True))
+    with usable_cpus(2), deadline(120):
+        code = cli.main(["report", "--generate", "random:800", "--centers", "every:4"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("specbounds: error: distance rows 400-799: worker exited with status 1")
+    assert_no_child_left()
+
+
+def test_covering_row_fails_on_a_table_with_two_worker_shares_swapped(monkeypatch):
+    """metric/covering_equals_inradius compares the table's inradius with
+    a multi-source Dijkstra run that reads no table, so a table assembled
+    with the two worker shares of random:800 in each other's rows fails it
+    (the centres all lie in the first share)."""
+    g = generate("random:800")
+    dist = metric.compute_metric(g).dist
+    swapped = MetricData(g, np.concatenate([dist[400:], dist[:400]]))
+
+    def covering_row(md):
+        monkeypatch.setattr(spectral, "compute_metric", lambda _: md)
+        run = cli._Run(args=None, ctx=AnalysisContext(g, g.vertices[:400:4]))
+        [row] = cli.STAGES["covering"](run)
+        assert row.name == "metric/covering_equals_inradius"
+        return row
+
+    assert covering_row(MetricData(g, dist)).true_value == 0.0
+    row = covering_row(swapped)
+    assert not row.passed
+    assert row.true_value > 0.01
