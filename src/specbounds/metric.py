@@ -5,12 +5,14 @@ edge of weight b contributes length 1/b.  All-pairs distances come from one
 single-source shortest-path run per vertex over the graph's sparse edge
 lengths (WeightedGraph.lengths); only the distances are kept.  From
 2 * ROWS_PER_WORKER vertices on, compute_metric splits those runs over
-forked worker processes, one per usable CPU; every row is still its own
-run, so the table has the same bits at any worker count.  MetricData owns
-the distance table and answers every query read off it, each with one
-implementation: the ball-volume brackets vol[s] and its two refinements
-are one blocked product (ball_mass_max), the sampled radii (quartiles) one
-blocked selection, and the inradius the covering radius of the complement.
+forked worker processes, one per usable CPU, which write their rows
+straight into one shared mapping that holds the table; every row is still
+its own run, so the table has the same bits at any worker count.
+MetricData owns the distance table and answers every query read off it,
+each with one implementation: the ball-volume brackets vol[s] and its two
+refinements are one blocked product (ball_mass_max), the sampled radii
+(quartiles) one blocked selection, and the inradius the covering radius of
+the complement.
 None forms an n x n temporary.  covering_radius_by_search reads no table:
 one multi-source Dijkstra run checks the table's covering radius.  A
 geodesic is read back from scipy's predecessors, which only a read of
@@ -19,12 +21,10 @@ MetricData.pred asks Dijkstra for.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as _dijkstra
@@ -54,10 +54,6 @@ _KEY_MAX = int(np.iinfo(np.int64).max)
 # distance table, so graphs below 2 * ROWS_PER_WORKER vertices take one
 # Dijkstra call in the calling process.
 ROWS_PER_WORKER = 256
-# The pipe buffer a worker writes its rows into, where Linux lets it be set:
-# at n = 800 on a 2-vCPU VM the forked table took 0.050-0.057 s with 1 MiB
-# and 0.056-0.068 s with the default 64 KiB.
-PIPE_BYTES = 1 << 20
 
 
 def _block_rows(n: int) -> int:
@@ -290,90 +286,63 @@ def compute_metric(g: WeightedGraph) -> MetricData:
     """All-pairs shortest paths under edge length 1/b.
 
     Below 2 * ROWS_PER_WORKER vertices, or with one usable CPU, this is one
-    Dijkstra call over all sources.  Otherwise the rows split into w
-    contiguous shares (_workers): this process computes the first in
-    blocks of _block_rows(n) sources, straight into the table, while each
-    other share is computed in a forked child, which writes its whole share
-    to a pipe and exits; this process reads each share into its rows.
-    Every row is its own single-source run, so the table has the same bits
-    at any worker count.  A worker that exits nonzero or sends too few
-    bytes raises ChildProcessError; no child outlives the call.
+    Dijkstra call over all sources.  Otherwise the table is one anonymous
+    shared mapping and its rows split into w contiguous shares (_workers):
+    this process fills the first and a forked child each other one, all
+    through _fill_rows, straight into the table.  A child exits 0 only
+    after its last row is written, so its exit status is the only sign
+    that its share is done; a nonzero one raises ChildProcessError.  Every
+    row is its own single-source run, so the table has the same bits at
+    any worker count.  When this process raises (its own share, a later
+    fork, a signal handler), every started child is killed; every child is
+    reaped before the call returns or raises.
     """
     n = g.n
     workers = _workers(n)
     if workers == 1:
         return MetricData(g, _readonly(_dijkstra(g.lengths, directed=True)))
-    import fcntl  # POSIX only, as os.fork is
+    # Imported only where the table is split; a serial run needs neither.
+    import mmap
+    import signal
 
-    dist = np.empty((n, n))
+    dist = np.frombuffer(mmap.mmap(-1, n * n * 8)).reshape(n, n)
     cuts = [n * k // workers for k in range(workers + 1)]
     first, *shares = (slice(a, b) for a, b in zip(cuts, cuts[1:]))
-    readers: list[io.FileIO] = []
     pids: list[int] = []
-    received: list[int] = []
     try:
         for rows in shares:
-            read_fd, write_fd = os.pipe()
-            readers.append(io.FileIO(read_fd, "r"))
-            try:
-                with contextlib.suppress(AttributeError, OSError):
-                    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-                pid = os.fork()
-                if pid == 0:
-                    _share_worker(g.lengths, rows, write_fd, [r.fileno() for r in readers])
-            finally:
-                os.close(write_fd)
+            if (pid := os.fork()) == 0:
+                # The child runs no BLAS, flushes no stdio buffer and runs
+                # no atexit handler; any exception ends it with status 1.
+                status = 1
+                try:
+                    _fill_rows(dist, g.lengths, rows)
+                    status = 0
+                finally:
+                    os._exit(status)
             pids.append(pid)
-        for block in _row_blocks(first.stop, _block_rows(n)):
-            dist[block] = _dijkstra(
-                g.lengths, directed=True, indices=np.arange(block.start, block.stop)
-            )
-        for reader, rows in zip(readers, shares):
-            view = memoryview(dist[rows]).cast("B")
-            got = 0
-            while got < len(view) and (size := reader.readinto(view[got:])):
-                got += size
-            received.append(got)
+        _fill_rows(dist, g.lengths, first)
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        # Close every read end first: a child blocked on a full pipe then
-        # gets EPIPE and exits, so waiting on it cannot deadlock.
-        for reader in readers:
-            reader.close()
         statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for rows, status, got in zip(shares, statuses, received):
-        want = (rows.stop - rows.start) * n * dist.itemsize
-        if status or got != want:
+    for rows, status in zip(shares, statuses):
+        if status:
             raise ChildProcessError(
-                f"distance rows {rows.start}-{rows.stop - 1}: worker exited with "
-                f"status {status} after sending {got} of {want} bytes"
+                f"distance rows {rows.start}-{rows.stop - 1}: worker exited with status {status}"
             )
     return MetricData(g, _readonly(dist))
 
 
-def _share_worker(lengths, rows: slice, write_fd: int, inherited: list[int]) -> NoReturn:
-    """In a forked child: close the inherited read ends, compute the
-    distance rows of one share, write them to write_fd, and exit at once,
-    0 when every byte was written.
-
-    The whole share is computed before the first write: a child that
-    writes block by block stalls behind the parent's own share.  The child
-    runs no BLAS, flushes no stdio buffer and runs no atexit handler, so
-    the threads the parent's OpenBLAS left idle do not matter here, and
-    any exception (EPIPE when the parent has stopped reading, SystemExit
-    from a signal handler) ends it with status 1 and never returns into
-    the parent's code.
-    """
-    status = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        share = _dijkstra(lengths, directed=True, indices=np.arange(rows.start, rows.stop))
-        view = memoryview(share).cast("B")
-        while view:
-            view = view[os.write(write_fd, view):]
-        status = 0
-    finally:
-        os._exit(status)
+def _fill_rows(dist: np.ndarray, lengths, rows: slice) -> None:
+    """Compute the distance rows of one share straight into dist, in
+    blocks of _block_rows(n) sources."""
+    step = _block_rows(len(dist))
+    for a in range(rows.start, rows.stop, step):
+        b = min(a + step, rows.stop)
+        dist[a:b] = _dijkstra(lengths, directed=True, indices=np.arange(a, b))
 
 
 def geodesic(md: MetricData, x: str, y: str) -> tuple[str, ...]:

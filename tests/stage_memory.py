@@ -9,14 +9,20 @@ the largest peak.  tracemalloc starts after the arguments are parsed and
 before the first stage, so a stage's peak counts what earlier stages keep
 (the distance table, the context's cached quantities) plus its own
 transients.  Memory that numpy and Python do not allocate (OpenBLAS and
-SuperLU workspaces) is not traced.  pytest does not collect this file: its
-name does not start with test_.
+SuperLU workspaces) is not traced.  Neither is the distance table when
+compute_metric forks, since it then lives in an anonymous shared mapping;
+its bytes are added to the peak and live memory of the stage that makes
+it and of every later stage, as they count a table numpy allocated.
+pytest does not collect this file: its name does not start with test_.
 """
 
 from __future__ import annotations
 
+import mmap
 import sys
 import tracemalloc
+
+import numpy as np
 
 from specbounds import cli
 
@@ -37,10 +43,24 @@ def stage_memory(argv: list[str]) -> tuple[list[tuple[str, int, int]], cli._Run]
             tracemalloc.reset_peak()
             cli.STAGES[name](state)
             live, peak = tracemalloc.get_traced_memory()
-            stages.append((name, peak, live))
+            table = untraced_table_bytes(state)
+            stages.append((name, peak + table, live + table))
     finally:
         tracemalloc.stop()
     return stages, state
+
+
+def untraced_table_bytes(state: cli._Run) -> int:
+    """The bytes of the context's distance table when it lives in an
+    anonymous shared mapping, which tracemalloc does not see; 0 before the
+    table exists or when numpy allocated it."""
+    md = vars(state.ctx).get("metric") if state.ctx is not None else None
+    if md is None:
+        return 0
+    base = md.dist
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return md.dist.nbytes if isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap) else 0
 
 
 def main(argv: list[str]) -> int:

@@ -1,6 +1,8 @@
 """Path metric, balls, inradius/covering radius, and geometry estimates."""
 
 import os
+import signal
+import time
 import tracemalloc
 from unittest import mock
 
@@ -592,7 +594,29 @@ def test_a_failing_worker_raises_child_process_error(monkeypatch):
     ChildProcessError naming its rows and status; no child is left."""
     monkeypatch.setattr(metric, "_dijkstra", dijkstra_raising(MemoryError(), in_workers=True))
     with usable_cpus(2), deadline(60), pytest.raises(
-        ChildProcessError, match=r"distance rows 400-799: worker exited with status 1 after sending 0 of"
+        ChildProcessError, match=r"^distance rows 400-799: worker exited with status 1$"
+    ):
+        compute_metric(generate("random:800"))
+    assert_no_child_left()
+
+
+@needs_fork
+def test_a_worker_killed_mid_share_raises_child_process_error(monkeypatch):
+    """A worker killed by SIGKILL after its first block (as the OOM killer
+    would kill it) never exits 0, so the call raises ChildProcessError with
+    its signal status instead of returning a table with rows missing; no
+    child is left."""
+    parent, serial, calls = os.getpid(), metric._dijkstra, []
+
+    def dijkstra(*args, **kwargs):
+        calls.append(None)
+        if os.getpid() != parent and len(calls) == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return serial(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "_dijkstra", dijkstra)
+    with usable_cpus(2), deadline(60), pytest.raises(
+        ChildProcessError, match=r"^distance rows 400-799: worker exited with status -9$"
     ):
         compute_metric(generate("random:800"))
     assert_no_child_left()
@@ -601,12 +625,24 @@ def test_a_failing_worker_raises_child_process_error(monkeypatch):
 @needs_fork
 def test_a_failing_parent_share_reaps_every_worker(monkeypatch):
     """When this process's own share raises (here SystemExit, as the
-    benchmark's SIGTERM handler raises it), the call ends in that exception
-    without waiting on a worker blocked on its pipe (each sends 1.7 MB
-    against a 1 MiB pipe), and every worker is reaped."""
-    monkeypatch.setattr(metric, "_dijkstra", dijkstra_raising(SystemExit(143), in_workers=False))
+    benchmark's SIGTERM handler raises it), the call kills its workers and
+    ends in that exception at once, instead of waiting out their shares
+    (each sleeps 5 s before every block here), and every worker is
+    reaped."""
+    parent, serial = os.getpid(), metric._dijkstra
+
+    def dijkstra(*args, **kwargs):
+        if os.getpid() == parent:
+            raise SystemExit(143)
+        time.sleep(5)
+        return serial(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "_dijkstra", dijkstra)
+    g = generate("random:800")
     with usable_cpus(3), mock.patch("os.fork", wraps=os.fork) as fork, deadline(60):
+        start = time.monotonic()
         with pytest.raises(SystemExit):
-            compute_metric(generate("random:800"))
+            compute_metric(g)
+        assert time.monotonic() - start < 1.0
     assert fork.call_count == 2
     assert_no_child_left()

@@ -44,7 +44,7 @@ from helpers import (
     usable_cpus,
     with_potential,
 )
-from stage_memory import stage_memory
+from stage_memory import stage_memory, untraced_table_bytes
 
 
 def test_report_relations_and_tolerance():
@@ -1146,16 +1146,24 @@ def test_report_is_invariant_under_scaling_weights_measure_and_potential(tmp_pat
     assert moved == {"homogeneity/ball_count", "potential/dirichlet_lower"}
 
 
+@needs_fork
 def test_report_holds_the_distance_table_and_o_n_beside_it():
     """On random:800 every:4 no stage of the report reaches 1.8 times the
-    n x n distance table in tracemalloc peak: the predecessors are never
-    formed, the resolvent writes its unit columns straight into factored
-    order, and the transform check evaluates its samples in row blocks."""
-    stages, state = stage_memory(["report", "--generate", "random:800", "--centers", "every:4"])
-    md = state.ctx.metric
-    assert "pred" not in md.__dict__
-    worst = max(stages, key=lambda stage: stage[1])
-    assert worst[1] < 1.8 * md.dist.nbytes, worst
+    n x n distance table in tracemalloc peak, with the table counted: the
+    predecessors are never formed, the resolvent writes its unit columns
+    straight into factored order, and the transform check evaluates its
+    samples in row blocks.  At one usable CPU numpy allocates the table;
+    at two it is the forked workers' shared mapping, which stage_memory
+    adds because tracemalloc does not see it."""
+    argv = ["report", "--generate", "random:800", "--centers", "every:4"]
+    for cpus in (1, 2):
+        with usable_cpus(cpus):
+            stages, state = stage_memory(argv)
+        md = state.ctx.metric
+        assert "pred" not in md.__dict__
+        assert untraced_table_bytes(state) == (cpus - 1) * md.dist.nbytes
+        worst = max(stages, key=lambda stage: stage[1])
+        assert worst[1] < 1.8 * md.dist.nbytes, (cpus, worst)
 
 
 @needs_fork
@@ -1184,6 +1192,29 @@ def test_report_exits_one_when_a_distance_worker_fails(monkeypatch, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("specbounds: error: distance rows 400-799: worker exited with status 1")
+    assert_no_child_left()
+
+
+@needs_fork
+def test_report_exits_one_when_a_later_fork_fails(capsys):
+    """At 3 usable CPUs, an os.fork that fails on the second worker
+    (BlockingIOError, as at the process limit) propagates as the OSError it
+    is: the first worker is killed and reaped, and the CLI prints the error
+    and exits 1."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    with usable_cpus(3), mock.patch("os.fork", fork), deadline(120):
+        code = cli.main(["report", "--generate", "random:800", "--centers", "every:4"])
+    assert code == 1
+    assert len(forks) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("specbounds: error: [Errno 11] Resource temporarily unavailable")
     assert_no_child_left()
 
 
