@@ -37,21 +37,24 @@ itself for the top end), turns an ArpackError into ConvergenceFailure,
 sorts the pairs and holds every residual ||Ax - lambda x|| to the budget.
 Each solver below adds only its own check:
 
-    lambda_0(H), lambda_Omega
-        shift-invert Lanczos (ARPACK) with a shift below the whole
-        spectrum (min V/m - 1 for H, lambda_0(H) - 1 for the region
-        block, by sparse_ground_state), so the largest eigenvalue of the
-        shift-inverted operator is the ground energy.  The residual is
-        its only check.
-    lambda_0(H + t 1_D)
-        sparse_ground_state with the shift just below the eigenvalue: the
-        curve's lower bound at the largest t' <= t already solved
-        (lambda_0(H) less its residual at t' = 0), less the budget.  That lies
-        below the spectrum, since lambda_0(H + t 1_D) is nondecreasing in
-        t, and the factorization of the shifted matrix certifies it (no
-        negative pivot); three Lanczos vectors then suffice.  When that
-        check or the residual fails, the solve is redone with the shift
-        lambda_0(H) - 1 and ARPACK's default basis.
+    lambda_0(H)
+        _ground_solve: shift-invert Lanczos (ARPACK) with the shift
+        min V/m - 1, below the whole spectrum since the Laplacian part is
+        positive semidefinite, so the largest eigenvalue of the
+        shift-inverted operator is the ground energy.  The residual is its
+        only check.
+    lambda_Omega, lambda_0(H + t 1_D)
+        sparse_ground_state, the one certified ground solve: the
+        factorization of A - sigma must have no negative pivot (by
+        Sylvester's law no eigenvalue lies below sigma), and one Lanczos
+        run then gives the ground pair.  lambda_Omega takes the shift
+        lambda_0(H) - 1 (below the region block's spectrum by interlacing)
+        and ARPACK's default basis.  The coupled energy takes the shift
+        just below the eigenvalue: the curve's lower bound at the largest
+        t' <= t already solved (lambda_0(H) less its residual at t' = 0),
+        less the budget.  That lies below the spectrum, since
+        lambda_0(H + t 1_D) is nondecreasing in t, and three Lanczos
+        vectors suffice.
     lambda_max(H)
         sparse_top_eigenvalue: Lanczos on H itself, certified by the
         residual and by the inertia of H - (theta + residual + budget),
@@ -111,7 +114,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 import scipy
-from scipy import sparse
+from scipy import linalg, sparse
 from scipy.sparse.linalg import ArpackError, LinearOperator, SuperLU, eigsh, splu
 
 from .errors import (
@@ -302,7 +305,11 @@ def _lanczos(
         raise ConvergenceFailure(str(exc)) from exc
     order = np.argsort(evals)
     evals, evecs = evals[order], evecs[:, order]
-    residual = max(float(np.linalg.norm(A @ x - lam * x)) for lam, x in zip(evals, evecs.T))
+    # BLAS nrm2 scales as it sums, so the norm does not overflow where the
+    # squares of the entries would (t near 1e300).
+    residual = max(
+        float(linalg.norm(A @ x - lam * x, check_finite=False)) for lam, x in zip(evals, evecs.T)
+    )
     if not residual <= budget:
         raise ConvergenceFailure(f"Lanczos residual {residual!r} exceeds the budget {budget!r}")
     return evals, evecs, residual
@@ -320,38 +327,28 @@ def sparse_ground_state(
     v0: np.ndarray,
     budget: float,
     order: np.ndarray | None = None,
-    fallback: float | None = None,
+    ncv: int | None = None,
 ) -> tuple[float, np.ndarray, float]:
     """Lowest eigenpair of a sparse symmetric matrix A, and its residual.
 
     sigma must lie below the spectrum of A: then (A - sigma)^(-1) is
     positive definite and its largest eigenvalue belongs to the lowest of
-    A.  v0 is the Lanczos start vector; pass one that cannot be orthogonal
-    to the ground state (a positive vector for a positive ground state).
-    Returns (lambda, x, ||Ax - lambda x||) with x of unit length, and
-    raises ConvergenceFailure when the residual exceeds budget.
-
-    With fallback given, sigma is a guess just below the ground energy.
-    It is certified on the factorization of A - sigma, which must have no
-    negative pivot (none of A's eigenvalues below sigma, by Sylvester's
-    law), and then a basis of NEAR_SHIFT_NCV Lanczos vectors suffices.
-    When that check, ARPACK or the residual fails, the solve is redone at
-    the shift fallback, which must lie below the spectrum, with ARPACK's
-    default basis.  order, when given, is the fill-reducing ordering of
-    A's sparsity pattern.
+    A.  The factorization of A - sigma certifies it: no negative pivot
+    means no eigenvalue of A below sigma, by Sylvester's law of inertia.
+    One shift-invert Lanczos run with a basis of ncv vectors (ARPACK's
+    default when None; NEAR_SHIFT_NCV suffices for a shift just below the
+    ground energy) then finds the pair.  v0 is the Lanczos start vector;
+    pass one that cannot be orthogonal to the ground state (a positive
+    vector for a positive ground state).  order, when given, is the
+    fill-reducing ordering of A's sparsity pattern.  Returns
+    (lambda, x, ||Ax - lambda x||) with x of unit length, and raises
+    ConvergenceFailure when the shift is not below the spectrum, ARPACK
+    fails or the residual exceeds budget.
     """
-    if fallback is not None:
-        try:
-            lu = _factor(A, sigma, order)
-            if lu.negative_pivots() != 0:
-                raise ConvergenceFailure(f"the shift {sigma!r} is not below the spectrum")
-            evals, evecs, residual = _lanczos(A, 1, v0, budget, lu, NEAR_SHIFT_NCV)
-            return float(evals[0]), evecs[:, 0], residual
-        except ConvergenceFailure:
-            sigma = fallback
-    # Below the spectrum A - sigma is positive definite, so its LU needs no
-    # pivoting, and a symmetric fill-reducing ordering keeps it sparse.
-    evals, evecs, residual = _lanczos(A, 1, v0, budget, _factor(A, sigma, order))
+    lu = _factor(A, sigma, order)
+    if lu.negative_pivots() != 0:
+        raise ConvergenceFailure(f"the shift {sigma!r} is not below the spectrum")
+    evals, evecs, residual = _lanczos(A, 1, v0, budget, lu, ncv)
     return float(evals[0]), evecs[:, 0], residual
 
 
@@ -502,7 +499,7 @@ class AnalysisContext:
         the inertia above it.
       - lambda_omega: sparse_ground_state on the region block with the
         shift lambda_0 - 1 (below it by interlacing) from sqrt(m) on the
-        region; certified by the residual.
+        region; certified by the inertia at the shift and the residual.
       - window(interval): sparse_window, certified by the inertia at both
         ends and the residuals.
     On both sides window returns the pairs in the interval alone: their
@@ -512,9 +509,9 @@ class AnalysisContext:
         the curve's lower bound at the largest t' <= t solved so far
         (lambda_0 less its residual at the seed t' = 0) less the budget of
         t, below lambda_0(H + t 1_D) because the ground energy is
-        nondecreasing in t; the inertia of the factorization certifies it,
-        and on failure the solve is redone with the shift lambda_0 - 1.
-        Each solve starts from the ground state at that t' (H's at the
+        nondecreasing in t, and the inertia of the factorization
+        certifies it; NEAR_SHIFT_NCV Lanczos vectors then suffice.  Each
+        solve starts from the ground state at that t' (H's at the
         seed), a positive vector, so the values are reproducible bit for
         bit for the same sequence of t.
     When a certificate fails (SuperLU pivots off the diagonal, a residual
@@ -785,13 +782,9 @@ class AnalysisContext:
                 # lambda_0(H + t 1_D) is nondecreasing in t, so the bound
                 # at the largest t' <= t solved so far lies below it.
                 _, floor, v0 = curve[max(s for s in curve if s <= t)]
+                A = self.coupled_sparse(t)
                 lam, x, residual = sparse_ground_state(
-                    self.coupled_sparse(t),
-                    floor - budget,
-                    v0,
-                    budget,
-                    self.ordering,
-                    fallback=self.lambda_0 - 1.0,
+                    A, floor - budget, v0, budget, self.ordering, NEAR_SHIFT_NCV
                 )
                 # The ground state is positive up to sign; abs fixes the sign.
                 curve[t] = (lam, lam - residual, np.abs(x))

@@ -834,34 +834,69 @@ def test_coupled_ground_energies_in_report_order_match_dense(ctx, monkeypatch):
         assert abs(lam - dense[0]) <= ctx.graph.n * EPS * (ctx.norm + t) + residual
 
 
-def test_near_shift_above_the_ground_energy_falls_back(monkeypatch):
+def test_near_shift_above_the_ground_energy_raises(monkeypatch):
     """A shift between lambda_0 and lambda_1 but nearer lambda_1 has one
-    negative pivot, so the inertia check rejects it before any Lanczos run
-    (which would find lambda_1), and the solve at the fallback shift gives
-    lambda_0 within budget."""
+    negative pivot, so the inertia check refuses it, naming the shift,
+    before any Lanczos run (which would find lambda_1); nothing re-solves
+    at another shift.  A shift certified below lambda_0 gives lambda_0
+    within budget."""
     g = generate("random:300")
     ctx = AnalysisContext(g, cli.parse_centers(g, "every:4"))
     t = ctx.threshold
     A = ctx.coupled_sparse(t)
     dense = np.linalg.eigvalsh(A.toarray())
-    sigma = dense[1] - 0.1 * (dense[1] - dense[0])
+    sigma = float(dense[1] - 0.1 * (dense[1] - dense[0]))
     assert spectral.count_below(A, sigma) == 1
     budget = g.n * EPS * (ctx.norm + t)
+    order = ctx.ordering
     shifts = []
     eigsh = spectral.eigsh
 
     def recording(*args, **kwargs):
-        shifts.append((kwargs["sigma"], kwargs["ncv"]))
+        shifts.append(kwargs["sigma"])
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(spectral, "eigsh", recording)
-    lam, _, residual = sparse_ground_state(
-        A, sigma, np.sqrt(g.m), budget, ctx.ordering, fallback=ctx.lambda_0 - 1.0
-    )
-    assert shifts == [(ctx.lambda_0 - 1.0, None)]
-    assert abs(lam - dense[0]) <= g.n * EPS * max(abs(dense[0]), abs(dense[-1])) + residual
-    near, _, _ = sparse_ground_state(A, dense[0] - 1e-3, np.sqrt(g.m), budget, ctx.ordering)
-    assert abs(lam - near) <= budget
+    with pytest.raises(ConvergenceFailure) as failure:
+        sparse_ground_state(A, sigma, np.sqrt(g.m), budget, order, spectral.NEAR_SHIFT_NCV)
+    assert str(failure.value) == f"the shift {sigma!r} is not below the spectrum"
+    assert shifts == []
+    near, _, residual = sparse_ground_state(A, dense[0] - 1e-3, np.sqrt(g.m), budget, order)
+    assert shifts == [dense[0] - 1e-3]
+    assert abs(near - dense[0]) <= g.n * EPS * max(abs(dense[0]), abs(dense[-1])) + residual
+
+
+def test_lambda_omega_checks_the_inertia_at_its_shift(monkeypatch):
+    """Above the crossover lambda_Omega's solve is certified by the inertia
+    at its shift lambda_0 - 1, like every sparse ground solve: with a
+    lambda_0 that puts the shift above the region's ground energy it
+    raises before any Lanczos run."""
+    g = generate("random:300")
+    centers = cli.parse_centers(g, "every:4")
+    checked = []
+    negative_pivots = spectral._Factorization.negative_pivots
+
+    def recording(self):
+        count = negative_pivots(self)
+        checked.append((self.shift, count))
+        return count
+
+    monkeypatch.setattr(spectral._Factorization, "negative_pivots", recording)
+    ctx = AnalysisContext(g, centers)
+    ctx.lambda_0
+    assert checked == []  # H's own ground solve takes min V/m - 1
+    lam = ctx.lambda_omega
+    assert checked == [(ctx.lambda_0 - 1.0, 0)]
+    assert abs(lam - eigenvalues_of(ctx.region_operator)[0]) <= 2 * ctx.budget
+
+    runs = []
+    monkeypatch.setattr(spectral, "_lanczos", lambda *args, **kwargs: runs.append(args))
+    bad = AnalysisContext(g, centers)
+    vars(bad)["lambda_0"] = lam + 2.0  # the shift lam + 1 lies above lambda_Omega
+    with pytest.raises(ConvergenceFailure, match=r"the shift .* is not below the spectrum"):
+        bad.lambda_omega
+    assert checked[-1][0] == lam + 1.0 and checked[-1][1] >= 1
+    assert runs == []
 
 
 def test_inertia_with_the_cached_ordering_matches_superlus_own():
@@ -1030,6 +1065,56 @@ def test_report_fails_without_dense_fallback_when_superlu_pivots(monkeypatch, ca
     assert "SuperLU pivoted off the diagonal" in err
     assert "np.float64" not in err
     assert decompositions == []
+
+
+def test_report_fails_when_a_coupled_shift_is_not_below_the_spectrum(monkeypatch, capsys):
+    """With the curve's floor at t = 0 lifted above every lambda_0(H + t 1_D)
+    (to lambda_max(H)), the first coupled solve's shift is refused by its
+    inertia, and the report ends in that ConvergenceFailure (exit 1): no
+    solve is redone at another shift."""
+    prop = vars(AnalysisContext)["_curve"]
+    curve = prop.func
+
+    def lifted(self):
+        record = curve(self)
+        lam, _, v0 = record[0.0]
+        record[0.0] = (lam, self.lambda_max, v0)
+        return record
+
+    monkeypatch.setattr(prop, "func", lifted)
+    shifts = []
+    eigsh = spectral.eigsh
+
+    def recording(*args, **kwargs):
+        shifts.append(kwargs.get("sigma"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "eigsh", recording)
+    argv = ["report", "--generate", "random:300", "--centers", "every:4"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("specbounds: error: the shift ")
+    assert err.endswith(" is not below the spectrum\n")
+    assert "np.float64" not in err
+    # H's ground solve, lambda_max and lambda_Omega ran; no coupled solve did.
+    assert len(shifts) == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_bounds_near_the_largest_couplings_print_no_overflow_warning(capsys):
+    """At t near 1e300 the residual ||Ax - lambda x|| is about 1e282; its
+    squares overflow, so a plain sqrt(x . x) warned and read inf, past the
+    budget.  BLAS nrm2 scales as it sums: nothing reaches stderr and the
+    rows parse.  The exit code is not pinned: these couplings lie in the
+    regime where the coupled energies cannot be decided (exit 2)."""
+    argv = ["bounds", "--generate", "random:300", "--centers", "every:4",
+            "--t-grid", "1e300:1e308:3"]
+    assert cli.main(argv) in (0, 2)
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = json.loads(out)["rows"]
+    assert sum(r["name"].startswith("coupling/rate#") for r in rows) == 3
 
 
 def test_a_window_of_the_whole_spectrum_raises_instead_of_running_eigh():
